@@ -54,11 +54,6 @@ def factored_matvec(f: FactorPair, x: np.ndarray) -> np.ndarray:
     return f.w1.data @ (f.w2.data @ x)
 
 
-def masked_matvec(w: DenseTensor, mask: np.ndarray, x: np.ndarray) -> np.ndarray:
-    csr = build_csr(w, mask)
-    return csr_matvec(csr, x)
-
-
 def build_csr(w: DenseTensor, mask: np.ndarray) -> sparse.csr_matrix:
     a = w.data
     if a.shape != mask.shape:

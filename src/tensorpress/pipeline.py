@@ -7,7 +7,7 @@ import hashlib
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -146,6 +146,9 @@ def compress_layer(w: DenseTensor, cfg: LayerConfig) -> tuple[CompressedLayer, d
     except Exception as exc:
         exc.args = (f"layer {cfg.layer_name!r}: {exc}",)
         raise
+    if kind == "svd":
+        # the archive stores sigma as f32; report the error of what is stored
+        svd_f = replace(svd_f, sigma=tuple(np.asarray(svd_f.sigma, dtype=np.float32).tolist()))
 
     layer = CompressedLayer(
         layer_name=cfg.layer_name,

@@ -1,9 +1,12 @@
 """Probabilistic magnitude pruning with entanglement-style neighbor propagation.
 
-The pipeline per stage: importance = |w|, softmax over the surviving weights,
+The pipeline per stage: importance = |w| over the surviving weights, a
 threshold calibrated so the cumulative pruned count tracks a linear schedule,
 then one non-cascading pass that prunes retained neighbors of freshly pruned
-weights with a fixed probability.
+weights with a fixed probability. The paper thresholds softmax(|w|); softmax
+is monotone, so the threshold is applied to |w| directly, which also keeps
+apart magnitudes that float64 softmax rounds to equal values. Ties at the
+threshold are pruned lowest flat index first.
 """
 
 from __future__ import annotations
@@ -43,58 +46,19 @@ class PruneResult:
     per_stage_sparsity: list[float] = field(default_factory=list)
 
 
-def importance(w: DenseTensor) -> DenseTensor:
-    """Element-wise |w|."""
-    return DenseTensor(np.abs(w.data), name=w.name)
+def _smallest_k(x: np.ndarray, k: int) -> np.ndarray:
+    """Flat indices of the k smallest entries of x, ties broken lowest index
+    first: the same set as np.argsort(x, kind="stable")[:k], in O(n).
 
-
-def softmax_probs(imp: DenseTensor) -> DenseTensor:
-    """Softmax over all elements, computed with max-subtraction for stability."""
-    probs = _softmax(imp.data.astype(np.float64).ravel())
-    return DenseTensor(probs.reshape(imp.shape), name=imp.name)
-
-
-def _softmax(x: np.ndarray) -> np.ndarray:
-    if x.size == 0:
-        raise ConfigError("softmax of an empty tensor is undefined")
-    e = np.exp(x - x.max())
-    return e / e.sum()
-
-
-def calibrate_threshold(p: DenseTensor, alpha: float) -> float:
-    """Threshold so that k = round(alpha*N) elements fall strictly below it.
-
-    With tied probabilities the threshold alone cannot isolate exactly k
-    elements; retain_mask's target_pruned argument finishes the job by
-    pruning boundary ties in flat-index order.
+    The k-th smallest value lam is the calibrated threshold; every entry
+    below it is taken, then the first entries equal to it fill the count.
     """
-    if not 0.0 <= alpha < 1.0:
-        raise ConfigError(f"alpha must be in [0, 1), got {alpha}")
-    flat = p.data.ravel()
-    n = flat.size
-    k = _round_half_up(alpha * n)
-    if k >= n:
-        raise ConfigError(f"alpha={alpha} would prune all {n} weights")
-    if k == 0:
-        return float(flat.min())
-    return float(np.sort(flat, kind="stable")[k])
-
-
-def retain_mask(p: DenseTensor, lam: float, target_pruned: int | None = None) -> RetainMask:
-    """Binary mask: 1 where p >= lam, 0 otherwise.
-
-    target_pruned applies the flat-index tie-break: if strict thresholding
-    prunes fewer than target_pruned elements, boundary ties (p == lam) are
-    pruned lowest-index-first until the count is met.
-    """
-    flat = p.data.ravel()
-    mask = (flat >= lam).astype(np.uint8)
-    if target_pruned is not None:
-        shortfall = target_pruned - int((mask == 0).sum())
-        if shortfall > 0:
-            ties = np.flatnonzero((flat == lam) & (mask == 1))
-            mask[ties[:shortfall]] = 0
-    return mask.reshape(p.shape)
+    if k <= 0:
+        return np.empty(0, dtype=np.intp)
+    lam = np.partition(x, k - 1)[k - 1]
+    below = np.flatnonzero(x < lam)
+    ties = np.flatnonzero(x == lam)[: k - below.size]
+    return np.concatenate([below, ties])
 
 
 def _neighbor_pairs(mask: RetainMask) -> tuple[np.ndarray, np.ndarray]:
@@ -152,8 +116,8 @@ def entangle(mask: RetainMask, entangle_prob: float, seed) -> RetainMask:
 def iterative_prune(w: DenseTensor, cfg: PruneConfig) -> PruneResult:
     """Multi-stage pruning toward cumulative sparsity alpha, linear schedule.
 
-    Stage t targets round(alpha * t/stages * N) pruned weights; softmax
-    probabilities are recomputed over the survivors each stage, and an
+    Stage t targets round(alpha * t/stages * N) pruned weights; the
+    threshold is recalibrated over the survivors each stage, and an
     entanglement pass follows each stage's threshold mask. Masks only ever
     lose ones. Deterministic given cfg.seed.
     """
@@ -165,11 +129,7 @@ def iterative_prune(w: DenseTensor, cfg: PruneConfig) -> PruneResult:
         target_total = _round_half_up(cfg.alpha * stage / cfg.stages * n)
         survivors = np.flatnonzero(mask == 1)
         k_add = target_total - (n - survivors.size)
-        if k_add > 0:
-            probs = _softmax(np.abs(flat_w[survivors]).astype(np.float64))
-            # threshold + lowest-index tie-break == stable sort, prune first k
-            order = np.argsort(probs, kind="stable")
-            mask[survivors[order[:k_add]]] = 0
+        mask[survivors[_smallest_k(np.abs(flat_w[survivors]), k_add)]] = 0
         if cfg.entangle_prob > 0.0:
             stage_seed = np.random.SeedSequence([cfg.seed & 0xFFFFFFFFFFFFFFFF, stage])
             mask = entangle(mask.reshape(w.shape), cfg.entangle_prob, stage_seed).ravel()

@@ -158,7 +158,10 @@ def read_archive(raw: bytes) -> TensorArchive:
     entries: list[tuple[str, DenseTensor]] = []
     seen: set[str] = set()
     for _ in range(count):
-        name = r.take(r.u32()).decode("utf-8")
+        try:
+            name = r.take(r.u32()).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ArchiveError(f"entry name is not valid UTF-8: {exc}") from exc
         if name in seen:
             raise DuplicateNameError(f"duplicate entry name: {name!r}")
         seen.add(name)

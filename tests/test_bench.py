@@ -11,7 +11,6 @@ from tensorpress.bench import (
     flops_dense,
     flops_factored,
     flops_masked,
-    masked_matvec,
     results_to_json,
     run_bench,
 )
@@ -55,7 +54,7 @@ def test_masked_agrees_with_dense_oracle():
     w = DenseTensor(rng.standard_normal((40, 30)))
     mask = (rng.random((40, 30)) < 0.5).astype(np.uint8)
     x = rng.standard_normal(30).astype(np.float32)
-    got = masked_matvec(w, mask, x)
+    got = csr_matvec(build_csr(w, mask), x)
     want = dense_matvec(DenseTensor(w.data * mask), x)
     assert np.linalg.norm(got - want) <= 1e-4 * max(np.linalg.norm(want), 1.0)
 
@@ -65,7 +64,9 @@ def test_shape_errors():
     with pytest.raises(ShapeError):
         dense_matvec(w, np.ones(3, dtype=np.float32))
     with pytest.raises(ShapeError):
-        masked_matvec(w, np.ones((4, 3)), np.ones(4, dtype=np.float32))
+        build_csr(w, np.ones((4, 3)))
+    with pytest.raises(ShapeError):
+        csr_matvec(build_csr(w, np.ones((3, 4))), np.ones(3, dtype=np.float32))
 
 
 def test_flop_models():

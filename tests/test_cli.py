@@ -111,6 +111,31 @@ def test_inspect_corrupt_exit_3(workdir):
     assert run(["inspect", workdir / "bad.qtns"]) == 3
 
 
+def test_inspect_non_utf8_name_exit_3(workdir, capsys):
+    path = workdir / "bad.qtns"
+    save_archive(TensorArchive(entries=[("ab", DenseTensor(np.ones(2)))]), path)
+    raw = path.read_bytes()
+    path.write_bytes(raw.replace(b"ab", b"\xff\xfe", 1))
+    assert run(["inspect", path]) == 3
+    assert "UTF-8" in capsys.readouterr().err
+
+
+def test_verify_decompose_only(workdir):
+    # the report's error must come from the f32 sigma the archive stores
+    cfg = workdir / "svd.json"
+    cfg.write_text(json.dumps({
+        "defaults": {"stage_list": ["decompose"], "rank_svd": 4},
+        "layers": {"a": {}, "b": {}},
+    }))
+    for seed in range(20):
+        archive = workdir / f"in{seed}.qtns"
+        out = workdir / f"out{seed}.qtns"
+        assert run(["gen", archive, "--seed", seed,
+                    "--layer", "a=24x24", "--layer", "b=8x4x3x3"]) == 0
+        assert run(["compress", archive, cfg, out]) == 0
+        assert run(["verify", archive, out, f"{out}.report.json"]) == 0, seed
+
+
 def test_verify_ok_and_tampered(workdir, capsys):
     archive, cfg = write_fixture(workdir)
     assert run(["compress", archive, cfg, workdir / "out.qtns"]) == 0

@@ -1,18 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+import hypothesis.extra.numpy as hnp
 import hypothesis.strategies as st
 
 from tensorpress.errors import ConfigError
-from tensorpress.prune import (
-    PruneConfig,
-    calibrate_threshold,
-    entangle,
-    importance,
-    iterative_prune,
-    retain_mask,
-    softmax_probs,
-)
+from tensorpress.prune import PruneConfig, _smallest_k, entangle, iterative_prune
 from tensorpress.tensors import DenseTensor
 
 
@@ -23,82 +16,127 @@ def t(values, shape=None):
     return DenseTensor(arr)
 
 
+def _softmax(x: np.ndarray) -> np.ndarray:
+    """The paper's normalization of |w|, with max-subtraction for stability."""
+    if x.size == 0:
+        raise ValueError("softmax of an empty tensor is undefined")
+    e = np.exp(x - x.max())
+    return e / e.sum()
+
+
+def softmax_prune_oracle(w: DenseTensor, cfg: PruneConfig) -> tuple[np.ndarray, bool]:
+    """The paper's selection, stage by stage: float64 softmax of |w| over the
+    survivors, stable argsort, prune the first k. Returns the mask and whether
+    every stage's softmax kept distinct magnitudes distinct."""
+    n = w.size
+    flat_w = w.data.ravel()
+    mask = np.ones(n, dtype=np.uint8)
+    injective = True
+    for stage in range(1, cfg.stages + 1):
+        target_total = int(np.floor(cfg.alpha * stage / cfg.stages * n + 0.5))
+        survivors = np.flatnonzero(mask == 1)
+        k_add = target_total - (n - survivors.size)
+        if k_add > 0:
+            imp = np.abs(flat_w[survivors]).astype(np.float64)
+            probs = _softmax(imp)
+            injective &= np.unique(probs).size == np.unique(imp).size
+            order = np.argsort(probs, kind="stable")
+            mask[survivors[order[:k_add]]] = 0
+        if cfg.entangle_prob > 0.0:
+            stage_seed = np.random.SeedSequence([cfg.seed & 0xFFFFFFFFFFFFFFFF, stage])
+            mask = entangle(mask.reshape(w.shape), cfg.entangle_prob, stage_seed).ravel()
+    return mask.reshape(w.shape), injective
+
+
+def scalar_rank(x: np.ndarray, i: int) -> int:
+    """Position of x[i] in ascending order, ties lowest index first."""
+    return sum(1 for j in range(x.size) if x[j] < x[i] or (x[j] == x[i] and j < i))
+
+
 class TestImportance:
+    """Importance is |w|: pruning ignores the sign."""
+
     def test_definition(self):
-        assert importance(t([1.0, -2.0, 0.0])).data.tolist() == [1.0, 2.0, 0.0]
+        res = iterative_prune(t([-3.0, 1.0, -2.0, 0.5]), PruneConfig(alpha=0.5))
+        assert res.mask.tolist() == [1, 0, 1, 0]
 
     def test_zero(self):
-        assert importance(t([0.0, 0.0])).data.tolist() == [0.0, 0.0]
+        res = iterative_prune(t([0.0, 0.0]), PruneConfig(alpha=0.5))
+        assert res.mask.tolist() == [0, 1]
 
     def test_matches_scalar_oracle(self):
         rng = np.random.default_rng(5)
-        w = DenseTensor(rng.standard_normal((7, 5)))
-        got = importance(w).data
-        for i in range(7):
-            for j in range(5):
-                assert got[i, j] == abs(w.data[i, j])
+        x = np.abs(rng.integers(-4, 5, 35)).astype(np.float32)  # many ties
+        for k in range(x.size + 1):
+            want = {i for i in range(x.size) if scalar_rank(x, i) < k}
+            assert set(_smallest_k(x, k).tolist()) == want
 
 
 class TestSoftmax:
+    """The oracle's softmax, which the oracle tests below rest on."""
+
     def test_uniform_on_constant(self):
         for c in (0.0, 3.5, -100.0):
-            out = softmax_probs(t([c] * 4)).data
-            assert np.allclose(out, 0.25)
+            assert np.allclose(_softmax(np.full(4, c)), 0.25)
 
     def test_closed_form(self):
-        out = softmax_probs(t([0.0, np.log(3.0)])).data
-        assert np.allclose(out, [0.25, 0.75], atol=1e-6)
+        assert np.allclose(_softmax(np.array([0.0, np.log(3.0)])), [0.25, 0.75], atol=1e-12)
 
     def test_sum_and_order(self):
         rng = np.random.default_rng(9)
-        x = rng.standard_normal(1000).astype(np.float32)
-        out = softmax_probs(DenseTensor(x)).data.astype(np.float64)
-        assert abs(out.sum() - 1.0) < 1e-6
+        x = rng.standard_normal(1000)
+        out = _softmax(x)
+        assert abs(out.sum() - 1.0) < 1e-12
         assert (out > 0).all()
         order = np.argsort(x, kind="stable")
         assert (np.diff(out[order]) >= 0).all()
 
     def test_large_values_stable(self):
-        out = softmax_probs(t([1000.0, 1000.0])).data
-        assert np.allclose(out, 0.5)
+        assert np.allclose(_softmax(np.array([1000.0, 1000.0])), 0.5)
 
     def test_empty_rejected(self):
-        with pytest.raises(Exception):
-            softmax_probs(DenseTensor(np.empty((0,), dtype=np.float32)))
+        with pytest.raises(ValueError):
+            _softmax(np.empty(0))
 
 
 class TestCalibrate:
+    """The threshold is the k-th smallest |w|, k = round(alpha * N)."""
+
     def test_quarter(self):
-        lam = calibrate_threshold(t([0.1, 0.2, 0.3, 0.4]), 0.25)
-        assert lam == pytest.approx(0.2)
+        res = iterative_prune(t([0.1, 0.2, 0.3, 0.4]), PruneConfig(alpha=0.25))
+        assert res.mask.tolist() == [0, 1, 1, 1]
 
     def test_alpha_zero(self):
-        p = t([0.3, 0.1, 0.6])
-        lam = calibrate_threshold(p, 0.0)
-        assert int((p.data < lam).sum()) == 0
+        assert _smallest_k(np.array([0.3, 0.1, 0.6]), 0).size == 0
 
     def test_ties_broken_by_index(self):
-        p = t([0.25] * 8)
-        lam = calibrate_threshold(p, 0.5)
-        mask = retain_mask(p, lam, target_pruned=4)
-        assert mask.sum() == 4
-        assert mask.tolist() == [0, 0, 0, 0, 1, 1, 1, 1]
+        res = iterative_prune(t([0.25] * 8), PruneConfig(alpha=0.5))
+        assert res.mask.tolist() == [0, 0, 0, 0, 1, 1, 1, 1]
 
     def test_alpha_out_of_range(self):
         for bad in (-0.1, 1.0, 1.5):
             with pytest.raises(ConfigError):
-                calibrate_threshold(t([0.5, 0.5]), bad)
+                PruneConfig(alpha=bad)
 
 
 class TestRetainMask:
+    """Without ties at the threshold, the retain mask is 1 exactly where
+    |w| >= the (k+1)-th smallest magnitude (the paper's Eq. 3)."""
+
     def test_eq3_elementwise(self):
-        assert retain_mask(t([0.1, 0.2, 0.3, 0.4]), 0.2).tolist() == [0, 1, 1, 1]
+        x = np.random.default_rng(3).permutation(50).astype(np.float32)
+        for k in range(x.size):
+            mask = np.ones(x.size, dtype=np.uint8)
+            mask[_smallest_k(x, k)] = 0
+            assert np.array_equal(mask, x >= np.sort(x)[k])
 
     def test_lambda_zero_all_ones(self):
-        assert retain_mask(t([0.1, 0.5]), 0.0).tolist() == [1, 1]
+        res = iterative_prune(t([0.1, 0.5]), PruneConfig(alpha=0.0, stages=2))
+        assert res.mask.tolist() == [1, 1]
 
     def test_lambda_above_max_all_zeros(self):
-        assert retain_mask(t([0.1, 0.5]), 0.6).tolist() == [0, 0]
+        x = np.array([0.5, 0.1, 0.5])
+        assert sorted(_smallest_k(x, x.size).tolist()) == [0, 1, 2]
 
 
 class TestEntangle:
@@ -218,6 +256,19 @@ class TestIterativePrune:
             oracle[np.argsort(np.abs(w.data.ravel()), kind="stable")[:k]] = 0
             assert np.array_equal(res.mask.ravel(), oracle)
 
+    @pytest.mark.parametrize(
+        "values, mask",
+        [
+            # exp underflows: softmax maps 0.0 .. 2.0 to 0 and ties them
+            ([800.0, 0.5, -0.25, 1.0, 0.0, 2.0], [1, 0, 0, 1, 0, 1]),
+            # weights below float64 resolution of the max get equal softmax
+            ([3.0, 1e-20, 0.0, 2e-20, 1.0, 0.0], [1, 0, 0, 1, 1, 0]),
+        ],
+    )
+    def test_magnitude_order_where_softmax_ties(self, values, mask):
+        res = iterative_prune(t(values), PruneConfig(alpha=0.5, stages=1))
+        assert res.mask.tolist() == mask
+
     def test_invalid_config(self):
         with pytest.raises(ConfigError):
             PruneConfig(alpha=1.0)
@@ -238,3 +289,23 @@ def test_calibration_bound_property(n, alpha, stages, seed):
     w = DenseTensor(np.random.default_rng(seed).standard_normal(n))
     res = iterative_prune(w, PruneConfig(alpha=alpha, stages=stages))
     assert abs(res.achieved_sparsity - alpha) <= stages / n
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    hnp.arrays(
+        np.float32,
+        hnp.array_shapes(min_dims=1, max_dims=4, max_side=8),
+        elements=st.floats(-8.0, 8.0, width=32),
+    ),
+    st.floats(0.0, 0.9),
+    st.integers(1, 4),
+    st.sampled_from([0.0, 0.3]),
+    st.integers(0, 2**32 - 1),
+)
+def test_matches_softmax_oracle(data, alpha, stages, entangle_prob, seed):
+    w = DenseTensor(data)
+    cfg = PruneConfig(alpha=alpha, stages=stages, entangle_prob=entangle_prob, seed=seed)
+    want, injective = softmax_prune_oracle(w, cfg)
+    assume(injective)
+    assert np.array_equal(iterative_prune(w, cfg).mask, want)
