@@ -33,6 +33,14 @@ class DuplicateNameError(ArchiveError):
     """Two entries in one archive share a name."""
 
 
+class TrailingDataError(ArchiveError):
+    """Bytes remain after the last entry the header declares."""
+
+
+class NonFiniteWeightError(ArchiveError):
+    """A layer configured for compression holds NaN or infinite weights."""
+
+
 class DivergenceError(TensorpressError):
     """An iterative optimization produced a non-finite loss."""
 

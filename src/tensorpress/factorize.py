@@ -4,6 +4,10 @@ Gradient descent on the squared Frobenius reconstruction loss with a
 geometrically decaying step size (the annealing schedule) and backtracking:
 a step that would increase the loss is retried with the step halved, so
 accepted iterates are monotone in loss.
+
+The residual W1 @ W2 - W of the accepted candidate is carried into the next
+iteration, so one iteration costs three m x n x r products: the two gradients
+and the candidate product (one more for each step halving).
 """
 
 from __future__ import annotations
@@ -106,18 +110,28 @@ def anneal_factorize(w: DenseTensor, cfg: AnnealConfig) -> FactorPair:
     w1 = rng.uniform(-init_scale, init_scale, (m, cfg.rank))
     w2 = rng.uniform(-init_scale, init_scale, (cfg.rank, n))
 
-    loss = float(np.sum((a - w1 @ w2) ** 2))
+    # resid = w1 @ w2 - a is handed on from the accepted candidate; the
+    # candidate residual and its squares go to the reused buffers spare and sq.
+    resid = w1 @ w2
+    resid -= a
+    spare = np.empty_like(resid)
+    sq = np.empty_like(resid)
+    loss = float(np.sum(np.square(resid, out=sq)))
     trace = [loss]
     for t in range(cfg.max_iters):
         eta = eta0 * cfg.decay**t
-        resid = w1 @ w2 - a
-        g1 = 2.0 * resid @ w2.T
-        g2 = 2.0 * w1.T @ resid
+        # a power-of-two scale is exact: the same bits as (2 * resid) @ w2.T
+        g1 = resid @ w2.T
+        g1 *= 2.0
+        g2 = w1.T @ resid
+        g2 *= 2.0
         accepted = False
         for _ in range(MAX_HALVINGS + 1):
             cand1 = w1 - eta * g1
             cand2 = w2 - eta * g2
-            cand_loss = float(np.sum((a - cand1 @ cand2) ** 2))
+            cand_resid = np.matmul(cand1, cand2, out=spare)
+            cand_resid -= a
+            cand_loss = float(np.sum(np.square(cand_resid, out=sq)))
             if not np.isfinite(cand_loss):
                 raise DivergenceError(t)
             if cand_loss <= loss:
@@ -128,6 +142,7 @@ def anneal_factorize(w: DenseTensor, cfg: AnnealConfig) -> FactorPair:
             break
         improvement = (loss - cand_loss) / loss if loss > 0 else 0.0
         w1, w2, loss = cand1, cand2, cand_loss
+        resid, spare = cand_resid, resid
         trace.append(loss)
         if improvement < cfg.rel_tol:
             break

@@ -14,7 +14,7 @@ import numpy as np
 from . import decompose as dec
 from . import factorize as fac
 from . import prune as pr
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, NonFiniteWeightError, ShapeError
 from .tensors import DenseTensor, TensorArchive, flatten_conv
 
 STAGES = ("prune", "decompose", "factorize")
@@ -287,6 +287,13 @@ def compress_archive(
     missing = [name for name in config.layers if name not in archive]
     if missing:
         raise ConfigError(f"config names layers missing from archive: {missing}")
+    for name, tensor in archive.entries:
+        if name in config.layers:
+            bad = tensor.size - int(np.count_nonzero(np.isfinite(tensor.data)))
+            if bad:
+                raise NonFiniteWeightError(
+                    f"layer {name!r}: {bad} of {tensor.size} weights are NaN or infinite"
+                )
 
     def work(item):
         name, tensor = item

@@ -6,12 +6,13 @@ All tensors are 32-bit floats in row-major (C) order. The archive layout is:
     per entry: name length u32 | UTF-8 name | axis count u32 |
                dims u64 each | dtype code u32 (0 = f32) | raw LE f32 data
 
-Everything on disk is little-endian.
+Everything on disk is little-endian, and nothing may follow the last entry.
 """
 
 from __future__ import annotations
 
 import io
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -22,6 +23,7 @@ from .errors import (
     BadMagicError,
     DuplicateNameError,
     ShapeError,
+    TrailingDataError,
     TruncatedArchiveError,
     UnsupportedVersionError,
 )
@@ -172,9 +174,12 @@ def read_archive(raw: bytes) -> TensorArchive:
         dtype = r.u32()
         if dtype != DTYPE_F32:
             raise ArchiveError(f"entry {name!r} has unknown dtype code {dtype}")
-        n_elems = int(np.prod(shape))
+        # Python ints: a dims product past 2**63 must not wrap before take checks it
+        n_elems = math.prod(shape)
         data = np.frombuffer(r.take(4 * n_elems), dtype="<f4").reshape(shape)
         entries.append((name, DenseTensor(data, name=name)))
+    if r.pos != len(raw):
+        raise TrailingDataError(f"{len(raw) - r.pos} bytes after the last entry")
     return TensorArchive(entries=entries, version=version)
 
 

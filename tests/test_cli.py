@@ -173,3 +173,58 @@ def test_bench_json_output(workdir, capsys):
 
 def test_bench_bad_size_exit_2(workdir):
     assert run(["bench", "--size", "32x32"]) == 2
+
+
+def test_inspect_trailing_bytes_exit_3(workdir, capsys):
+    path = workdir / "in.qtns"
+    save_archive(TensorArchive(entries=[("ab", DenseTensor(np.ones(2)))]), path)
+    assert run(["inspect", path]) == 0
+    path.write_bytes(path.read_bytes() + b"junk")
+    capsys.readouterr()
+    assert run(["inspect", path]) == 3
+    assert "4 bytes after the last entry" in capsys.readouterr().err
+
+
+def test_inspect_overflowing_dims_exit_3(workdir, capsys):
+    # dims 2**32 x 2**32: the element count wraps to 0 in int64
+    header = b"QTNS" + (1).to_bytes(4, "little") + (1).to_bytes(4, "little")
+    entry = (1).to_bytes(4, "little") + b"w" + (2).to_bytes(4, "little")
+    entry += (2**32).to_bytes(8, "little") * 2 + (0).to_bytes(4, "little")
+    path = workdir / "big.qtns"
+    path.write_bytes(header + entry)
+    assert run(["inspect", path]) == 3
+    assert "need 73786976294838206464 bytes" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("stage_list", [["factorize"], ["prune", "decompose", "factorize"]])
+def test_compress_non_finite_weights_exit_3(workdir, capsys, stage_list):
+    data = np.random.default_rng(0).standard_normal((8, 8))
+    data[3, 5] = np.nan
+    bad = np.ones(4)
+    bad[0] = np.inf  # not configured: passes through untouched
+    save_archive(TensorArchive(entries=[("fc1", DenseTensor(data)),
+                                        ("skip", DenseTensor(bad))]), workdir / "in.qtns")
+    cfg = workdir / "cfg.json"
+    cfg.write_text(json.dumps({
+        "defaults": {"stage_list": stage_list, "prune": {"alpha": 0.25},
+                     "rank_svd": 2, "anneal": {"rank": 2}},
+        "layers": {"fc1": {}},
+    }))
+    capsys.readouterr()
+    assert run(["compress", workdir / "in.qtns", cfg, workdir / "out.qtns"]) == 3
+    err = capsys.readouterr().err
+    assert "layer 'fc1': 1 of 64 weights are NaN or infinite" in err
+    assert not (workdir / "out.qtns").exists()
+
+
+def test_compress_passes_non_finite_unconfigured_layer(workdir):
+    bad = np.array([np.inf, np.nan, 1.0], dtype=np.float32)
+    fc1 = np.random.default_rng(1).standard_normal((8, 8))
+    save_archive(TensorArchive(entries=[("fc1", DenseTensor(fc1)),
+                                        ("skip", DenseTensor(bad))]), workdir / "in.qtns")
+    cfg = workdir / "cfg.json"
+    cfg.write_text(json.dumps({"defaults": {"stage_list": ["decompose"], "rank_svd": 2},
+                               "layers": {"fc1": {}}}))
+    assert run(["compress", workdir / "in.qtns", cfg, workdir / "out.qtns"]) == 0
+    out = load_archive(workdir / "out.qtns")
+    assert out.get("skip").data.tobytes() == bad.tobytes()

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from tensorpress.errors import ConfigError, ShapeError
+from tensorpress.errors import ConfigError, DivergenceError, ShapeError
 from tensorpress.factorize import (
+    MAX_HALVINGS,
     AnnealConfig,
     FactorPair,
     anneal_factorize,
@@ -177,3 +178,120 @@ def test_compressed_matrix_round_trip_loss():
     assert float(np.sum((w.data.astype(np.float64) - wc.data.astype(np.float64)) ** 2)) == (
         pytest.approx(pair.final_loss, rel=1e-5)
     )
+
+
+def _anneal_oracle(w, cfg):
+    """The anneal loop as it was before the residual was carried between
+    iterations: four m x n x r products per iteration. Kept as the reference
+    that anneal_factorize must match bit for bit. Also returns the number of
+    step halvings, so tests can show which branches a case reaches."""
+    m, n = w.shape
+    a = w.data.astype(np.float64)
+    norm = float(np.linalg.norm(a))
+    init_scale = cfg.init_scale if cfg.init_scale is not None else 1.0 / np.sqrt(max(m, n))
+    eta0 = cfg.eta0 if cfg.eta0 is not None else (0.5 / norm if norm > 0 else 0.5)
+
+    rng = np.random.default_rng(cfg.seed)
+    w1 = rng.uniform(-init_scale, init_scale, (m, cfg.rank))
+    w2 = rng.uniform(-init_scale, init_scale, (cfg.rank, n))
+
+    halvings = 0
+    loss = float(np.sum((a - w1 @ w2) ** 2))
+    trace = [loss]
+    for t in range(cfg.max_iters):
+        eta = eta0 * cfg.decay**t
+        resid = w1 @ w2 - a
+        g1 = 2.0 * resid @ w2.T
+        g2 = 2.0 * w1.T @ resid
+        accepted = False
+        for _ in range(MAX_HALVINGS + 1):
+            cand1 = w1 - eta * g1
+            cand2 = w2 - eta * g2
+            cand_loss = float(np.sum((a - cand1 @ cand2) ** 2))
+            if not np.isfinite(cand_loss):
+                raise DivergenceError(t)
+            if cand_loss <= loss:
+                accepted = True
+                break
+            eta /= 2.0
+            halvings += 1
+        if not accepted:
+            break
+        improvement = (loss - cand_loss) / loss if loss > 0 else 0.0
+        w1, w2, loss = cand1, cand2, cand_loss
+        trace.append(loss)
+        if improvement < cfg.rel_tol:
+            break
+    out1, out2 = DenseTensor(w1), DenseTensor(w2)
+    pair = FactorPair(w1=out1, w2=out2, final_loss=frobenius_loss(w, out1, out2),
+                      loss_trace=trace)
+    return pair, halvings
+
+
+def _assert_bit_identical(got, want):
+    assert got.w1.data.tobytes() == want.w1.data.tobytes()
+    assert got.w2.data.tobytes() == want.w2.data.tobytes()
+    assert got.loss_trace == want.loss_trace
+    assert got.final_loss == want.final_loss
+
+
+@pytest.mark.parametrize(
+    "shape, cfg",
+    [
+        ((64, 64), AnnealConfig(rank=8, seed=1)),
+        ((20, 15), AnnealConfig(rank=4, seed=2)),
+        ((15, 20), AnnealConfig(rank=15, seed=3, max_iters=300)),
+        ((16, 8, 3, 3), AnnealConfig(rank=5, seed=4)),  # conv, flattened to 16 x 72
+        ((200, 48), AnnealConfig(rank=12, seed=5, decay=0.99, rel_tol=1e-9)),
+        ((1, 7), AnnealConfig(rank=1, seed=6)),
+    ],
+)
+def test_matches_four_product_oracle(shape, cfg):
+    rng = np.random.default_rng(sum(shape) + cfg.seed)
+    data = rng.standard_normal(shape)
+    w = DenseTensor(data.reshape(shape[0], -1))
+    want, _ = _anneal_oracle(w, cfg)
+    assert len(want.loss_trace) > 2
+    _assert_bit_identical(anneal_factorize(w, cfg), want)
+
+
+def test_matches_oracle_on_exact_low_rank_input():
+    rng = np.random.default_rng(11)
+    w = DenseTensor(rng.standard_normal((40, 6)) @ rng.standard_normal((6, 30)))
+    cfg = AnnealConfig(rank=6, seed=7)
+    want, _ = _anneal_oracle(w, cfg)
+    _assert_bit_identical(anneal_factorize(w, cfg), want)
+
+
+def test_matches_oracle_through_step_halvings():
+    rng = np.random.default_rng(12)
+    w = DenseTensor(rng.standard_normal((24, 18)))
+    cfg = AnnealConfig(rank=4, seed=8, eta0=0.3, max_iters=200)
+    want, halvings = _anneal_oracle(w, cfg)
+    assert halvings > 0
+    assert len(want.loss_trace) > 10
+    _assert_bit_identical(anneal_factorize(w, cfg), want)
+
+
+def test_matches_oracle_when_halvings_run_out():
+    rng = np.random.default_rng(13)
+    w = DenseTensor(rng.standard_normal((12, 10)))
+    cfg = AnnealConfig(rank=3, seed=9, eta0=1e8)
+    want, halvings = _anneal_oracle(w, cfg)
+    assert halvings == MAX_HALVINGS + 1
+    assert len(want.loss_trace) == 1  # no step accepted
+    _assert_bit_identical(anneal_factorize(w, cfg), want)
+
+
+@pytest.mark.parametrize("eta0", [None, 1e200])
+def test_divergence_iteration_matches_oracle(eta0):
+    data = np.random.default_rng(14).standard_normal((9, 7))
+    if eta0 is None:
+        data[4, 2] = np.nan
+    w = DenseTensor(data)
+    cfg = AnnealConfig(rank=2, seed=10, eta0=eta0)
+    with np.errstate(over="ignore"), pytest.raises(DivergenceError) as want:
+        _anneal_oracle(w, cfg)
+    with np.errstate(over="ignore"), pytest.raises(DivergenceError) as got:
+        anneal_factorize(w, cfg)
+    assert got.value.iteration == want.value.iteration
