@@ -82,11 +82,20 @@ def frobenius_loss(w, w1, w2) -> float:
     return float(np.sum((a - b @ c) ** 2))
 
 
+def _gradients(resid, w1, w2) -> tuple[np.ndarray, np.ndarray]:
+    """(2 R W2^T, 2 W1^T R) for the residual R = W1 @ W2 - W."""
+    # a power-of-two scale is exact: the same bits as (2 * resid) @ w2.T
+    g1 = resid @ w2.T
+    g1 *= 2.0
+    g2 = w1.T @ resid
+    g2 *= 2.0
+    return g1, g2
+
+
 def loss_gradient(w, w1, w2) -> tuple[np.ndarray, np.ndarray]:
-    """Analytic gradients of frobenius_loss: (2 R W2^T, 2 W1^T R), R = W1W2 - W."""
+    """Analytic gradients of frobenius_loss, as anneal_factorize computes them."""
     a, b, c = _as_matrices(w, w1, w2)
-    resid = b @ c - a
-    return 2.0 * resid @ c.T, 2.0 * b.T @ resid
+    return _gradients(b @ c - a, b, c)
 
 
 def compressed_matrix(f: FactorPair) -> DenseTensor:
@@ -120,11 +129,7 @@ def anneal_factorize(w: DenseTensor, cfg: AnnealConfig) -> FactorPair:
     trace = [loss]
     for t in range(cfg.max_iters):
         eta = eta0 * cfg.decay**t
-        # a power-of-two scale is exact: the same bits as (2 * resid) @ w2.T
-        g1 = resid @ w2.T
-        g1 *= 2.0
-        g2 = w1.T @ resid
-        g2 *= 2.0
+        g1, g2 = _gradients(resid, w1, w2)
         accepted = False
         for _ in range(MAX_HALVINGS + 1):
             cand1 = w1 - eta * g1

@@ -7,18 +7,23 @@ import hashlib
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import decompose as dec
 from . import factorize as fac
 from . import prune as pr
-from .errors import ConfigError, NonFiniteWeightError, ShapeError
+from .errors import ConfigError, NonFiniteWeightError, ShapeError, VerificationError
 from .tensors import DenseTensor, TensorArchive, flatten_conv
 
 STAGES = ("prune", "decompose", "factorize")
 DEFAULT_STAGE_LIST = list(STAGES)
+
+# Entry names of each artifact kind (layer name + suffix), in entries() order;
+# a pruned layer adds name + MASK_SUFFIX, which a "masked" layer always has.
+ENTRY_SUFFIXES = {"masked": ("",), "svd": (".u", ".sigma", ".v"), "factored": (".w1", ".w2")}
+MASK_SUFFIX = ".mask"
 
 
 @dataclass(frozen=True)
@@ -46,7 +51,6 @@ class LayerConfig:
 @dataclass
 class CompressedLayer:
     layer_name: str
-    original_shape: tuple[int, ...]
     kind: str  # "masked" | "svd" | "factored"
     mask: pr.RetainMask | None = None  # original shape
     masked: DenseTensor | None = None
@@ -60,25 +64,18 @@ class CompressedLayer:
             return self.svd_factors.param_count()
         return self.factors.param_count()
 
-    def mask_bits(self) -> int:
-        return int(np.prod(self.original_shape)) if self.mask is not None else 0
-
     def entries(self) -> list[tuple[str, DenseTensor]]:
         """Archive entries representing this layer's stored artifact."""
-        name = self.layer_name
-        out: list[tuple[str, DenseTensor]] = []
         if self.kind == "masked":
-            out.append((name, self.masked))
+            tensors = (self.masked,)
         elif self.kind == "svd":
             f = self.svd_factors
-            out.append((f"{name}.u", f.u))
-            out.append((f"{name}.sigma", DenseTensor(np.asarray(f.sigma, dtype=np.float32))))
-            out.append((f"{name}.v", f.v))
+            tensors = (f.u, DenseTensor(np.asarray(f.sigma, dtype=np.float32)), f.v)
         else:
-            out.append((f"{name}.w1", self.factors.w1))
-            out.append((f"{name}.w2", self.factors.w2))
+            tensors = (self.factors.w1, self.factors.w2)
+        out = [(self.layer_name + s, t) for s, t in zip(ENTRY_SUFFIXES[self.kind], tensors)]
         if self.mask is not None:
-            out.append((f"{name}.mask", DenseTensor(self.mask.astype(np.float32))))
+            out.append((self.layer_name + MASK_SUFFIX, DenseTensor(self.mask.astype(np.float32))))
         return out
 
     def effective_matrix(self) -> np.ndarray:
@@ -108,6 +105,20 @@ def relative_recon_error(original: DenseTensor, layer: CompressedLayer) -> float
     if norm == 0:
         return 0.0
     return float(np.linalg.norm(w - layer.effective_matrix()) / norm)
+
+
+def layer_row(w: DenseTensor, layer: CompressedLayer) -> dict:
+    """The report row of one layer: its bookkeeping against the original w."""
+    params_after = layer.param_count()
+    return {
+        "layer_name": layer.layer_name,
+        "kind": layer.kind,
+        "params_before": w.size,
+        "params_after": params_after,
+        "ratio": w.size / params_after,
+        "recon_error_rel": relative_recon_error(w, layer),
+        "mask_bits": w.size if layer.mask is not None else 0,
+    }
 
 
 def compress_layer(w: DenseTensor, cfg: LayerConfig) -> tuple[CompressedLayer, dict]:
@@ -146,29 +157,19 @@ def compress_layer(w: DenseTensor, cfg: LayerConfig) -> tuple[CompressedLayer, d
     except Exception as exc:
         exc.args = (f"layer {cfg.layer_name!r}: {exc}",)
         raise
-    if kind == "svd":
-        # the archive stores sigma as f32; report the error of what is stored
-        svd_f = replace(svd_f, sigma=tuple(np.asarray(svd_f.sigma, dtype=np.float32).tolist()))
 
     layer = CompressedLayer(
         layer_name=cfg.layer_name,
-        original_shape=original_shape,
         kind=kind,
         mask=mask,
         masked=DenseTensor(current.data.reshape(original_shape)) if kind == "masked" else None,
         svd_factors=svd_f if kind == "svd" else None,
         factors=pair if kind == "factored" else None,
     )
-    row = {
-        "layer_name": cfg.layer_name,
-        "kind": kind,
-        "params_before": w.size,
-        "params_after": layer.param_count(),
-        "ratio": w.size / layer.param_count(),
-        "recon_error_rel": relative_recon_error(w, layer),
-        "mask_bits": layer.mask_bits(),
-        "wall_time": time.perf_counter() - t0,
-    }
+    # the row describes the layer as the archive stores it (f32 sigma, say)
+    stored = rebuild_layer(w, TensorArchive(entries=layer.entries()), cfg.layer_name, kind)
+    row = layer_row(w, stored)
+    row["wall_time"] = time.perf_counter() - t0
     return layer, row
 
 
@@ -192,11 +193,14 @@ class CompressionReport:
     @staticmethod
     def from_json(text: str) -> "CompressionReport":
         doc = json.loads(text)
-        return CompressionReport(
-            per_layer=doc["per_layer"],
-            total_ratio=doc["total_ratio"],
-            config_echo=doc.get("config_echo", {}),
-        )
+        try:
+            return CompressionReport(
+                per_layer=doc["per_layer"],
+                total_ratio=doc["total_ratio"],
+                config_echo=doc.get("config_echo", {}),
+            )
+        except KeyError as exc:
+            raise VerificationError(f"report has no {exc} key") from None
 
     def table(self) -> str:
         header = f"{'layer':<20} {'kind':<9} {'before':>10} {'after':>10} {'ratio':>8} {'rel err':>10} {'time':>8}"
@@ -277,6 +281,18 @@ class PipelineConfig:
         return {"defaults": self.defaults, "layers": self.layers}
 
 
+def total_ratio(original: TensorArchive, rows: list[dict]) -> float:
+    """Parameters before over after across the archive; entries without a row
+    pass through at their own size."""
+    by_name = {r["layer_name"]: r for r in rows}
+    before = after = 0
+    for name, tensor in original.entries:
+        row = by_name.get(name, {"params_before": tensor.size, "params_after": tensor.size})
+        before += row["params_before"]
+        after += row["params_after"]
+    return before / after if after else 1.0
+
+
 def compress_archive(
     archive: TensorArchive,
     config: PipelineConfig,
@@ -309,22 +325,14 @@ def compress_archive(
 
     out_entries: list[tuple[str, DenseTensor]] = []
     rows: list[dict] = []
-    total_before = 0
-    total_after = 0
     for (name, tensor), (layer, row) in zip(archive.entries, results):
         if layer is None:
             out_entries.append((name, tensor))
-            total_before += tensor.size
-            total_after += tensor.size
         else:
             out_entries.extend(layer.entries())
             rows.append(row)
-            total_before += row["params_before"]
-            total_after += row["params_after"]
     report = CompressionReport(
-        per_layer=rows,
-        total_ratio=total_before / total_after if total_after else 1.0,
-        config_echo=config.echo(),
+        per_layer=rows, total_ratio=total_ratio(archive, rows), config_echo=config.echo()
     )
     return TensorArchive(entries=out_entries), report
 
@@ -332,70 +340,63 @@ def compress_archive(
 def rebuild_layer(
     original: DenseTensor, compressed: TensorArchive, name: str, kind: str
 ) -> CompressedLayer:
-    """Reassemble a CompressedLayer from its archive entries, for verification."""
+    """Decode the CompressedLayer that entries() stored in the archive."""
+    if kind not in ENTRY_SUFFIXES:
+        raise VerificationError(f"layer {name!r}: unknown artifact kind {kind!r}")
+    names = [name + s for s in ENTRY_SUFFIXES[kind]]
+    required = names + [name + MASK_SUFFIX] if kind == "masked" else names
+    missing = [n for n in required if n not in compressed]
+    if missing:
+        raise VerificationError(f"layer {name!r} ({kind}): archive has no {missing}")
+    tensors = [compressed.get(n) for n in names]
     mask = None
-    if f"{name}.mask" in compressed:
-        mask = compressed.get(f"{name}.mask").data.astype(np.uint8)
+    if name + MASK_SUFFIX in compressed:
+        mask = compressed.get(name + MASK_SUFFIX).data.astype(np.uint8)
+    layer = CompressedLayer(name, kind, mask=mask)
     if kind == "masked":
-        return CompressedLayer(name, original.shape, "masked",
-                               mask=compressed.get(name).data.astype(np.uint8) != 0
-                               if mask is None else mask,
-                               masked=compressed.get(name))
-    if kind == "svd":
-        factors = dec.SvdFactors(
-            u=compressed.get(f"{name}.u"),
-            sigma=tuple(float(x) for x in compressed.get(f"{name}.sigma").data),
-            v=compressed.get(f"{name}.v"),
-            original_shape=original.shape,
+        (layer.masked,) = tensors
+    elif kind == "svd":
+        u, sigma, v = tensors
+        layer.svd_factors = dec.SvdFactors(
+            u=u, sigma=tuple(float(x) for x in sigma.data), v=v, original_shape=original.shape
         )
-        return CompressedLayer(name, original.shape, "svd", mask=mask, svd_factors=factors)
-    if kind == "factored":
-        pair = fac.FactorPair(
-            w1=compressed.get(f"{name}.w1"),
-            w2=compressed.get(f"{name}.w2"),
-            final_loss=0.0,
-        )
-        return CompressedLayer(name, original.shape, "factored", mask=mask, factors=pair)
-    raise ConfigError(f"unknown artifact kind {kind!r} for layer {name!r}")
+    else:
+        layer.factors = fac.FactorPair(*tensors, final_loss=0.0)
+    return layer
+
+
+def _agrees(got, expected) -> bool:
+    """Names and counts must match exactly; floats (ratios, errors) within 1e-9 relative."""
+    if not isinstance(expected, float) or not isinstance(got, (int, float)):
+        return got == expected
+    return abs(got - expected) <= 1e-9 * max(abs(expected), 1.0)
 
 
 def verify_report(
     original: TensorArchive, compressed: TensorArchive, report: CompressionReport
 ) -> list[str]:
-    """Recompute bookkeeping from the artifacts; return mismatch descriptions."""
+    """Recompute each row from the artifacts; return mismatch descriptions. A row
+    without name or kind, an unknown kind, or an archive missing an entry the
+    kind stores raises VerificationError."""
     problems: list[str] = []
-    total_before = 0
-    total_after = 0
-    compressed_names = {r["layer_name"] for r in report.per_layer}
-    for row in report.per_layer:
+    recomputed: list[dict] = []
+    for i, row in enumerate(report.per_layer):
+        absent = [k for k in ("layer_name", "kind") if k not in row]
+        if absent:
+            raise VerificationError(f"report row {i} has no {absent}")
         name = row["layer_name"]
         if name not in original:
             problems.append(f"{name}: not present in original archive")
             continue
         w = original.get(name)
-        layer = rebuild_layer(w, compressed, name, row["kind"])
-        checks = [
-            ("params_before", w.size, 0),
-            ("params_after", layer.param_count(), 0),
-            ("ratio", w.size / layer.param_count(), 1e-9),
-            ("recon_error_rel", relative_recon_error(w, layer), 1e-9),
-            ("mask_bits", layer.mask_bits(), 0),
-        ]
-        for fieldname, expected, tol in checks:
-            got = row.get(fieldname)
-            if got is None or abs(got - expected) > tol * max(abs(expected), 1.0):
-                problems.append(f"{name}.{fieldname}: report {got}, recomputed {expected}")
+        expected = layer_row(w, rebuild_layer(w, compressed, name, row["kind"]))
+        recomputed.append(expected)
+        for key, want in expected.items():
+            got = row.get(key)
+            if not _agrees(got, want):
+                problems.append(f"{name}.{key}: report {got}, recomputed {want}")
                 break
-        total_before += w.size
-        total_after += layer.param_count()
-    for name, tensor in original.entries:
-        if name not in compressed_names:
-            total_before += tensor.size
-            total_after += tensor.size
-    if total_after:
-        expected_total = total_before / total_after
-        if abs(report.total_ratio - expected_total) > 1e-9 * max(expected_total, 1.0):
-            problems.append(
-                f"total_ratio: report {report.total_ratio}, recomputed {expected_total}"
-            )
+    expected_total = total_ratio(original, recomputed)
+    if not _agrees(report.total_ratio, expected_total):
+        problems.append(f"total_ratio: report {report.total_ratio}, recomputed {expected_total}")
     return problems

@@ -88,25 +88,22 @@ class TensorArchive:
     """Ordered collection of uniquely named tensors."""
 
     entries: list[tuple[str, DenseTensor]] = field(default_factory=list)
-    version: int = FORMAT_VERSION
 
     def __post_init__(self):
-        names = [n for n, _ in self.entries]
-        if len(names) != len(set(names)):
-            dupes = sorted({n for n in names if names.count(n) > 1})
+        # name -> position; a repeated name keeps its last position
+        self._index = {n: i for i, (n, _) in enumerate(self.entries)}
+        if len(self._index) != len(self.entries):
+            dupes = sorted({n for i, (n, _) in enumerate(self.entries) if self._index[n] != i})
             raise DuplicateNameError(f"duplicate entry names: {dupes}")
 
     def names(self) -> list[str]:
         return [n for n, _ in self.entries]
 
     def get(self, name: str) -> DenseTensor:
-        for n, t in self.entries:
-            if n == name:
-                return t
-        raise KeyError(name)
+        return self.entries[self._index[name]][1]
 
     def __contains__(self, name: str) -> bool:
-        return any(n == name for n, _ in self.entries)
+        return name in self._index
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -115,7 +112,7 @@ class TensorArchive:
 def write_archive(archive: TensorArchive) -> bytes:
     buf = io.BytesIO()
     buf.write(MAGIC)
-    buf.write(struct.pack("<II", archive.version, len(archive.entries)))
+    buf.write(struct.pack("<II", FORMAT_VERSION, len(archive.entries)))
     for name, tensor in archive.entries:
         encoded = name.encode("utf-8")
         buf.write(struct.pack("<I", len(encoded)))
@@ -158,15 +155,11 @@ def read_archive(raw: bytes) -> TensorArchive:
         raise UnsupportedVersionError(f"unsupported format version {version}")
     count = r.u32()
     entries: list[tuple[str, DenseTensor]] = []
-    seen: set[str] = set()
     for _ in range(count):
         try:
             name = r.take(r.u32()).decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ArchiveError(f"entry name is not valid UTF-8: {exc}") from exc
-        if name in seen:
-            raise DuplicateNameError(f"duplicate entry name: {name!r}")
-        seen.add(name)
         ndim = r.u32()
         shape = tuple(r.u64() for _ in range(ndim))
         if any(d < 1 for d in shape):
@@ -180,7 +173,7 @@ def read_archive(raw: bytes) -> TensorArchive:
         entries.append((name, DenseTensor(data, name=name)))
     if r.pos != len(raw):
         raise TrailingDataError(f"{len(raw) - r.pos} bytes after the last entry")
-    return TensorArchive(entries=entries, version=version)
+    return TensorArchive(entries=entries)  # raises DuplicateNameError
 
 
 def save_archive(archive: TensorArchive, path) -> None:

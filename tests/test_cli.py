@@ -228,3 +228,57 @@ def test_compress_passes_non_finite_unconfigured_layer(workdir):
     assert run(["compress", workdir / "in.qtns", cfg, workdir / "out.qtns"]) == 0
     out = load_archive(workdir / "out.qtns")
     assert out.get("skip").data.tobytes() == bad.tobytes()
+
+
+def verify_tampered(workdir, capsys, edit_report=None, drop_entry=None):
+    """compress the fixture, tamper with the report or the archive, run verify."""
+    archive, cfg = write_fixture(workdir)
+    out = workdir / "out.qtns"
+    assert run(["compress", archive, cfg, out]) == 0
+    report = workdir / "out.qtns.report.json"
+    if edit_report is not None:
+        doc = json.loads(report.read_text())
+        edit_report(doc)
+        report.write_text(json.dumps(doc))
+    if drop_entry is not None:
+        entries = [(n, t) for n, t in load_archive(out).entries if n != drop_entry]
+        save_archive(TensorArchive(entries=entries), out)
+    capsys.readouterr()
+    code = run(["verify", archive, out, report])
+    return code, capsys.readouterr().err
+
+
+def test_verify_archive_missing_entry_exit_4(workdir, capsys):
+    code, err = verify_tampered(workdir, capsys, drop_entry="fc1.w1")
+    assert code == 4
+    assert "fc1.w1" in err
+
+
+def test_verify_kind_changed_exit_4(workdir, capsys):
+    def edit(doc):
+        doc["per_layer"][0]["kind"] = "svd"
+    code, err = verify_tampered(workdir, capsys, edit_report=edit)
+    assert code == 4
+    assert "fc1.u" in err
+
+
+def test_verify_row_without_kind_exit_4(workdir, capsys):
+    def edit(doc):
+        del doc["per_layer"][0]["kind"]
+    code, err = verify_tampered(workdir, capsys, edit_report=edit)
+    assert code == 4
+    assert "kind" in err
+
+
+def test_verify_report_without_per_layer_exit_4(workdir, capsys):
+    code, err = verify_tampered(workdir, capsys, edit_report=lambda doc: doc.pop("per_layer"))
+    assert code == 4
+    assert "per_layer" in err
+
+
+def test_verify_unknown_kind_exit_4(workdir, capsys):
+    def edit(doc):
+        doc["per_layer"][0]["kind"] = "bogus"
+    code, err = verify_tampered(workdir, capsys, edit_report=edit)
+    assert code == 4
+    assert "bogus" in err

@@ -1,17 +1,21 @@
+import itertools
 import json
 
 import numpy as np
 import pytest
 
-from tensorpress.errors import ConfigError
+from tensorpress.errors import ConfigError, VerificationError
 from tensorpress.factorize import AnnealConfig
 from tensorpress.pipeline import (
+    STAGES,
     CompressionReport,
     LayerConfig,
     PipelineConfig,
     compress_archive,
     compress_layer,
     derive_seed,
+    layer_row,
+    rebuild_layer,
     verify_report,
 )
 from tensorpress.prune import PruneConfig
@@ -162,6 +166,43 @@ class TestCompressArchive:
         report.per_layer[0]["ratio"] *= 1.01
         problems = verify_report(archive, out, report)
         assert problems and "ratio" in problems[0]
+
+
+    def test_masked_layer_needs_its_mask(self):
+        archive, _ = build_archive_and_config()
+        config = PipelineConfig(defaults={"stage_list": ["prune"]}, layers={"a": {}})
+        out, report = compress_archive(archive, config)
+        out = TensorArchive(entries=[(n, t) for n, t in out.entries if n != "a.mask"])
+        with pytest.raises(VerificationError, match="a.mask"):
+            verify_report(archive, out, report)
+
+
+# every non-empty stage list in pipeline order, and one out of it
+STAGE_LISTS = [list(c) for k in (1, 2, 3) for c in itertools.combinations(STAGES, k)]
+STAGE_LISTS.append(["factorize", "prune"])
+
+
+@pytest.mark.parametrize("stage_list", STAGE_LISTS, ids="-".join)
+def test_report_rows_equal_stored_layer_rows(stage_list):
+    # the report describes what the archive stores, bit for bit
+    archive = TensorArchive(entries=[
+        ("fc", random_tensor((24, 20), 4)),
+        ("conv", random_tensor((6, 3, 3, 3), 5)),
+    ])
+    config = PipelineConfig(defaults={
+        "seed": 3,
+        "stage_list": stage_list,
+        "prune": {"alpha": 0.3, "stages": 2, "entangle_prob": 0.1},
+        "rank_svd": 5,
+        "anneal": {"rank": 5, "max_iters": 200},
+    }, layers={"fc": {}, "conv": {}})
+    out, report = compress_archive(archive, config)
+    out = read_archive(write_archive(out))
+    assert [r["layer_name"] for r in report.per_layer] == ["fc", "conv"]
+    for row in report.per_layer:
+        w = archive.get(row["layer_name"])
+        stored = rebuild_layer(w, out, row["layer_name"], row["kind"])
+        assert {k: v for k, v in row.items() if k != "wall_time"} == layer_row(w, stored)
 
 
 class TestConfigResolution:

@@ -129,6 +129,17 @@ def test_duplicate_names_rejected():
         read_archive(doubled)
 
 
+def test_lookup_by_name():
+    t = [DenseTensor(np.full((2,), float(i))) for i in range(3)]
+    arc = TensorArchive(entries=[("b", t[0]), ("a", t[1]), ("c", t[2])])
+    assert arc.get("a") is t[1] and arc.get("c") is t[2]
+    assert "b" in arc and "d" not in arc
+    with pytest.raises(KeyError):
+        arc.get("d")
+    with pytest.raises(DuplicateNameError, match=r"\['a', 'b'\]"):
+        TensorArchive(entries=[("b", t[0]), ("a", t[1]), ("b", t[2]), ("a", t[0]), ("a", t[1])])
+
+
 @st.composite
 def tensors(draw):
     shape = tuple(draw(st.lists(st.integers(1, 5), min_size=1, max_size=4)))
