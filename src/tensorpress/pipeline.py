@@ -158,6 +158,11 @@ def compress_layer(w: DenseTensor, cfg: LayerConfig) -> tuple[CompressedLayer, d
         exc.args = (f"layer {cfg.layer_name!r}: {exc}",)
         raise
 
+    if kind == "masked" and not mask.any():
+        raise ConfigError(
+            f"layer {cfg.layer_name!r}: prune stage leaves none of its {w.size} weights "
+            f"(alpha {cfg.prune.alpha}, entangle_prob {cfg.prune.entangle_prob})"
+        )
     layer = CompressedLayer(
         layer_name=cfg.layer_name,
         kind=kind,
@@ -193,6 +198,11 @@ class CompressionReport:
     @staticmethod
     def from_json(text: str) -> "CompressionReport":
         doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise VerificationError("report is not a JSON object")
+        rows = doc.get("per_layer", [])
+        if not isinstance(rows, list) or not all(isinstance(r, dict) for r in rows):
+            raise VerificationError("report per_layer is not a list of JSON objects")
         try:
             return CompressionReport(
                 per_layer=doc["per_layer"],
@@ -340,18 +350,40 @@ def compress_archive(
 def rebuild_layer(
     original: DenseTensor, compressed: TensorArchive, name: str, kind: str
 ) -> CompressedLayer:
-    """Decode the CompressedLayer that entries() stored in the archive."""
+    """Decode the CompressedLayer that entries() stored in the archive. Every
+    stored tensor must have the shape its kind gives it against the original:
+    u m x r, sigma r, v n x r, w1 m x r, w2 r x n, mask and masked weights the
+    original shape. The mask holds only 0 and 1, and a masked layer keeps a weight."""
     if kind not in ENTRY_SUFFIXES:
         raise VerificationError(f"layer {name!r}: unknown artifact kind {kind!r}")
+    if len(original.shape) not in (2, 4):
+        raise VerificationError(
+            f"layer {name!r}: original has {len(original.shape)} axes, compress takes 2 or 4"
+        )
     names = [name + s for s in ENTRY_SUFFIXES[kind]]
-    required = names + [name + MASK_SUFFIX] if kind == "masked" else names
-    missing = [n for n in required if n not in compressed]
+    if kind == "masked" or name + MASK_SUFFIX in compressed:
+        names.append(name + MASK_SUFFIX)
+    missing = [n for n in names if n not in compressed]
     if missing:
         raise VerificationError(f"layer {name!r} ({kind}): archive has no {missing}")
     tensors = [compressed.get(n) for n in names]
+    m, n = _as_matrix(original.data).shape
+    r = tensors[0].shape[-1]  # u and w1 are m x r
+    shapes = {"masked": [original.shape], "svd": [(m, r), (r,), (n, r)],
+              "factored": [(m, r), (r, n)]}[kind] + [original.shape]  # then the mask
+    for entry, t, shape in zip(names, tensors, shapes):
+        if t.shape != shape:
+            raise VerificationError(f"layer {name!r} ({kind}): {entry} is {t.shape}, not {shape}")
+    k = len(ENTRY_SUFFIXES[kind])
+    tensors, stored_mask = tensors[:k], tensors[k:]
     mask = None
-    if name + MASK_SUFFIX in compressed:
-        mask = compressed.get(name + MASK_SUFFIX).data.astype(np.uint8)
+    if stored_mask:
+        bits = stored_mask[0].data
+        if not np.all((bits == 0) | (bits == 1)):
+            raise VerificationError(f"layer {name!r}: {names[-1]} holds values other than 0, 1")
+        mask = bits.astype(np.uint8)
+    if kind == "masked" and not mask.any():
+        raise VerificationError(f"layer {name!r}: stored mask keeps no weight")
     layer = CompressedLayer(name, kind, mask=mask)
     if kind == "masked":
         (layer.masked,) = tensors
@@ -377,13 +409,13 @@ def verify_report(
 ) -> list[str]:
     """Recompute each row from the artifacts; return mismatch descriptions. A row
     without name or kind, an unknown kind, or an archive missing an entry the
-    kind stores raises VerificationError."""
+    kind stores or storing one of the wrong shape raises VerificationError."""
     problems: list[str] = []
     recomputed: list[dict] = []
     for i, row in enumerate(report.per_layer):
-        absent = [k for k in ("layer_name", "kind") if k not in row]
+        absent = [k for k in ("layer_name", "kind") if not isinstance(row.get(k), str)]
         if absent:
-            raise VerificationError(f"report row {i} has no {absent}")
+            raise VerificationError(f"report row {i} has no string {absent}")
         name = row["layer_name"]
         if name not in original:
             problems.append(f"{name}: not present in original archive")

@@ -2,11 +2,14 @@
 
 The pipeline per stage: importance = |w| over the surviving weights, a
 threshold calibrated so the cumulative pruned count tracks a linear schedule,
-then one non-cascading pass that prunes retained neighbors of freshly pruned
-weights with a fixed probability. The paper thresholds softmax(|w|); softmax
-is monotone, so the threshold is applied to |w| directly, which also keeps
-apart magnitudes that float64 softmax rounds to equal values. Ties at the
-threshold are pruned lowest flat index first.
+then one non-cascading pass that prunes retained neighbors of pruned weights
+with a fixed probability. That pass takes one uniform draw per (pruned weight,
+retained in-plane neighbor) pair, in pruned flat index order, then up, down,
+left, right (left, right only, off 4-axis tensors), so a seed fixes the mask.
+The paper thresholds softmax(|w|); softmax is monotone, so the threshold is
+applied to |w| directly, which also keeps apart magnitudes that float64
+softmax rounds to equal values. Ties at the threshold are pruned lowest flat
+index first.
 """
 
 from __future__ import annotations
@@ -61,55 +64,48 @@ def _smallest_k(x: np.ndarray, k: int) -> np.ndarray:
     return np.concatenate([below, ties])
 
 
-def _neighbor_pairs(mask: RetainMask) -> tuple[np.ndarray, np.ndarray]:
-    """Flat indices of (pruned weight, adjacent weight) pairs.
-
-    For 4-axis tensors adjacency is the 4-neighborhood in the trailing H x W
-    plane of the same filter; otherwise it is +-1 along the last axis. Pairs
-    are ordered by pruned flat index, then by a fixed direction order, so the
-    random draw sequence is reproducible.
-    """
-    if mask.ndim == 4:
-        plane = mask.reshape(-1, mask.shape[2], mask.shape[3])
-        rows, h, w = plane.shape
-        pr, ph, pw = np.nonzero(plane == 0)
-        offsets = [(-1, 0), (1, 0), (0, -1), (0, 1)]
-        nbr = np.full((pr.size, 4), -1, dtype=np.int64)
-        for d, (dh, dw) in enumerate(offsets):
-            nh, nw = ph + dh, pw + dw
-            ok = (nh >= 0) & (nh < h) & (nw >= 0) & (nw < w)
-            nbr[ok, d] = (pr[ok] * h + nh[ok]) * w + nw[ok]
-        src = np.repeat(pr * h * w + ph * w + pw, 4)
-    else:
-        flat2d = mask.reshape(-1, mask.shape[-1])
-        rows, width = flat2d.shape
-        pr, pc = np.nonzero(flat2d == 0)
-        nbr = np.full((pr.size, 2), -1, dtype=np.int64)
-        for d, dc in enumerate((-1, 1)):
-            nc = pc + dc
-            ok = (nc >= 0) & (nc < width)
-            nbr[ok, d] = pr[ok] * width + nc[ok]
-        src = np.repeat(pr * width + pc, 2)
-    nbr = nbr.ravel()
-    valid = nbr >= 0
-    return src[valid], nbr[valid]
-
-
 def entangle(mask: RetainMask, entangle_prob: float, seed) -> RetainMask:
     """One propagation pass: each retained neighbor of a pruned weight is
     independently pruned with probability entangle_prob. Non-cascading: only
-    weights pruned in the input mask propagate."""
+    weights pruned in the input mask propagate.
+
+    Neighbors lie in the same trailing H x W plane of a 4-axis tensor (steps
+    -W, +W, -1, +1: up, down, left, right), otherwise along the last axis
+    (steps -1, +1). One uniform draw is taken per (pruned weight, retained
+    neighbor) pair, in pruned flat index order, then direction order; archive
+    byte-identity rests on this order.
+    """
     if not 0.0 <= entangle_prob <= 1.0:
         raise ConfigError(f"entangle_prob must be in [0, 1], got {entangle_prob}")
     if entangle_prob == 0.0:
         return mask.copy()
     flat_in = mask.ravel()
-    _, nbr = _neighbor_pairs(mask)
-    eligible = nbr[flat_in[nbr] == 1]
-    rng = np.random.default_rng(seed)
-    draws = rng.random(eligible.size)
+    if mask.ndim == 4:
+        h, w = mask.shape[2:]
+        steps = np.array([-w, w, -1, 1])
+    else:
+        h, w = 1, mask.shape[-1]
+        steps = np.array([-1, 1])
+    # in-plane bound of each direction, by index: -W and -1 coincide when W == 1
+    rows, cols = np.indices((h, w))
+    inside = (rows > 0, rows < h - 1, cols > 0, cols < w - 1)[-steps.size :]
+    n, k = flat_in.size, steps.size
+    pruned = (flat_in == 0).reshape(-1, h * w)
+    kept = flat_in == 1
+    # pairs[p, d]: pruned p has a retained neighbor p + steps[d]; its flat
+    # nonzero ids p * k + d come in the draw order
+    pairs = np.zeros((n, k), dtype=bool)
+    for d, (step, ok) in enumerate(zip(steps.tolist(), inside)):
+        src = (pruned & ok.ravel()).ravel()
+        if step > 0:
+            pairs[: n - step, d] = src[: n - step] & kept[step:]
+        else:
+            pairs[-step:, d] = src[-step:] & kept[: n + step]
+    ids = np.flatnonzero(pairs)
+    draws = np.random.default_rng(seed).random(ids.size)
+    hit = ids[draws < entangle_prob]
     out = flat_in.copy()
-    out[eligible[draws < entangle_prob]] = 0
+    out[hit // k + steps[hit % k]] = 0
     return out.reshape(mask.shape)
 
 

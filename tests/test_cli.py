@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
 from tensorpress.cli import main
 from tensorpress.tensors import DenseTensor, TensorArchive, load_archive, save_archive
@@ -230,9 +232,15 @@ def test_compress_passes_non_finite_unconfigured_layer(workdir):
     assert out.get("skip").data.tobytes() == bad.tobytes()
 
 
-def verify_tampered(workdir, capsys, edit_report=None, drop_entry=None):
-    """compress the fixture, tamper with the report or the archive, run verify."""
+def verify_tampered(workdir, capsys, edit_report=None, drop_entry=None, replace=None,
+                    stage_list=None, report_doc=None):
+    """compress the fixture (with stage_list, if given), tamper with the report
+    or the archive (replace maps entry names to functions of their data), run verify."""
     archive, cfg = write_fixture(workdir)
+    if stage_list is not None:
+        config = json.loads(cfg.read_text())
+        config["defaults"]["stage_list"] = stage_list
+        cfg.write_text(json.dumps(config))
     out = workdir / "out.qtns"
     assert run(["compress", archive, cfg, out]) == 0
     report = workdir / "out.qtns.report.json"
@@ -240,8 +248,12 @@ def verify_tampered(workdir, capsys, edit_report=None, drop_entry=None):
         doc = json.loads(report.read_text())
         edit_report(doc)
         report.write_text(json.dumps(doc))
-    if drop_entry is not None:
-        entries = [(n, t) for n, t in load_archive(out).entries if n != drop_entry]
+    if report_doc is not None:
+        report.write_text(json.dumps(report_doc(json.loads(report.read_text()))))
+    if drop_entry is not None or replace is not None:
+        replace = replace or {}
+        entries = [(n, DenseTensor(replace[n](t.data)) if n in replace else t)
+                   for n, t in load_archive(out).entries if n != drop_entry]
         save_archive(TensorArchive(entries=entries), out)
     capsys.readouterr()
     code = run(["verify", archive, out, report])
@@ -282,3 +294,95 @@ def test_verify_unknown_kind_exit_4(workdir, capsys):
     code, err = verify_tampered(workdir, capsys, edit_report=edit)
     assert code == 4
     assert "bogus" in err
+
+
+def test_compress_prune_leaves_no_weight_exit_2(workdir, capsys):
+    save_archive(TensorArchive(entries=[("fc1", DenseTensor(np.array([[1.0, 2.0]])))]),
+                 workdir / "in.qtns")
+    cfg = workdir / "cfg.json"
+    cfg.write_text(json.dumps({"defaults": {"stage_list": ["prune"], "prune": {"alpha": 0.75}},
+                               "layers": {"fc1": {}}}))
+    capsys.readouterr()
+    assert run(["compress", workdir / "in.qtns", cfg, workdir / "out.qtns"]) == 2
+    assert "layer 'fc1': prune stage leaves none of its 2 weights" in capsys.readouterr().err
+    assert not (workdir / "out.qtns").exists()
+
+
+@pytest.mark.parametrize("edit, message", [
+    (np.zeros_like, "keeps no weight"),
+    (lambda mask: 1.5 * mask, "holds values other than 0, 1"),  # 1.5 casts to 1
+])
+def test_verify_mask_keeps_nothing_or_not_binary_exit_4(workdir, capsys, edit, message):
+    code, err = verify_tampered(workdir, capsys, stage_list=["prune"],
+                                replace={"fc1.mask": edit})
+    assert code == 4
+    assert message in err
+
+
+@pytest.mark.parametrize("stage_list, entry, shape", [
+    (None, "fc1.w1", (16, 3)),
+    (None, "fc1.w2", (1, 16)),
+    (None, "fc1.mask", (16, 8)),
+    (["decompose"], "fc1.u", (15, 4)),
+    (["decompose"], "fc1.sigma", (3,)),
+    (["decompose"], "fc1.v", (16, 3)),
+    (["prune"], "fc1", (16, 8)),
+])
+def test_verify_wrong_shape_exit_4(workdir, capsys, stage_list, entry, shape):
+    code, err = verify_tampered(workdir, capsys, stage_list=stage_list,
+                                replace={entry: lambda _: np.ones(shape)})
+    assert code == 4
+    assert "layer 'fc1'" in err and "not (" in err
+
+
+@pytest.mark.parametrize("report_doc", [
+    lambda doc: [doc],
+    lambda doc: {**doc, "per_layer": [3]},
+    lambda doc: {**doc, "per_layer": [{**doc["per_layer"][0], "layer_name": ["fc1"]}]},
+], ids=["report_list", "row_number", "name_list"])
+def test_verify_report_not_objects_exit_4(workdir, capsys, report_doc):
+    code, _ = verify_tampered(workdir, capsys, report_doc=report_doc)
+    assert code == 4
+
+
+@pytest.fixture(scope="module")
+def fuzz_base(tmp_path_factory):
+    """A compressed fixture, and the offsets of every header byte (magic,
+    version, count and each entry's name, axes, dims and dtype) of both archives."""
+    workdir = tmp_path_factory.mktemp("fuzz")
+    archive, cfg = write_fixture(workdir)
+    assert run(["compress", archive, cfg, workdir / "out.qtns"]) == 0
+    headers = {}
+    for path in (archive, workdir / "out.qtns"):
+        offsets, pos = list(range(12)), 12
+        for name, t in load_archive(path).entries:
+            size = 4 + len(name.encode()) + 4 + 8 * len(t.shape) + 4
+            offsets += range(pos, pos + size)
+            pos += size + 4 * t.size
+        headers[path.name] = offsets
+    return workdir, headers
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(["in.qtns", "out.qtns"]),
+    st.booleans(),
+    st.lists(st.tuples(st.booleans(), st.integers(0, 2**20), st.integers(1, 255)), max_size=3),
+    st.integers(0, 2**20),
+)
+def test_archive_fuzz_exits_documented(fuzz_base, target, truncate, flips, cut):
+    """Truncated or byte-flipped archives exit 0, 3 or 4 from inspect and
+    verify, never 1."""
+    workdir, headers = fuzz_base
+    raw = bytearray((workdir / target).read_bytes())
+    for in_header, pos, xor in flips:
+        pos = headers[target][pos % len(headers[target])] if in_header else pos % len(raw)
+        raw[pos] ^= xor
+    if truncate:
+        raw = raw[: cut % len(raw)]
+    bad = workdir / "bad.qtns"
+    bad.write_bytes(bytes(raw))
+    archives = {"in.qtns": workdir / "in.qtns", "out.qtns": workdir / "out.qtns", target: bad}
+    report = workdir / "out.qtns.report.json"
+    assert run(["inspect", bad]) in (0, 3)
+    assert run(["verify", archives["in.qtns"], archives["out.qtns"], report]) in (0, 3, 4)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 import hypothesis.extra.numpy as hnp
 import hypothesis.strategies as st
 
@@ -24,6 +24,50 @@ def _softmax(x: np.ndarray) -> np.ndarray:
     return e / e.sum()
 
 
+def _neighbor_pairs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices of (pruned weight, adjacent weight) pairs, built pair by
+    pair: 4-neighborhood in the trailing H x W plane of 4-axis tensors, else
+    +-1 along the last axis; ordered by pruned flat index, then direction."""
+    if mask.ndim == 4:
+        plane = mask.reshape(-1, mask.shape[2], mask.shape[3])
+        rows, h, w = plane.shape
+        pr, ph, pw = np.nonzero(plane == 0)
+        offsets = [(-1, 0), (1, 0), (0, -1), (0, 1)]
+        nbr = np.full((pr.size, 4), -1, dtype=np.int64)
+        for d, (dh, dw) in enumerate(offsets):
+            nh, nw = ph + dh, pw + dw
+            ok = (nh >= 0) & (nh < h) & (nw >= 0) & (nw < w)
+            nbr[ok, d] = (pr[ok] * h + nh[ok]) * w + nw[ok]
+        src = np.repeat(pr * h * w + ph * w + pw, 4)
+    else:
+        flat2d = mask.reshape(-1, mask.shape[-1])
+        rows, width = flat2d.shape
+        pr, pc = np.nonzero(flat2d == 0)
+        nbr = np.full((pr.size, 2), -1, dtype=np.int64)
+        for d, dc in enumerate((-1, 1)):
+            nc = pc + dc
+            ok = (nc >= 0) & (nc < width)
+            nbr[ok, d] = pr[ok] * width + nc[ok]
+        src = np.repeat(pr * width + pc, 2)
+    nbr = nbr.ravel()
+    valid = nbr >= 0
+    return src[valid], nbr[valid]
+
+
+def _entangle_oracle(mask: np.ndarray, entangle_prob: float, seed) -> np.ndarray:
+    """The pair-list entanglement pass that entangle() must match bit for bit."""
+    if entangle_prob == 0.0:
+        return mask.copy()
+    flat_in = mask.ravel()
+    _, nbr = _neighbor_pairs(mask)
+    eligible = nbr[flat_in[nbr] == 1]
+    rng = np.random.default_rng(seed)
+    draws = rng.random(eligible.size)
+    out = flat_in.copy()
+    out[eligible[draws < entangle_prob]] = 0
+    return out.reshape(mask.shape)
+
+
 def softmax_prune_oracle(w: DenseTensor, cfg: PruneConfig) -> tuple[np.ndarray, bool]:
     """The paper's selection, stage by stage: float64 softmax of |w| over the
     survivors, stable argsort, prune the first k. Returns the mask and whether
@@ -44,7 +88,7 @@ def softmax_prune_oracle(w: DenseTensor, cfg: PruneConfig) -> tuple[np.ndarray, 
             mask[survivors[order[:k_add]]] = 0
         if cfg.entangle_prob > 0.0:
             stage_seed = np.random.SeedSequence([cfg.seed & 0xFFFFFFFFFFFFFFFF, stage])
-            mask = entangle(mask.reshape(w.shape), cfg.entangle_prob, stage_seed).ravel()
+            mask = _entangle_oracle(mask.reshape(w.shape), cfg.entangle_prob, stage_seed).ravel()
     return mask.reshape(w.shape), injective
 
 
@@ -309,3 +353,33 @@ def test_matches_softmax_oracle(data, alpha, stages, entangle_prob, seed):
     want, injective = softmax_prune_oracle(w, cfg)
     assume(injective)
     assert np.array_equal(iterative_prune(w, cfg).mask, want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(1, 8), min_size=1, max_size=4),
+    st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)),
+    st.sampled_from([1e-3, 0.1, 0.5, 1.0]),
+    st.integers(0, 2**32 - 1),
+)
+@example([4, 5, 5, 1], 0.5, 1.0, 0)  # W == 1: steps -W and -1 coincide
+@example([4, 5, 1, 5], 0.5, 1.0, 0)  # H == 1
+@example([3, 1, 1, 1], 1.0, 1.0, 0)
+def test_entangle_matches_pair_list_oracle(shape, pruned_frac, entangle_prob, seed):
+    rng = np.random.default_rng(seed)
+    mask = (rng.random(shape) >= pruned_frac).astype(np.uint8)
+    got = entangle(mask, entangle_prob, seed)
+    want = _entangle_oracle(mask, entangle_prob, seed)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("shape", [(32, 16, 3, 3), (64, 48)])
+def test_iterative_prune_matches_oracle_loop(shape):
+    w = DenseTensor(np.random.default_rng(8).standard_normal(shape))
+    cfg = PruneConfig(alpha=0.5, stages=3, entangle_prob=0.3, seed=21)
+    want, injective = softmax_prune_oracle(w, cfg)
+    assert injective
+    got = iterative_prune(w, cfg).mask
+    assert (got == 0).mean() > 0.5  # entanglement added pruning beyond alpha
+    assert np.array_equal(got, want)
