@@ -83,27 +83,23 @@ def cmd_compress(args) -> int:
 
 
 def cmd_inspect(args) -> int:
-    archive = load_archive(args.archive)
+    rows = [{
+        "name": name,
+        "shape": list(t.shape),
+        "params": t.size,
+        "frobenius_norm": float(np.linalg.norm(t.data.astype(np.float64))),
+        "sparsity": float(np.mean(t.data == 0)),
+    } for name, t in load_archive(args.archive).entries]
     if args.json:
-        rows = []
-        for name, t in archive.entries:
-            rows.append({
-                "name": name,
-                "shape": list(t.shape),
-                "params": t.size,
-                "frobenius_norm": float(np.linalg.norm(t.data.astype(np.float64))),
-                "sparsity": float(np.mean(t.data == 0)),
-            })
         print(json.dumps(rows, indent=2))
         return EXIT_OK
     header = f"{'name':<24} {'shape':<18} {'params':>10} {'fro norm':>12} {'sparsity':>9}"
     print(header)
     print("-" * len(header))
-    for name, t in archive.entries:
-        shape = "x".join(str(d) for d in t.shape)
-        norm = float(np.linalg.norm(t.data.astype(np.float64)))
-        sparsity = float(np.mean(t.data == 0))
-        print(f"{name:<24} {shape:<18} {t.size:>10} {norm:>12.4f} {sparsity:>9.4f}")
+    for r in rows:
+        shape = "x".join(str(d) for d in r["shape"])
+        print(f"{r['name']:<24} {shape:<18} {r['params']:>10} "
+              f"{r['frobenius_norm']:>12.4f} {r['sparsity']:>9.4f}")
     return EXIT_OK
 
 
@@ -112,9 +108,7 @@ def cmd_verify(args) -> int:
     compressed = load_archive(args.compressed)
     with open(args.report) as f:
         report = pl.CompressionReport.from_json(f.read())
-    problems = pl.verify_report(original, compressed, report)
-    if problems:
-        raise VerificationError(problems[0])
+    pl.verify_report(original, compressed, report)
     print("verify: OK" if not args.json else json.dumps({"status": "ok"}))
     return EXIT_OK
 
@@ -171,7 +165,7 @@ def gen_archive(layer_specs: list[str], seed: int) -> TensorArchive:
             data = data.reshape(shape)
         else:
             data = rng.standard_normal(shape)
-        entries.append((name, DenseTensor(data, name=name)))
+        entries.append((name, DenseTensor(data)))
     return TensorArchive(entries=entries)
 
 

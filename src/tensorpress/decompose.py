@@ -15,7 +15,6 @@ class SvdFactors:
     u: DenseTensor            # m x r
     sigma: tuple[float, ...]  # non-increasing, >= 0
     v: DenseTensor            # n x r
-    original_shape: tuple[int, ...]
 
     @property
     def rank(self) -> int:
@@ -40,7 +39,6 @@ def svd(w_f: DenseTensor) -> SvdFactors:
         u=DenseTensor(u),
         sigma=tuple(float(x) for x in s),
         v=DenseTensor(v),
-        original_shape=w_f.shape,
     )
 
 
@@ -65,20 +63,14 @@ def truncate(f: SvdFactors, r: int) -> SvdFactors:
         u=DenseTensor(f.u.data[:, :r]),
         sigma=f.sigma[:r],
         v=DenseTensor(f.v.data[:, :r]),
-        original_shape=f.original_shape,
     )
 
 
 def reconstruct(f: SvdFactors) -> DenseTensor:
-    """u @ diag(sigma) @ v.T reshaped back to the original shape."""
+    """The m x n matrix u @ diag(sigma) @ v.T, rounded to f32."""
     u, v = f.u.data, f.v.data
     if u.shape[1] != len(f.sigma) or v.shape[1] != len(f.sigma):
         raise ShapeError(
             f"inconsistent factors: u {u.shape}, v {v.shape}, {len(f.sigma)} sigmas"
         )
-    mat = (u.astype(np.float64) * np.asarray(f.sigma)) @ v.astype(np.float64).T
-    if int(np.prod(f.original_shape)) != mat.size:
-        raise ShapeError(
-            f"original shape {f.original_shape} incompatible with {mat.shape} product"
-        )
-    return DenseTensor(mat.reshape(f.original_shape))
+    return DenseTensor((u.astype(np.float64) * np.asarray(f.sigma)) @ v.astype(np.float64).T)

@@ -54,10 +54,6 @@ class FactorPair:
     final_loss: float
     loss_trace: list[float] = field(default_factory=list)
 
-    @property
-    def rank(self) -> int:
-        return self.w1.shape[1]
-
     def param_count(self) -> int:
         return self.w1.size + self.w2.size
 

@@ -48,32 +48,40 @@ class LayerConfig:
             raise ConfigError(f"layer {self.layer_name!r}: factorize stage needs anneal config")
 
 
-@dataclass
+@dataclass(frozen=True)
 class CompressedLayer:
+    """One compressed layer as the archive stores it: the kind's f32 tensors in
+    ENTRY_SUFFIXES order, (weights,), (u, sigma, v) or (w1, w2), and the retain
+    mask of a prune stage, in the original shape, if one ran."""
+
     layer_name: str
     kind: str  # "masked" | "svd" | "factored"
-    mask: pr.RetainMask | None = None  # original shape
-    masked: DenseTensor | None = None
-    svd_factors: dec.SvdFactors | None = None
-    factors: fac.FactorPair | None = None
+    tensors: tuple[DenseTensor, ...]
+    mask: pr.RetainMask | None
+
+    @property
+    def masked(self) -> DenseTensor:
+        (weights,) = self.tensors
+        return weights
+
+    @property
+    def svd_factors(self) -> dec.SvdFactors:
+        u, sigma, v = self.tensors
+        return dec.SvdFactors(u=u, sigma=tuple(float(x) for x in sigma.data), v=v)
+
+    @property
+    def factors(self) -> fac.FactorPair:
+        w1, w2 = self.tensors
+        return fac.FactorPair(w1, w2, final_loss=0.0)
 
     def param_count(self) -> int:
         if self.kind == "masked":
             return int(np.count_nonzero(self.mask))
-        if self.kind == "svd":
-            return self.svd_factors.param_count()
-        return self.factors.param_count()
+        return sum(t.size for t in self.tensors)
 
     def entries(self) -> list[tuple[str, DenseTensor]]:
         """Archive entries representing this layer's stored artifact."""
-        if self.kind == "masked":
-            tensors = (self.masked,)
-        elif self.kind == "svd":
-            f = self.svd_factors
-            tensors = (f.u, DenseTensor(np.asarray(f.sigma, dtype=np.float32)), f.v)
-        else:
-            tensors = (self.factors.w1, self.factors.w2)
-        out = [(self.layer_name + s, t) for s, t in zip(ENTRY_SUFFIXES[self.kind], tensors)]
+        out = [(self.layer_name + s, t) for s, t in zip(ENTRY_SUFFIXES[self.kind], self.tensors)]
         if self.mask is not None:
             out.append((self.layer_name + MASK_SUFFIX, DenseTensor(self.mask.astype(np.float32))))
         return out
@@ -85,11 +93,9 @@ class CompressedLayer:
             return _as_matrix(self.masked.data)
         if self.kind == "svd":
             eff = dec.reconstruct(self.svd_factors).data.astype(np.float64)
-            eff = _as_matrix(eff)
         else:
-            eff = self.factors.w1.data.astype(np.float64) @ self.factors.w2.data.astype(
-                np.float64
-            )
+            w1, w2 = (t.data.astype(np.float64) for t in self.tensors)
+            eff = w1 @ w2
         if self.mask is not None:
             eff = eff * _as_matrix(self.mask)
         return eff
@@ -128,52 +134,38 @@ def compress_layer(w: DenseTensor, cfg: LayerConfig) -> tuple[CompressedLayer, d
             f"layer {cfg.layer_name!r}: need a 2- or 4-axis tensor, got {len(w.shape)} axes"
         )
     t0 = time.perf_counter()
-    original_shape = w.shape
     current = flatten_conv(w) if len(w.shape) == 4 else w
-
     mask = None
-    svd_f = None
-    pair = None
-    kind = None
     try:
         for stage in cfg.stage_list:
             if stage == "prune":
                 # prune in the original layout so conv adjacency applies
-                tensor_in = current.reshape(original_shape)
-                res = pr.iterative_prune(tensor_in, cfg.prune)
+                res = pr.iterative_prune(current.reshape(w.shape), cfg.prune)
                 mask = res.mask
+                if not mask.any():
+                    raise ConfigError(
+                        f"prune stage leaves none of its {w.size} weights "
+                        f"(alpha {cfg.prune.alpha}, entangle_prob {cfg.prune.entangle_prob})"
+                    )
+                kind, tensors = "masked", (res.pruned_weights,)
                 current = DenseTensor(_as_matrix(res.pruned_weights.data))
-                kind = "masked"
             elif stage == "decompose":
                 full = dec.svd(current)
-                rank = min(cfg.rank_svd, full.rank)
-                svd_f = dec.truncate(full, rank)
-                current = DenseTensor(_as_matrix(dec.reconstruct(svd_f).data))
-                kind = "svd"
+                svd_f = dec.truncate(full, min(cfg.rank_svd, full.rank))
+                # the archive stores sigma as f32; a next stage takes the f64 product
+                sigma = DenseTensor(np.asarray(svd_f.sigma, dtype=np.float32))
+                kind, tensors = "svd", (svd_f.u, sigma, svd_f.v)
+                current = dec.reconstruct(svd_f)
             else:
                 pair = fac.anneal_factorize(current, cfg.anneal)
+                kind, tensors = "factored", (pair.w1, pair.w2)
                 current = fac.compressed_matrix(pair)
-                kind = "factored"
     except Exception as exc:
         exc.args = (f"layer {cfg.layer_name!r}: {exc}",)
         raise
 
-    if kind == "masked" and not mask.any():
-        raise ConfigError(
-            f"layer {cfg.layer_name!r}: prune stage leaves none of its {w.size} weights "
-            f"(alpha {cfg.prune.alpha}, entangle_prob {cfg.prune.entangle_prob})"
-        )
-    layer = CompressedLayer(
-        layer_name=cfg.layer_name,
-        kind=kind,
-        mask=mask,
-        masked=DenseTensor(current.data.reshape(original_shape)) if kind == "masked" else None,
-        svd_factors=svd_f if kind == "svd" else None,
-        factors=pair if kind == "factored" else None,
-    )
-    # the row describes the layer as the archive stores it (f32 sigma, say)
-    stored = rebuild_layer(w, TensorArchive(entries=layer.entries()), cfg.layer_name, kind)
-    row = layer_row(w, stored)
+    layer = CompressedLayer(cfg.layer_name, kind, tensors, mask)
+    row = layer_row(w, layer)
     row["wall_time"] = time.perf_counter() - t0
     return layer, row
 
@@ -313,47 +305,46 @@ def compress_archive(
     missing = [name for name in config.layers if name not in archive]
     if missing:
         raise ConfigError(f"config names layers missing from archive: {missing}")
-    for name, tensor in archive.entries:
-        if name in config.layers:
-            bad = tensor.size - int(np.count_nonzero(np.isfinite(tensor.data)))
-            if bad:
-                raise NonFiniteWeightError(
-                    f"layer {name!r}: {bad} of {tensor.size} weights are NaN or infinite"
-                )
+    configured = [(name, tensor) for name, tensor in archive.entries if name in config.layers]
+    for name, tensor in configured:
+        bad = tensor.size - int(np.count_nonzero(np.isfinite(tensor.data)))
+        if bad:
+            raise NonFiniteWeightError(
+                f"layer {name!r}: {bad} of {tensor.size} weights are NaN or infinite"
+            )
 
     def work(item):
         name, tensor = item
-        if name in config.layers:
-            return compress_layer(tensor, config.resolved(name, seed_override))
-        return None, None
+        return compress_layer(tensor, config.resolved(name, seed_override))
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(work, archive.entries))
+            results = list(pool.map(work, configured))
     else:
-        results = [work(item) for item in archive.entries]
-
-    out_entries: list[tuple[str, DenseTensor]] = []
-    rows: list[dict] = []
-    for (name, tensor), (layer, row) in zip(archive.entries, results):
-        if layer is None:
-            out_entries.append((name, tensor))
-        else:
-            out_entries.extend(layer.entries())
-            rows.append(row)
+        results = [work(item) for item in configured]
+    rows = [row for _, row in results]
     report = CompressionReport(
         per_layer=rows, total_ratio=total_ratio(archive, rows), config_echo=config.echo()
     )
-    return TensorArchive(entries=out_entries), report
+    return output_archive(archive, {layer.layer_name: layer for layer, _ in results}), report
+
+
+def output_archive(original: TensorArchive, layers: dict[str, CompressedLayer]) -> TensorArchive:
+    """The archive compress writes: the original entries in order, each layer's
+    entries in place of the weights it compresses."""
+    entries: list[tuple[str, DenseTensor]] = []
+    for name, tensor in original.entries:
+        entries.extend(layers[name].entries() if name in layers else [(name, tensor)])
+    return TensorArchive(entries=entries)
 
 
 def rebuild_layer(
     original: DenseTensor, compressed: TensorArchive, name: str, kind: str
 ) -> CompressedLayer:
-    """Decode the CompressedLayer that entries() stored in the archive. Every
+    """Read back the CompressedLayer that entries() stored in the archive. Every
     stored tensor must have the shape its kind gives it against the original:
     u m x r, sigma r, v n x r, w1 m x r, w2 r x n, mask and masked weights the
-    original shape. The mask holds only 0 and 1, and a masked layer keeps a weight."""
+    original shape. A stored mask holds only 0 and 1 and keeps a weight."""
     if kind not in ENTRY_SUFFIXES:
         raise VerificationError(f"layer {name!r}: unknown artifact kind {kind!r}")
     if len(original.shape) not in (2, 4):
@@ -375,26 +366,15 @@ def rebuild_layer(
         if t.shape != shape:
             raise VerificationError(f"layer {name!r} ({kind}): {entry} is {t.shape}, not {shape}")
     k = len(ENTRY_SUFFIXES[kind])
-    tensors, stored_mask = tensors[:k], tensors[k:]
     mask = None
-    if stored_mask:
-        bits = stored_mask[0].data
+    if len(tensors) > k:
+        bits = tensors[k].data
         if not np.all((bits == 0) | (bits == 1)):
-            raise VerificationError(f"layer {name!r}: {names[-1]} holds values other than 0, 1")
+            raise VerificationError(f"layer {name!r}: {names[k]} holds values other than 0, 1")
         mask = bits.astype(np.uint8)
-    if kind == "masked" and not mask.any():
-        raise VerificationError(f"layer {name!r}: stored mask keeps no weight")
-    layer = CompressedLayer(name, kind, mask=mask)
-    if kind == "masked":
-        (layer.masked,) = tensors
-    elif kind == "svd":
-        u, sigma, v = tensors
-        layer.svd_factors = dec.SvdFactors(
-            u=u, sigma=tuple(float(x) for x in sigma.data), v=v, original_shape=original.shape
-        )
-    else:
-        layer.factors = fac.FactorPair(*tensors, final_loss=0.0)
-    return layer
+        if not mask.any():
+            raise VerificationError(f"layer {name!r}: stored mask keeps no weight")
+    return CompressedLayer(name, kind, tuple(tensors[:k]), mask)
 
 
 def _agrees(got, expected) -> bool:
@@ -406,29 +386,45 @@ def _agrees(got, expected) -> bool:
 
 def verify_report(
     original: TensorArchive, compressed: TensorArchive, report: CompressionReport
-) -> list[str]:
-    """Recompute each row from the artifacts; return mismatch descriptions. A row
-    without name or kind, an unknown kind, or an archive missing an entry the
-    kind stores or storing one of the wrong shape raises VerificationError."""
-    problems: list[str] = []
-    recomputed: list[dict] = []
+) -> None:
+    """Recompute each row, and the total, from the layers rebuilt from the
+    archive; then check that the archive holds exactly the entries compress
+    writes for those layers, in its order, with each pass-through entry the
+    original's bytes. Raise VerificationError at the first mismatch."""
+    layers: dict[str, CompressedLayer] = {}
+    rows: list[dict] = []
     for i, row in enumerate(report.per_layer):
         absent = [k for k in ("layer_name", "kind") if not isinstance(row.get(k), str)]
         if absent:
             raise VerificationError(f"report row {i} has no string {absent}")
         name = row["layer_name"]
+        if name in layers:
+            raise VerificationError(f"report row {i} repeats layer {name!r}")
         if name not in original:
-            problems.append(f"{name}: not present in original archive")
-            continue
+            raise VerificationError(f"report row {i}: {name!r} is not in the original archive")
         w = original.get(name)
-        expected = layer_row(w, rebuild_layer(w, compressed, name, row["kind"]))
-        recomputed.append(expected)
-        for key, want in expected.items():
-            got = row.get(key)
-            if not _agrees(got, want):
-                problems.append(f"{name}.{key}: report {got}, recomputed {want}")
-                break
-    expected_total = total_ratio(original, recomputed)
+        layers[name] = rebuild_layer(w, compressed, name, row["kind"])
+        rows.append(layer_row(w, layers[name]))
+        for key, want in rows[-1].items():
+            if not _agrees(row.get(key), want):
+                raise VerificationError(f"{name}.{key}: report {row.get(key)}, recomputed {want}")
+    expected_total = total_ratio(original, rows)
     if not _agrees(report.total_ratio, expected_total):
-        problems.append(f"total_ratio: report {report.total_ratio}, recomputed {expected_total}")
-    return problems
+        raise VerificationError(
+            f"total_ratio: report {report.total_ratio}, recomputed {expected_total}"
+        )
+
+    expected = output_archive(original, layers)
+    if compressed.names() != expected.names():
+        extra = [n for n in compressed.names() if n not in expected]
+        missing = [n for n in expected.names() if n not in compressed]
+        raise VerificationError(
+            f"archive entries are not those compress writes, in its order: "
+            f"extra {extra}, missing {missing}"
+        )
+    for name, tensor in original.entries:
+        if name not in layers:
+            stored = compressed.get(name)
+            # bytes, not values: NaN pass-throughs are legal and equal only so
+            if stored.shape != tensor.shape or stored.data.tobytes() != tensor.data.tobytes():
+                raise VerificationError(f"{name}: pass-through entry differs from the original")

@@ -131,7 +131,7 @@ def iterative_prune(w: DenseTensor, cfg: PruneConfig) -> PruneResult:
             mask = entangle(mask.reshape(w.shape), cfg.entangle_prob, stage_seed).ravel()
         per_stage.append(1.0 - float(mask.sum()) / n)
     shaped = mask.reshape(w.shape)
-    pruned = DenseTensor(w.data * shaped, name=w.name)
+    pruned = DenseTensor(w.data * shaped)
     return PruneResult(
         mask=shaped,
         pruned_weights=pruned,

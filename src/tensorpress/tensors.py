@@ -38,7 +38,6 @@ class DenseTensor:
     """Immutable dense tensor of 32-bit reals with shape metadata."""
 
     data: np.ndarray
-    name: str | None = None
 
     def __post_init__(self):
         arr = np.ascontiguousarray(self.data, dtype=np.float32)
@@ -60,19 +59,15 @@ class DenseTensor:
     def reshape(self, shape) -> "DenseTensor":
         if int(np.prod(shape)) != self.size:
             raise ShapeError(f"cannot reshape {self.shape} to {tuple(shape)}")
-        return DenseTensor(self.data.reshape(shape), name=self.name)
+        return DenseTensor(self.data.reshape(shape))
 
     def __eq__(self, other):
         if not isinstance(other, DenseTensor):
             return NotImplemented
-        return (
-            self.shape == other.shape
-            and np.array_equal(self.data, other.data)
-            and self.name == other.name
-        )
+        return self.shape == other.shape and np.array_equal(self.data, other.data)
 
     def __hash__(self):
-        return hash((self.shape, self.data.tobytes(), self.name))
+        return hash((self.shape, self.data.tobytes()))
 
 
 def flatten_conv(w: DenseTensor) -> DenseTensor:
@@ -80,7 +75,7 @@ def flatten_conv(w: DenseTensor) -> DenseTensor:
     if len(w.shape) != 4:
         raise ShapeError(f"flatten_conv needs a 4-axis tensor, got {len(w.shape)} axes")
     c_out = w.shape[0]
-    return DenseTensor(w.data.reshape(c_out, -1), name=w.name)
+    return DenseTensor(w.data.reshape(c_out, -1))
 
 
 @dataclass
@@ -170,7 +165,7 @@ def read_archive(raw: bytes) -> TensorArchive:
         # Python ints: a dims product past 2**63 must not wrap before take checks it
         n_elems = math.prod(shape)
         data = np.frombuffer(r.take(4 * n_elems), dtype="<f4").reshape(shape)
-        entries.append((name, DenseTensor(data, name=name)))
+        entries.append((name, DenseTensor(data)))
     if r.pos != len(raw):
         raise TrailingDataError(f"{len(raw) - r.pos} bytes after the last entry")
     return TensorArchive(entries=entries)  # raises DuplicateNameError

@@ -230,12 +230,16 @@ def test_compress_passes_non_finite_unconfigured_layer(workdir):
     assert run(["compress", workdir / "in.qtns", cfg, workdir / "out.qtns"]) == 0
     out = load_archive(workdir / "out.qtns")
     assert out.get("skip").data.tobytes() == bad.tobytes()
+    # verify compares pass-throughs by bytes, so the NaN matches itself
+    assert run(["verify", workdir / "in.qtns", workdir / "out.qtns",
+                workdir / "out.qtns.report.json"]) == 0
 
 
 def verify_tampered(workdir, capsys, edit_report=None, drop_entry=None, replace=None,
-                    stage_list=None, report_doc=None):
+                    stage_list=None, report_doc=None, append=None):
     """compress the fixture (with stage_list, if given), tamper with the report
-    or the archive (replace maps entry names to functions of their data), run verify."""
+    or the archive (replace maps entry names to functions of their data, append
+    maps the original archive to entries added at the end), run verify."""
     archive, cfg = write_fixture(workdir)
     if stage_list is not None:
         config = json.loads(cfg.read_text())
@@ -250,10 +254,11 @@ def verify_tampered(workdir, capsys, edit_report=None, drop_entry=None, replace=
         report.write_text(json.dumps(doc))
     if report_doc is not None:
         report.write_text(json.dumps(report_doc(json.loads(report.read_text()))))
-    if drop_entry is not None or replace is not None:
+    if drop_entry is not None or replace is not None or append is not None:
         replace = replace or {}
         entries = [(n, DenseTensor(replace[n](t.data)) if n in replace else t)
                    for n, t in load_archive(out).entries if n != drop_entry]
+        entries += append(load_archive(archive)) if append is not None else []
         save_archive(TensorArchive(entries=entries), out)
     capsys.readouterr()
     code = run(["verify", archive, out, report])
@@ -296,16 +301,44 @@ def test_verify_unknown_kind_exit_4(workdir, capsys):
     assert "bogus" in err
 
 
-def test_compress_prune_leaves_no_weight_exit_2(workdir, capsys):
+@pytest.mark.parametrize("tamper, message", [
+    ({"replace": {"fc2": lambda data: 2 * data}}, "fc2: pass-through entry differs"),
+    ({"drop_entry": "fc2"}, "extra [], missing ['fc2']"),
+    ({"append": lambda orig: [("extra", DenseTensor(np.ones(3)))]}, "extra ['extra']"),
+    ({"append": lambda orig: [("fc1", orig.get("fc1"))]}, "extra ['fc1']"),
+    ({"edit_report": lambda doc: doc["per_layer"].append(doc["per_layer"][0])},
+     "report row 1 repeats layer 'fc1'"),
+], ids=["passthrough_doubled", "passthrough_dropped", "extra_entry", "original_kept",
+        "row_repeated"])
+def test_verify_whole_archive_exit_4(workdir, capsys, tamper, message):
+    code, err = verify_tampered(workdir, capsys, **tamper)
+    assert code == 4
+    assert message in err
+
+
+def assert_prune_empties_layer_exit_2(workdir, capsys, stage_list):
     save_archive(TensorArchive(entries=[("fc1", DenseTensor(np.array([[1.0, 2.0]])))]),
                  workdir / "in.qtns")
     cfg = workdir / "cfg.json"
-    cfg.write_text(json.dumps({"defaults": {"stage_list": ["prune"], "prune": {"alpha": 0.75}},
-                               "layers": {"fc1": {}}}))
+    cfg.write_text(json.dumps({
+        "defaults": {"stage_list": stage_list, "prune": {"alpha": 0.75},
+                     "rank_svd": 1, "anneal": {"rank": 1}},
+        "layers": {"fc1": {}},
+    }))
     capsys.readouterr()
     assert run(["compress", workdir / "in.qtns", cfg, workdir / "out.qtns"]) == 2
     assert "layer 'fc1': prune stage leaves none of its 2 weights" in capsys.readouterr().err
     assert not (workdir / "out.qtns").exists()
+
+
+def test_compress_prune_leaves_no_weight_exit_2(workdir, capsys):
+    assert_prune_empties_layer_exit_2(workdir, capsys, ["prune"])
+
+
+@pytest.mark.parametrize("stage_list", [["prune", "decompose"], ["prune", "factorize"],
+                                        ["prune", "decompose", "factorize"]], ids="-".join)
+def test_compress_prune_empties_layer_before_later_stages_exit_2(workdir, capsys, stage_list):
+    assert_prune_empties_layer_exit_2(workdir, capsys, stage_list)
 
 
 @pytest.mark.parametrize("edit, message", [

@@ -89,7 +89,6 @@ def test_rank1_outer_product_reconstruction():
         u=DenseTensor(np.array([[1.0], [0.0]])),
         sigma=(2.0,),
         v=DenseTensor(np.array([[0.0], [1.0]])),
-        original_shape=(2, 2),
     )
     assert reconstruct(f).data.tolist() == [[0.0, 2.0], [0.0, 0.0]]
 
@@ -101,20 +100,17 @@ def test_reconstruct_shape_mismatch():
         u=DenseTensor(np.ones((2, 2))),
         sigma=(1.0,),
         v=DenseTensor(np.ones((2, 2))),
-        original_shape=(2, 2),
     )
     with pytest.raises(ShapeError):
         reconstruct(f)
 
 
 def test_conv_tensor_round_trip_shape():
+    # a conv layer is decomposed as its flattened C_out x (C_in*H*W) matrix,
+    # and reconstruct gives that matrix back
     w = DenseTensor(np.random.default_rng(5).standard_normal((4, 3, 2, 2)))
-    flat = flatten_conv(w)
-    f = svd(flat)
-    f = truncate(f, 2)
-    f = type(f)(u=f.u, sigma=f.sigma, v=f.v, original_shape=w.shape)
-    recon = reconstruct(f)
-    assert recon.shape == (4, 3, 2, 2)
+    recon = reconstruct(truncate(svd(flatten_conv(w)), 2))
+    assert recon.shape == (4, 12)
 
 
 def test_spectral_bound_power_iteration():

@@ -22,7 +22,7 @@ from tensorpress.tensors import (
 
 
 def test_dense_tensor_basics():
-    t = DenseTensor(np.array([[1.0, 2.0], [3.0, 4.0]]), name="w")
+    t = DenseTensor(np.array([[1.0, 2.0], [3.0, 4.0]]))
     assert t.shape == (2, 2)
     assert t.size == 4
     assert t.data.dtype == np.float32
@@ -84,7 +84,7 @@ def test_empty_archive_round_trip():
 
 
 def test_single_tensor_round_trip_bit_exact():
-    t = DenseTensor(np.array([[1.0, 2.0], [3.0, 4.0]]), name="a")
+    t = DenseTensor(np.array([[1.0, 2.0], [3.0, 4.0]]))
     raw = write_archive(TensorArchive(entries=[("a", t)]))
     back = read_archive(raw)
     assert back.names() == ["a"]
