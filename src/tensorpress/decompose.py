@@ -20,10 +20,6 @@ class SvdFactors:
     def rank(self) -> int:
         return len(self.sigma)
 
-    def param_count(self) -> int:
-        m, n = self.u.shape[0], self.v.shape[0]
-        return self.rank * (m + n + 1)
-
 
 def svd(w_f: DenseTensor) -> SvdFactors:
     """Full SVD of a 2-axis tensor, rank min(m, n), deterministic sign convention."""

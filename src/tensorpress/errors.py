@@ -1,4 +1,7 @@
-"""Exception taxonomy shared across the package."""
+"""Exception taxonomy shared across the package, and the integer check of
+config values that raises ConfigError."""
+
+import operator
 
 
 class TensorpressError(Exception):
@@ -11,6 +14,17 @@ class ShapeError(TensorpressError):
 
 class ConfigError(TensorpressError):
     """A configuration value is out of range or references a missing layer."""
+
+
+def check_int(name: str, value, minimum: int | None = None) -> None:
+    """Raise ConfigError unless value is an integer (operator.index takes it)
+    no smaller than minimum."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"{name} must be >= {minimum}, got {value}")
 
 
 class ArchiveError(TensorpressError):

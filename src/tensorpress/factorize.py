@@ -12,11 +12,12 @@ and the candidate product (one more for each step halving).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DivergenceError, ShapeError
+from .errors import ConfigError, DivergenceError, ShapeError, check_int
 from .tensors import DenseTensor
 
 MAX_HALVINGS = 20
@@ -33,18 +34,18 @@ class AnnealConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.rank < 1:
-            raise ConfigError(f"rank must be positive, got {self.rank}")
-        if self.init_scale is not None and self.init_scale <= 0:
-            raise ConfigError(f"init_scale must be > 0, got {self.init_scale}")
-        if self.eta0 is not None and self.eta0 <= 0:
-            raise ConfigError(f"eta0 must be > 0, got {self.eta0}")
+        check_int("rank", self.rank, 1)
+        # written so that NaN fails every range
+        if self.init_scale is not None and not 0 < self.init_scale < math.inf:
+            raise ConfigError(f"init_scale must be finite and > 0, got {self.init_scale}")
+        if self.eta0 is not None and not 0 < self.eta0 < math.inf:
+            raise ConfigError(f"eta0 must be finite and > 0, got {self.eta0}")
         if not 0.0 < self.decay <= 1.0:
             raise ConfigError(f"decay must be in (0, 1], got {self.decay}")
-        if self.max_iters < 1:
-            raise ConfigError(f"max_iters must be positive, got {self.max_iters}")
-        if self.rel_tol <= 0:
+        check_int("max_iters", self.max_iters, 1)
+        if not self.rel_tol > 0:
             raise ConfigError(f"rel_tol must be > 0, got {self.rel_tol}")
+        check_int("seed", self.seed, 0)
 
 
 @dataclass(frozen=True)
@@ -53,9 +54,6 @@ class FactorPair:
     w2: DenseTensor  # r x n
     final_loss: float
     loss_trace: list[float] = field(default_factory=list)
-
-    def param_count(self) -> int:
-        return self.w1.size + self.w2.size
 
 
 def _as_matrices(w, w1, w2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -14,11 +14,13 @@ import numpy as np
 from . import decompose as dec
 from . import factorize as fac
 from . import prune as pr
-from .errors import ConfigError, NonFiniteWeightError, ShapeError, VerificationError
+from .errors import ConfigError, NonFiniteWeightError, ShapeError, VerificationError, check_int
 from .tensors import DenseTensor, TensorArchive, flatten_conv
 
 STAGES = ("prune", "decompose", "factorize")
 DEFAULT_STAGE_LIST = list(STAGES)
+# keys of "defaults" and of each layer's overrides; prune and anneal are objects
+LAYER_KEYS = ("seed", "stage_list", "prune", "rank_svd", "anneal")
 
 # Entry names of each artifact kind (layer name + suffix), in entries() order;
 # a pruned layer adds name + MASK_SUFFIX, which a "masked" layer always has.
@@ -36,16 +38,18 @@ class LayerConfig:
 
     def __post_init__(self):
         if not self.stage_list:
-            raise ConfigError(f"layer {self.layer_name!r}: stage_list is empty")
-        if len(set(self.stage_list)) != len(self.stage_list):
-            raise ConfigError(f"layer {self.layer_name!r}: duplicate stages")
+            raise ConfigError("stage_list is empty")
         for s in self.stage_list:
             if s not in STAGES:
-                raise ConfigError(f"layer {self.layer_name!r}: unknown stage {s!r}")
+                raise ConfigError(f"unknown stage {s!r}")
+        if len(set(self.stage_list)) != len(self.stage_list):
+            raise ConfigError("duplicate stages")
+        if self.rank_svd is not None:
+            check_int("rank_svd", self.rank_svd, 1)
         if "decompose" in self.stage_list and self.rank_svd is None:
-            raise ConfigError(f"layer {self.layer_name!r}: decompose stage needs rank_svd")
+            raise ConfigError("decompose stage needs rank_svd")
         if "factorize" in self.stage_list and self.anneal is None:
-            raise ConfigError(f"layer {self.layer_name!r}: factorize stage needs anneal config")
+            raise ConfigError("factorize stage needs anneal config")
 
 
 @dataclass(frozen=True)
@@ -144,7 +148,7 @@ def compress_layer(w: DenseTensor, cfg: LayerConfig) -> tuple[CompressedLayer, d
                 mask = res.mask
                 if not mask.any():
                     raise ConfigError(
-                        f"prune stage leaves none of its {w.size} weights "
+                        f"leaves none of its {w.size} weights "
                         f"(alpha {cfg.prune.alpha}, entangle_prob {cfg.prune.entangle_prob})"
                     )
                 kind, tensors = "masked", (res.pruned_weights,)
@@ -161,7 +165,7 @@ def compress_layer(w: DenseTensor, cfg: LayerConfig) -> tuple[CompressedLayer, d
                 kind, tensors = "factored", (pair.w1, pair.w2)
                 current = fac.compressed_matrix(pair)
     except Exception as exc:
-        exc.args = (f"layer {cfg.layer_name!r}: {exc}",)
+        exc.args = (f"layer {cfg.layer_name!r} ({stage}): {exc}",)
         raise
 
     layer = CompressedLayer(cfg.layer_name, kind, tensors, mask)
@@ -238,10 +242,18 @@ def _deep_merge(base: dict, override: dict) -> dict:
 
 @dataclass
 class PipelineConfig:
-    """Parsed form of the JSON config {"defaults": {...}, "layers": {name: overrides}}."""
+    """Parsed form of the JSON config {"defaults": {...}, "layers": {name: overrides}}.
+    Construction checks the structure; resolved() checks the values."""
 
     defaults: dict = field(default_factory=dict)
     layers: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if not isinstance(self.layers, dict):
+            raise ConfigError("layers: must be a JSON object")
+        _check_keys("defaults", self.defaults)
+        for name, overrides in self.layers.items():
+            _check_keys(f"layer {name!r}", overrides)
 
     @staticmethod
     def from_json(text: str) -> "PipelineConfig":
@@ -254,21 +266,22 @@ class PipelineConfig:
         return PipelineConfig(defaults=doc.get("defaults", {}), layers=doc.get("layers", {}))
 
     def resolved(self, layer_name: str, seed_override: int | None = None) -> LayerConfig:
-        merged = _deep_merge(self.defaults, self.layers.get(layer_name, {}))
-        base_seed = seed_override if seed_override is not None else merged.get("seed", 0)
-        prune_d = dict(merged.get("prune", {}))
-        if seed_override is not None or "seed" not in prune_d:
-            prune_d["seed"] = derive_seed(base_seed, layer_name, "prune")
-        anneal_d = dict(merged.get("anneal", {}))
-        stage_list = tuple(merged.get("stage_list", DEFAULT_STAGE_LIST))
-        anneal = None
-        if "factorize" in stage_list:
-            if "rank" not in anneal_d:
-                raise ConfigError(f"layer {layer_name!r}: anneal.rank is required")
-            if seed_override is not None or "seed" not in anneal_d:
-                anneal_d["seed"] = derive_seed(base_seed, layer_name, "anneal")
-            anneal = fac.AnnealConfig(**anneal_d)
+        """The layer's checked config: defaults deep-merged with its overrides,
+        and each prune or anneal seed not given derived from the base seed."""
         try:
+            merged = _deep_merge(self.defaults, self.layers.get(layer_name, {}))
+            base_seed = seed_override if seed_override is not None else merged.get("seed", 0)
+            check_int("seed", base_seed)
+            prune_d = dict(merged.get("prune", {}))
+            if seed_override is not None or "seed" not in prune_d:
+                prune_d["seed"] = derive_seed(base_seed, layer_name, "prune")
+            anneal_d = dict(merged.get("anneal", {}))
+            stage_list = tuple(merged.get("stage_list", DEFAULT_STAGE_LIST))
+            anneal = None
+            if "factorize" in stage_list:
+                if seed_override is not None or "seed" not in anneal_d:
+                    anneal_d["seed"] = derive_seed(base_seed, layer_name, "anneal")
+                anneal = fac.AnnealConfig(**anneal_d)
             return LayerConfig(
                 layer_name=layer_name,
                 stage_list=stage_list,
@@ -276,11 +289,24 @@ class PipelineConfig:
                 rank_svd=merged.get("rank_svd"),
                 anneal=anneal,
             )
-        except TypeError as exc:
+        except (ConfigError, TypeError) as exc:
             raise ConfigError(f"layer {layer_name!r}: {exc}") from exc
 
     def echo(self) -> dict:
         return {"defaults": self.defaults, "layers": self.layers}
+
+
+def _check_keys(where: str, block) -> None:
+    if not isinstance(block, dict):
+        raise ConfigError(f"{where}: must be a JSON object")
+    unknown = set(block) - set(LAYER_KEYS)
+    if unknown:
+        raise ConfigError(
+            f"{where}: unknown keys {sorted(unknown)}; known keys are {list(LAYER_KEYS)}"
+        )
+    for key in ("prune", "anneal"):
+        if not isinstance(block.get(key, {}), dict):
+            raise ConfigError(f"{where}: {key} must be a JSON object")
 
 
 def total_ratio(original: TensorArchive, rows: list[dict]) -> float:
@@ -301,27 +327,24 @@ def compress_archive(
     jobs: int = 1,
     seed_override: int | None = None,
 ) -> tuple[TensorArchive, CompressionReport]:
-    """Compress configured layers, pass the rest through unmodified."""
+    """Compress configured layers, up to jobs at once, and pass the rest through
+    unmodified. Every configured layer's config is resolved, and so checked,
+    before the first layer is compressed."""
+    if jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
     missing = [name for name in config.layers if name not in archive]
     if missing:
         raise ConfigError(f"config names layers missing from archive: {missing}")
     configured = [(name, tensor) for name, tensor in archive.entries if name in config.layers]
+    configs = [config.resolved(name, seed_override) for name, _ in configured]
     for name, tensor in configured:
         bad = tensor.size - int(np.count_nonzero(np.isfinite(tensor.data)))
         if bad:
             raise NonFiniteWeightError(
                 f"layer {name!r}: {bad} of {tensor.size} weights are NaN or infinite"
             )
-
-    def work(item):
-        name, tensor = item
-        return compress_layer(tensor, config.resolved(name, seed_override))
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(work, configured))
-    else:
-        results = [work(item) for item in configured]
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        results = list(pool.map(compress_layer, [t for _, t in configured], configs))
     rows = [row for _, row in results]
     report = CompressionReport(
         per_layer=rows, total_ratio=total_ratio(archive, rows), config_echo=config.echo()
@@ -344,7 +367,8 @@ def rebuild_layer(
     """Read back the CompressedLayer that entries() stored in the archive. Every
     stored tensor must have the shape its kind gives it against the original:
     u m x r, sigma r, v n x r, w1 m x r, w2 r x n, mask and masked weights the
-    original shape. A stored mask holds only 0 and 1 and keeps a weight."""
+    original shape. A stored mask holds only +0.0 and 1.0 and keeps a weight,
+    and a masked layer's weights are 0 wherever its mask is."""
     if kind not in ENTRY_SUFFIXES:
         raise VerificationError(f"layer {name!r}: unknown artifact kind {kind!r}")
     if len(original.shape) not in (2, 4):
@@ -369,11 +393,17 @@ def rebuild_layer(
     mask = None
     if len(tensors) > k:
         bits = tensors[k].data
-        if not np.all((bits == 0) | (bits == 1)):
-            raise VerificationError(f"layer {name!r}: {names[k]} holds values other than 0, 1")
-        mask = bits.astype(np.uint8)
+        mask = (bits == 1).astype(np.uint8)
+        # by bytes: a mask has the one encoding compress writes, so no -0.0
+        if mask.astype(np.float32).tobytes() != bits.tobytes():
+            raise VerificationError(
+                f"layer {name!r}: {names[k]} holds values other than 0, 1 (as f32 +0.0, 1.0)"
+            )
         if not mask.any():
             raise VerificationError(f"layer {name!r}: stored mask keeps no weight")
+        # by value: compress stores -0.0 where it prunes a negative weight
+        if kind == "masked" and np.any(tensors[0].data[mask == 0]):
+            raise VerificationError(f"layer {name!r}: {name} holds weights where its mask is 0")
     return CompressedLayer(name, kind, tuple(tensors[:k]), mask)
 
 

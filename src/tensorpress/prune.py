@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_int
 from .tensors import DenseTensor
 
 # Binary retain tensor, 1 = kept, 0 = pruned; same shape as the weights.
@@ -37,8 +37,8 @@ class PruneConfig:
             raise ConfigError(f"alpha must be in [0, 1), got {self.alpha}")
         if not 0.0 <= self.entangle_prob <= 1.0:
             raise ConfigError(f"entangle_prob must be in [0, 1], got {self.entangle_prob}")
-        if self.stages < 1:
-            raise ConfigError(f"stages must be >= 1, got {self.stages}")
+        check_int("stages", self.stages, 1)
+        check_int("seed", self.seed)
 
 
 @dataclass(frozen=True)

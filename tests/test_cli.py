@@ -1,11 +1,14 @@
+import copy
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 import hypothesis.strategies as st
 
+from tensorpress import pipeline
 from tensorpress.cli import main
 from tensorpress.tensors import DenseTensor, TensorArchive, load_archive, save_archive
 
@@ -327,7 +330,7 @@ def assert_prune_empties_layer_exit_2(workdir, capsys, stage_list):
     }))
     capsys.readouterr()
     assert run(["compress", workdir / "in.qtns", cfg, workdir / "out.qtns"]) == 2
-    assert "layer 'fc1': prune stage leaves none of its 2 weights" in capsys.readouterr().err
+    assert "layer 'fc1' (prune): leaves none of its 2 weights" in capsys.readouterr().err
     assert not (workdir / "out.qtns").exists()
 
 
@@ -376,6 +379,159 @@ def test_verify_wrong_shape_exit_4(workdir, capsys, stage_list, entry, shape):
 def test_verify_report_not_objects_exit_4(workdir, capsys, report_doc):
     code, _ = verify_tampered(workdir, capsys, report_doc=report_doc)
     assert code == 4
+
+
+@pytest.mark.parametrize("tamper, message", [
+    ({"replace": {"fc1": lambda data: np.where(data == 0, 1e-12, data)}},
+     "fc1 holds weights where its mask is 0"),
+    ({"replace": {"fc1.mask": lambda mask: np.where(mask == 0, -0.0, mask)}},
+     "fc1.mask holds values other than 0, 1"),
+], ids=["weight_under_zero_mask", "mask_negative_zero"])
+def test_verify_masked_layer_one_encoding_exit_4(workdir, capsys, tamper, message):
+    code, err = verify_tampered(workdir, capsys, stage_list=["prune"], **tamper)
+    assert code == 4
+    assert message in err
+
+
+MISSING = object()  # as a value: the key is left out
+
+
+def with_edits(block, edits):
+    """A copy of block with each (dotted path, value) of edits set."""
+    block = copy.deepcopy(block)
+    for path, value in edits:
+        *parents, last = path.split(".")
+        node = block
+        for key in parents:
+            node = node.setdefault(key, {})
+        if value is MISSING:
+            node.pop(last, None)
+        else:
+            node[last] = value
+    return block
+
+
+@pytest.mark.parametrize("edits, args, message", [
+    pytest.param({"defaults.rank_svd": 2.5}, [], "layer 'fc1': rank_svd must be an integer",
+                 id="rank_svd_float"),
+    pytest.param({"defaults.rank_svd": "3"}, [], "layer 'fc1': rank_svd must be an integer",
+                 id="rank_svd_string"),
+    pytest.param({"defaults.prune.stages": 2.5}, [], "layer 'fc1': stages must be an integer",
+                 id="prune_stages_float"),
+    pytest.param({"defaults.anneal.max_iters": 2.5}, [],
+                 "layer 'fc1': max_iters must be an integer", id="max_iters_float"),
+    pytest.param({"defaults.anneal.rank": 2.5}, [], "layer 'fc1': rank must be an integer",
+                 id="rank_float"),
+    pytest.param({"defaults.anneal.rank": "2"}, [], "layer 'fc1': rank must be an integer",
+                 id="rank_string"),
+    pytest.param({"defaults.anneal.bogus": 1}, [], "layer 'fc1': .*'bogus'",
+                 id="anneal_unknown_key"),
+    pytest.param({"defaults.anneal.seed": -1}, [], "layer 'fc1': seed must be >= 0",
+                 id="anneal_seed_negative"),
+    pytest.param({"defaults.anneal.eta0": float("nan")}, [], "layer 'fc1': eta0 must be",
+                 id="eta0_nan"),
+    pytest.param({"defaults.anneal.eta0": float("inf")}, [], "layer 'fc1': eta0 must be",
+                 id="eta0_inf"),
+    pytest.param({"defaults.anneal.init_scale": float("nan")}, [],
+                 "layer 'fc1': init_scale must be", id="init_scale_nan"),
+    pytest.param({"defaults.anneal.init_scale": float("inf")}, [],
+                 "layer 'fc1': init_scale must be", id="init_scale_inf"),
+    pytest.param({"defaults.anneal.rel_tol": float("nan")}, [], "layer 'fc1': rel_tol must be",
+                 id="rel_tol_nan"),
+    pytest.param({"defaults.seed": "x"}, [], "layer 'fc1': seed must be an integer",
+                 id="seed_string"),
+    pytest.param({"defaults.seed": 1.5}, [], "layer 'fc1': seed must be an integer",
+                 id="seed_float"),
+    pytest.param({"defaults.prune.seed": 1.5, "defaults.prune.entangle_prob": 0.1}, [],
+                 "layer 'fc1': seed must be an integer", id="prune_seed_float"),
+    pytest.param({"layers": []}, [], "layers: must be a JSON object", id="layers_list"),
+    pytest.param({"layers.fc1": []}, [], "layer 'fc1': must be a JSON object",
+                 id="layer_overrides_list"),
+    pytest.param({"layers.fc1.stagelist": ["prune"]}, [],
+                 r"layer 'fc1': unknown keys \['stagelist'\]",
+                 id="layer_unknown_key"),
+    pytest.param({"defaults.seeed": 3}, [], r"defaults: unknown keys \['seeed'\]",
+                 id="defaults_unknown_key"),
+    pytest.param({"defaults.prune": None}, [], "defaults: prune must be a JSON object",
+                 id="prune_block_null"),
+    # fc2 is the archive's last layer: its fault stops compress before fc1 runs
+    pytest.param({"layers.fc2": {"anneal": {"bogus": 1}}}, [], "layer 'fc2': .*'bogus'",
+                 id="last_layer_override"),
+    pytest.param({}, ["--jobs", 0], "jobs must be >= 1, got 0", id="jobs_0"),
+])
+def test_compress_bad_config_exit_2_before_any_layer(workdir, capsys, monkeypatch,
+                                                      edits, args, message):
+    archive, cfg = write_fixture(workdir)
+    cfg.write_text(json.dumps(with_edits(CONFIG, edits.items())))
+    calls = []
+    monkeypatch.setattr(pipeline, "compress_layer", lambda *a: calls.append(a))
+    capsys.readouterr()
+    assert run(["compress", archive, cfg, workdir / "out.qtns", *args]) == 2
+    assert re.search(message, capsys.readouterr().err)
+    assert calls == []
+    assert not (workdir / "out.qtns").exists()
+
+
+NAN, INF = float("nan"), float("inf")
+# each config key: (good values, malformed values); a malformed value may also
+# be one that fails only once the layer's shape is known (rank 100)
+CONFIG_MENU = {
+    "seed": ([MISSING, 0, -5, 2**70], ["x", 1.5, None]),
+    "stage_list": ([MISSING, ["prune"], ["decompose", "factorize"], ["factorize", "prune"]],
+                   [[], ["prune", "prune"], ["bogus"], "prune", 5, [["prune"]]]),
+    "rank_svd": ([1, 3, 100], [MISSING, 0, -1, 2.5, "3", None]),
+    "prune.alpha": ([MISSING, 0.0, 0.3], [1.0, -0.1, NAN, "a", None]),
+    "prune.stages": ([MISSING, 1, 3], [0, 2.5, "2"]),
+    "prune.entangle_prob": ([MISSING, 0.0, 0.2], [1.5, NAN]),
+    "prune.seed": ([MISSING, 0, -5, 2**70], [1.5, "x"]),
+    "anneal.rank": ([1, 3], [MISSING, 100, 0, 2.5, "2"]),
+    "anneal.init_scale": ([MISSING, 0.1, None], [0.0, NAN, INF]),
+    "anneal.eta0": ([MISSING, 0.01, None], [0.0, -1.0, NAN, INF, "x"]),
+    "anneal.decay": ([MISSING, 0.9, 1.0], [0.0, 1.5, NAN, None]),
+    "anneal.max_iters": ([MISSING, 1, 30], [0, 2.5, "5"]),
+    "anneal.rel_tol": ([MISSING, 1e-3, INF], [0.0, -1.0, NAN]),
+    "anneal.seed": ([MISSING, 0, 2**70], [-1, 1.5]),
+}
+FAULTS = [(key, v) for key, (_, bad) in CONFIG_MENU.items() for v in bad]
+FAULTS += [("prune", []), ("anneal", "x"), ("seeed", 1)]
+
+
+def good_config():
+    return st.fixed_dictionaries(
+        {key: st.sampled_from(good) for key, (good, _) in CONFIG_MENU.items()}
+    ).map(lambda values: with_edits({}, values.items()))
+
+
+def faults():
+    # at most one fault per top-level key, so a block is never both edited and replaced
+    return st.lists(st.sampled_from(FAULTS), max_size=2, unique_by=lambda f: f[0].split(".")[0])
+
+
+@pytest.fixture(scope="module")
+def config_fuzz_base(tmp_path_factory):
+    workdir = tmp_path_factory.mktemp("config_fuzz")
+    rng = np.random.default_rng(3)
+    save_archive(TensorArchive(entries=[("fc1", DenseTensor(rng.standard_normal((6, 5)))),
+                                        ("conv1", DenseTensor(rng.standard_normal((3, 2, 2, 2))))]),
+                 workdir / "in.qtns")
+    return workdir
+
+
+@settings(max_examples=100, deadline=None)
+@given(good_config(), faults(), faults())
+def test_config_fuzz_exits_documented(config_fuzz_base, defaults, default_faults, conv1_faults):
+    """Configs with malformed values among good ones exit 0 or 2 from compress,
+    never 1, and what compress writes passes verify."""
+    workdir = config_fuzz_base
+    cfg, out = workdir / "cfg.json", workdir / "out.qtns"
+    layers = {"fc1": {}, "conv1": with_edits({}, conv1_faults)}
+    cfg.write_text(json.dumps({"defaults": with_edits(defaults, default_faults), "layers": layers}))
+    out.unlink(missing_ok=True)
+    code = run(["compress", workdir / "in.qtns", cfg, out])
+    event(f"compress exit {code}")
+    assert code in (0, 2)
+    if code == 0:
+        assert run(["verify", workdir / "in.qtns", out, f"{out}.report.json"]) == 0
 
 
 @pytest.fixture(scope="module")

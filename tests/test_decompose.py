@@ -128,11 +128,6 @@ def test_spectral_bound_power_iteration():
     assert top == pytest.approx(f.sigma[r], rel=1e-3)
 
 
-def test_param_count():
-    f = truncate(svd(random_matrix(10, 8, 7)), 3)
-    assert f.param_count() == 3 * (10 + 8 + 1)
-
-
 def test_sign_convention_deterministic():
     w = random_matrix(6, 6, 8)
     f = svd(w)

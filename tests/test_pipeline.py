@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from tensorpress.errors import ConfigError, VerificationError
+from tensorpress.errors import ConfigError, DivergenceError, VerificationError
 from tensorpress.factorize import AnnealConfig
 from tensorpress.pipeline import (
     STAGES,
@@ -103,6 +103,12 @@ class TestCompressLayer:
         w = DenseTensor(np.ones((8,)))
         with pytest.raises(Exception, match="'L'"):
             compress_layer(w, full_config())
+        # a stage's error names the stage too
+        cfg = full_config(stage_list=("prune", "factorize"),
+                          anneal=AnnealConfig(rank=2, eta0=1e300, seed=0))
+        message = r"^layer 'L' \(factorize\): loss became non-finite at iteration 0$"
+        with np.errstate(all="ignore"), pytest.raises(DivergenceError, match=message):
+            compress_layer(random_tensor((8, 8), 6), cfg)
 
 
 def build_archive_and_config():
