@@ -15,7 +15,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 from scipy import sparse
 
-from .errors import ShapeError
+from .errors import ConfigError, ShapeError, check_int
 from .factorize import FactorPair
 from .tensors import DenseTensor
 
@@ -99,11 +99,12 @@ def run_bench(
     rtol: float = 1e-4,
 ) -> list[BenchResult]:
     """Time matvec variants for each (m, n, r). reps >= 30, warmup >= 5."""
-    if reps < 30 or warmup < 5:
-        raise ValueError(f"need reps >= 30 and warmup >= 5, got {reps}, {warmup}")
+    check_int("reps", reps, 30)
+    check_int("warmup", warmup, 5)
+    check_int("seed", seed, 0)
     for v in variants:
         if v not in VARIANTS:
-            raise ValueError(f"unknown variant {v!r}")
+            raise ConfigError(f"unknown variant {v!r}; known variants are {list(VARIANTS)}")
     rng = np.random.default_rng(seed)
     results: list[BenchResult] = []
     for m, n, r in sizes:

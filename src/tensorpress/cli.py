@@ -1,7 +1,7 @@
 """Command-line interface: compress, inspect, verify, bench, gen.
 
-Exit codes: 0 ok, 1 internal error, 2 config error, 3 I/O or format error,
-4 verification mismatch.
+Exit codes, from errors.exit_status: 0 ok, 2 config error, 3 I/O or format
+error, 4 verification mismatch; 1 is a bug.
 """
 
 from __future__ import annotations
@@ -14,14 +14,10 @@ import numpy as np
 
 from . import bench as bn
 from . import pipeline as pl
-from .errors import ArchiveError, ConfigError, VerificationError
+from .errors import ConfigError, check_int, exit_status
 from .tensors import DenseTensor, TensorArchive, load_archive, save_archive
 
 EXIT_OK = 0
-EXIT_INTERNAL = 1
-EXIT_CONFIG = 2
-EXIT_IO = 3
-EXIT_VERIFY = 4
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -117,8 +113,8 @@ def cmd_bench(args) -> int:
     sizes = []
     for spec in args.size or ["1024x1024x64"]:
         parts = spec.lower().split("x")
-        if len(parts) != 3:
-            raise ConfigError(f"bad --size {spec!r}, expected MxNxR")
+        if len(parts) != 3 or not all(p.isdecimal() and int(p) > 0 for p in parts):
+            raise ConfigError(f"bad --size {spec!r}, expected MxNxR of integers >= 1")
         sizes.append(tuple(int(x) for x in parts))
     variants = tuple(v.strip() for v in args.variants.split(",") if v.strip())
     results = bn.run_bench(sizes, variants=variants, reps=args.reps,
@@ -136,8 +132,8 @@ def _parse_layer_spec(spec: str):
     if ":" in spec:
         body, opt = spec.split(":", 1)
         key, _, val = opt.partition("=")
-        if key != "rank" or not val.isdigit():
-            raise ConfigError(f"bad layer option {opt!r}, expected rank=R")
+        if key != "rank" or not val.isdecimal() or int(val) < 1:
+            raise ConfigError(f"bad layer option {opt!r}, expected rank=R with R >= 1")
         rank = int(val)
     name, _, shape_s = body.partition("=")
     if not name or not shape_s:
@@ -152,6 +148,7 @@ def _parse_layer_spec(spec: str):
 
 
 def gen_archive(layer_specs: list[str], seed: int) -> TensorArchive:
+    check_int("seed", seed, 0)
     rng = np.random.default_rng(seed)
     entries = []
     for spec in layer_specs:
@@ -192,18 +189,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return COMMANDS[args.command](args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (ArchiveError, OSError, json.JSONDecodeError) as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except VerificationError as exc:
-        print(f"verification mismatch: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
-    except Exception as exc:  # pragma: no cover - defensive
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+    except Exception as exc:
+        code, prefix = exit_status(exc)
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -12,12 +12,11 @@ and the candidate product (one more for each step halving).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DivergenceError, ShapeError, check_int
+from .errors import ConfigError, DivergenceError, ShapeError, check_int, check_real
 from .tensors import DenseTensor
 
 MAX_HALVINGS = 20
@@ -35,16 +34,13 @@ class AnnealConfig:
 
     def __post_init__(self):
         check_int("rank", self.rank, 1)
-        # written so that NaN fails every range
-        if self.init_scale is not None and not 0 < self.init_scale < math.inf:
-            raise ConfigError(f"init_scale must be finite and > 0, got {self.init_scale}")
-        if self.eta0 is not None and not 0 < self.eta0 < math.inf:
-            raise ConfigError(f"eta0 must be finite and > 0, got {self.eta0}")
-        if not 0.0 < self.decay <= 1.0:
-            raise ConfigError(f"decay must be in (0, 1], got {self.decay}")
+        if self.init_scale is not None:
+            check_real("init_scale", self.init_scale, "(0, inf)")
+        if self.eta0 is not None:
+            check_real("eta0", self.eta0, "(0, inf)")
+        check_real("decay", self.decay, "(0, 1]")
         check_int("max_iters", self.max_iters, 1)
-        if not self.rel_tol > 0:
-            raise ConfigError(f"rel_tol must be > 0, got {self.rel_tol}")
+        check_real("rel_tol", self.rel_tol, "(0, inf]")
         check_int("seed", self.seed, 0)
 
 

@@ -14,7 +14,7 @@ import numpy as np
 from . import decompose as dec
 from . import factorize as fac
 from . import prune as pr
-from .errors import ConfigError, NonFiniteWeightError, ShapeError, VerificationError, check_int
+from .errors import ArchiveError, ConfigError, VerificationError, check_int
 from .tensors import DenseTensor, TensorArchive, flatten_conv
 
 STAGES = ("prune", "decompose", "factorize")
@@ -131,12 +131,19 @@ def layer_row(w: DenseTensor, layer: CompressedLayer) -> dict:
     }
 
 
+def check_layer_input(name: str, w: DenseTensor) -> None:
+    """Raise ConfigError unless compress can take w (2 or 4 axes), and
+    ArchiveError if any of its weights is NaN or infinite."""
+    if len(w.shape) not in (2, 4):
+        raise ConfigError(f"layer {name!r}: need a 2- or 4-axis tensor, got {len(w.shape)} axes")
+    bad = w.size - int(np.count_nonzero(np.isfinite(w.data)))
+    if bad:
+        raise ArchiveError(f"layer {name!r}: {bad} of {w.size} weights are NaN or infinite")
+
+
 def compress_layer(w: DenseTensor, cfg: LayerConfig) -> tuple[CompressedLayer, dict]:
     """Apply cfg.stage_list in order to one weight tensor."""
-    if len(w.shape) not in (2, 4):
-        raise ShapeError(
-            f"layer {cfg.layer_name!r}: need a 2- or 4-axis tensor, got {len(w.shape)} axes"
-        )
+    check_layer_input(cfg.layer_name, w)
     t0 = time.perf_counter()
     current = flatten_conv(w) if len(w.shape) == 4 else w
     mask = None
@@ -276,7 +283,9 @@ class PipelineConfig:
             if seed_override is not None or "seed" not in prune_d:
                 prune_d["seed"] = derive_seed(base_seed, layer_name, "prune")
             anneal_d = dict(merged.get("anneal", {}))
-            stage_list = tuple(merged.get("stage_list", DEFAULT_STAGE_LIST))
+            stage_list = merged.get("stage_list", DEFAULT_STAGE_LIST)
+            if not isinstance(stage_list, (list, tuple)):
+                raise ConfigError(f"stage_list must be a list, got {stage_list!r}")
             anneal = None
             if "factorize" in stage_list:
                 if seed_override is not None or "seed" not in anneal_d:
@@ -284,7 +293,7 @@ class PipelineConfig:
                 anneal = fac.AnnealConfig(**anneal_d)
             return LayerConfig(
                 layer_name=layer_name,
-                stage_list=stage_list,
+                stage_list=tuple(stage_list),
                 prune=pr.PruneConfig(**prune_d),
                 rank_svd=merged.get("rank_svd"),
                 anneal=anneal,
@@ -328,21 +337,16 @@ def compress_archive(
     seed_override: int | None = None,
 ) -> tuple[TensorArchive, CompressionReport]:
     """Compress configured layers, up to jobs at once, and pass the rest through
-    unmodified. Every configured layer's config is resolved, and so checked,
+    unmodified. Every configured layer's config and weights are checked
     before the first layer is compressed."""
-    if jobs < 1:
-        raise ConfigError(f"jobs must be >= 1, got {jobs}")
+    check_int("jobs", jobs, 1)
     missing = [name for name in config.layers if name not in archive]
     if missing:
         raise ConfigError(f"config names layers missing from archive: {missing}")
     configured = [(name, tensor) for name, tensor in archive.entries if name in config.layers]
     configs = [config.resolved(name, seed_override) for name, _ in configured]
     for name, tensor in configured:
-        bad = tensor.size - int(np.count_nonzero(np.isfinite(tensor.data)))
-        if bad:
-            raise NonFiniteWeightError(
-                f"layer {name!r}: {bad} of {tensor.size} weights are NaN or infinite"
-            )
+        check_layer_input(name, tensor)
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         results = list(pool.map(compress_layer, [t for _, t in configured], configs))
     rows = [row for _, row in results]

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, check_int
+from .errors import check_int, check_real
 from .tensors import DenseTensor
 
 # Binary retain tensor, 1 = kept, 0 = pruned; same shape as the weights.
@@ -33,10 +33,8 @@ class PruneConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 <= self.alpha < 1.0:
-            raise ConfigError(f"alpha must be in [0, 1), got {self.alpha}")
-        if not 0.0 <= self.entangle_prob <= 1.0:
-            raise ConfigError(f"entangle_prob must be in [0, 1], got {self.entangle_prob}")
+        check_real("alpha", self.alpha, "[0, 1)")
+        check_real("entangle_prob", self.entangle_prob, "[0, 1]")
         check_int("stages", self.stages, 1)
         check_int("seed", self.seed)
 
@@ -75,8 +73,7 @@ def entangle(mask: RetainMask, entangle_prob: float, seed) -> RetainMask:
     neighbor) pair, in pruned flat index order, then direction order; archive
     byte-identity rests on this order.
     """
-    if not 0.0 <= entangle_prob <= 1.0:
-        raise ConfigError(f"entangle_prob must be in [0, 1], got {entangle_prob}")
+    check_real("entangle_prob", entangle_prob, "[0, 1]")
     if entangle_prob == 0.0:
         return mask.copy()
     flat_in = mask.ravel()

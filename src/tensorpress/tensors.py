@@ -23,7 +23,6 @@ from .errors import (
     BadMagicError,
     DuplicateNameError,
     ShapeError,
-    TrailingDataError,
     TruncatedArchiveError,
     UnsupportedVersionError,
 )
@@ -167,7 +166,7 @@ def read_archive(raw: bytes) -> TensorArchive:
         data = np.frombuffer(r.take(4 * n_elems), dtype="<f4").reshape(shape)
         entries.append((name, DenseTensor(data)))
     if r.pos != len(raw):
-        raise TrailingDataError(f"{len(raw) - r.pos} bytes after the last entry")
+        raise ArchiveError(f"{len(raw) - r.pos} bytes after the last entry")
     return TensorArchive(entries=entries)  # raises DuplicateNameError
 
 

@@ -14,7 +14,7 @@ from tensorpress.bench import (
     results_to_json,
     run_bench,
 )
-from tensorpress.errors import ShapeError
+from tensorpress.errors import ConfigError, ShapeError
 from tensorpress.factorize import FactorPair
 from tensorpress.tensors import DenseTensor
 
@@ -84,9 +84,9 @@ def test_flop_ratio_prediction():
 
 
 def test_run_bench_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         run_bench([(8, 8, 2)], reps=5, warmup=5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         run_bench([(8, 8, 2)], variants=("gpu",))
 
 

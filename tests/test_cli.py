@@ -35,8 +35,9 @@ CONFIG = {
 
 
 def write_fixture(workdir):
-    assert run(["gen", workdir / "in.qtns", "--seed", 5,
-                "--layer", "fc1=16x16", "--layer", "fc2=8x8"]) == 0
+    # b and t have axis counts compress does not take; they pass through unless configured
+    assert run(["gen", workdir / "in.qtns", "--seed", 5, "--layer", "fc1=16x16",
+                "--layer", "fc2=8x8", "--layer", "b=8", "--layer", "t=4x4x4"]) == 0
     cfg = workdir / "cfg.json"
     cfg.write_text(json.dumps(CONFIG))
     return workdir / "in.qtns", cfg
@@ -454,10 +455,37 @@ def with_edits(block, edits):
                  id="defaults_unknown_key"),
     pytest.param({"defaults.prune": None}, [], "defaults: prune must be a JSON object",
                  id="prune_block_null"),
-    # fc2 is the archive's last layer: its fault stops compress before fc1 runs
+    # fc2 comes after fc1 in the archive: its fault stops compress before fc1 runs
     pytest.param({"layers.fc2": {"anneal": {"bogus": 1}}}, [], "layer 'fc2': .*'bogus'",
                  id="last_layer_override"),
     pytest.param({}, ["--jobs", 0], "jobs must be >= 1, got 0", id="jobs_0"),
+    pytest.param({"layers.b": {}}, [], "layer 'b': need a 2- or 4-axis tensor, got 1 axes",
+                 id="layer_1_axis"),
+    pytest.param({"layers.t": {}}, [], "layer 't': need a 2- or 4-axis tensor, got 3 axes",
+                 id="layer_3_axes"),
+    pytest.param({"defaults.anneal.eta0": 10**400}, [], r"layer 'fc1': eta0 must be a number",
+                 id="eta0_int_past_float"),
+    pytest.param({"defaults.anneal.init_scale": 10**400}, [],
+                 r"layer 'fc1': init_scale must be a number", id="init_scale_int_past_float"),
+    pytest.param({"defaults.anneal.rank": True}, [],
+                 "layer 'fc1': rank must be an integer, got True", id="rank_true"),
+    pytest.param({"defaults.rank_svd": True}, [],
+                 "layer 'fc1': rank_svd must be an integer, got True", id="rank_svd_true"),
+    pytest.param({"defaults.prune.stages": True}, [],
+                 "layer 'fc1': stages must be an integer, got True", id="prune_stages_true"),
+    pytest.param({"defaults.seed": True}, [], "layer 'fc1': seed must be an integer, got True",
+                 id="seed_true"),
+    pytest.param({"defaults.prune.alpha": False}, [],
+                 r"layer 'fc1': alpha must be a number in \[0, 1\), got False",
+                 id="prune_alpha_false"),
+    pytest.param({"defaults.stage_list": "prune"}, [],
+                 "layer 'fc1': stage_list must be a list, got 'prune'", id="stage_list_string"),
+    pytest.param({"defaults.stage_list": 5}, [], "layer 'fc1': stage_list must be a list, got 5",
+                 id="stage_list_number"),
+    pytest.param({"defaults.prune.alpha": "a"}, [], "layer 'fc1': alpha must be a number",
+                 id="prune_alpha_string"),
+    pytest.param({"defaults.anneal.decay": "x"}, [], "layer 'fc1': decay must be a number",
+                 id="decay_string"),
 ])
 def test_compress_bad_config_exit_2_before_any_layer(workdir, capsys, monkeypatch,
                                                       edits, args, message):
@@ -472,25 +500,58 @@ def test_compress_bad_config_exit_2_before_any_layer(workdir, capsys, monkeypatc
     assert not (workdir / "out.qtns").exists()
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow on the way to inf
+@pytest.mark.parametrize("key, value", [("eta0", 1e300), ("init_scale", 1e200)])
+def test_compress_divergence_exit_2(workdir, capsys, key, value):
+    archive, cfg = write_fixture(workdir)
+    cfg.write_text(json.dumps(with_edits(CONFIG, [(f"defaults.anneal.{key}", value)])))
+    capsys.readouterr()
+    assert run(["compress", archive, cfg, workdir / "out.qtns"]) == 2
+    err = capsys.readouterr().err
+    assert "layer 'fc1' (factorize): loss became non-finite at iteration 0" in err
+    assert not (workdir / "out.qtns").exists()
+
+
+@pytest.mark.parametrize("args, message", [
+    (["bench", "--size", "2x2xq"], "bad --size '2x2xq'"),
+    (["bench", "--size", "8x8x0"], "bad --size '8x8x0'"),
+    (["bench", "--size", "8x8x2", "--reps", 5], "reps must be >= 30, got 5"),
+    (["bench", "--size", "8x8x2", "--warmup", 2], "warmup must be >= 5, got 2"),
+    (["bench", "--size", "8x8x2", "--variants", "foo"], "unknown variant 'foo'"),
+    (["bench", "--size", "8x8x2", "--seed", -1], "seed must be >= 0, got -1"),
+    (["gen", "--layer", "fc1=4x4:rank=0"], "bad layer option 'rank=0'"),
+    (["gen", "--seed", -1, "--layer", "fc1=4x4"], "seed must be >= 0, got -1"),
+], ids=["size_not_int", "size_0", "reps_5", "warmup_2", "variant_unknown", "bench_seed_negative",
+        "gen_rank_0", "gen_seed_negative"])
+def test_bench_gen_bad_args_exit_2(workdir, capsys, args, message):
+    out = workdir / "out"
+    args = [*args, "--out", out] if args[0] == "bench" else [args[0], out, *args[1:]]
+    capsys.readouterr()
+    assert run(args) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 NAN, INF = float("nan"), float("inf")
+HUGE = 10**400  # a JSON integer past the float range; a valid seed, rank_svd or max_iters
 # each config key: (good values, malformed values); a malformed value may also
 # be one that fails only once the layer's shape is known (rank 100)
 CONFIG_MENU = {
-    "seed": ([MISSING, 0, -5, 2**70], ["x", 1.5, None]),
+    "seed": ([MISSING, 0, -5, 2**70], ["x", 1.5, None, True, False]),
     "stage_list": ([MISSING, ["prune"], ["decompose", "factorize"], ["factorize", "prune"]],
                    [[], ["prune", "prune"], ["bogus"], "prune", 5, [["prune"]]]),
-    "rank_svd": ([1, 3, 100], [MISSING, 0, -1, 2.5, "3", None]),
-    "prune.alpha": ([MISSING, 0.0, 0.3], [1.0, -0.1, NAN, "a", None]),
-    "prune.stages": ([MISSING, 1, 3], [0, 2.5, "2"]),
-    "prune.entangle_prob": ([MISSING, 0.0, 0.2], [1.5, NAN]),
-    "prune.seed": ([MISSING, 0, -5, 2**70], [1.5, "x"]),
-    "anneal.rank": ([1, 3], [MISSING, 100, 0, 2.5, "2"]),
-    "anneal.init_scale": ([MISSING, 0.1, None], [0.0, NAN, INF]),
-    "anneal.eta0": ([MISSING, 0.01, None], [0.0, -1.0, NAN, INF, "x"]),
-    "anneal.decay": ([MISSING, 0.9, 1.0], [0.0, 1.5, NAN, None]),
-    "anneal.max_iters": ([MISSING, 1, 30], [0, 2.5, "5"]),
-    "anneal.rel_tol": ([MISSING, 1e-3, INF], [0.0, -1.0, NAN]),
-    "anneal.seed": ([MISSING, 0, 2**70], [-1, 1.5]),
+    "rank_svd": ([1, 3, 100], [MISSING, 0, -1, 2.5, "3", None, True, False]),
+    "prune.alpha": ([MISSING, 0.0, 0.3], [1.0, -0.1, NAN, "a", None, True, False, HUGE]),
+    "prune.stages": ([MISSING, 1, 3], [0, 2.5, "2", True, False]),
+    "prune.entangle_prob": ([MISSING, 0.0, 0.2], [1.5, NAN, True, False, HUGE]),
+    "prune.seed": ([MISSING, 0, -5, 2**70], [1.5, "x", True, False]),
+    "anneal.rank": ([1, 3], [MISSING, 100, 0, 2.5, "2", True, False, HUGE]),
+    "anneal.init_scale": ([MISSING, 0.1, None], [0.0, NAN, INF, True, False, HUGE]),
+    "anneal.eta0": ([MISSING, 0.01, None], [0.0, -1.0, NAN, INF, "x", True, False, HUGE]),
+    "anneal.decay": ([MISSING, 0.9, 1.0], [0.0, 1.5, NAN, None, True, False, HUGE]),
+    "anneal.max_iters": ([MISSING, 1, 30], [0, 2.5, "5", True, False]),
+    "anneal.rel_tol": ([MISSING, 1e-3, INF], [0.0, -1.0, NAN, True, False, HUGE]),
+    "anneal.seed": ([MISSING, 0, 2**70], [-1, 1.5, True, False]),
 }
 FAULTS = [(key, v) for key, (_, bad) in CONFIG_MENU.items() for v in bad]
 FAULTS += [("prune", []), ("anneal", "x"), ("seeed", 1)]
