@@ -15,7 +15,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 from scipy import sparse
 
-from .errors import ConfigError, ShapeError, check_int
+from .errors import ConfigError, ShapeError, check_int, check_real
 from .factorize import FactorPair
 from .tensors import DenseTensor
 
@@ -98,10 +98,11 @@ def run_bench(
     seed: int = 0,
     rtol: float = 1e-4,
 ) -> list[BenchResult]:
-    """Time matvec variants for each (m, n, r). reps >= 30, warmup >= 5."""
+    """Time matvec variants for each (m, n, r). reps >= 30, warmup >= 5, density in (0, 1]."""
     check_int("reps", reps, 30)
     check_int("warmup", warmup, 5)
     check_int("seed", seed, 0)
+    check_real("density", density, "(0, 1]")
     for v in variants:
         if v not in VARIANTS:
             raise ConfigError(f"unknown variant {v!r}; known variants are {list(VARIANTS)}")

@@ -15,6 +15,7 @@ import numpy as np
 from . import bench as bn
 from . import pipeline as pl
 from .errors import ConfigError, check_int, exit_status
+from .factorize import check_rank
 from .tensors import DenseTensor, TensorArchive, load_archive, save_archive
 
 EXIT_OK = 0
@@ -154,10 +155,8 @@ def gen_archive(layer_specs: list[str], seed: int) -> TensorArchive:
     for spec in layer_specs:
         name, shape, rank = _parse_layer_spec(spec)
         if rank is not None:
-            m = shape[0]
-            n = int(np.prod(shape[1:]))
-            if rank > min(m, n):
-                raise ConfigError(f"layer {name!r}: rank {rank} > min{(m, n)}")
+            m, n = shape[0], int(np.prod(shape[1:]))
+            check_rank(rank, m, n, f"layer {name!r}: ")
             data = (rng.standard_normal((m, rank)) @ rng.standard_normal((rank, n)))
             data = data.reshape(shape)
         else:

@@ -12,6 +12,7 @@ and the candidate product (one more for each step halving).
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -88,6 +89,13 @@ def loss_gradient(w, w1, w2) -> tuple[np.ndarray, np.ndarray]:
     return _gradients(b @ c - a, b, c)
 
 
+def check_rank(rank: int, m: int, n: int, where: str = "") -> None:
+    """Raise ConfigError, its message led by where, unless a rank-`rank` factor
+    pair fits an m x n matrix."""
+    if rank > min(m, n):
+        raise ConfigError(f"{where}rank {reprlib.repr(rank)} exceeds min(m, n) = {min(m, n)}")
+
+
 def compressed_matrix(f: FactorPair) -> DenseTensor:
     """The replacement matrix W_c = W1 @ W2."""
     return DenseTensor(f.w1.data.astype(np.float64) @ f.w2.data.astype(np.float64))
@@ -98,8 +106,7 @@ def anneal_factorize(w: DenseTensor, cfg: AnnealConfig) -> FactorPair:
     if len(w.shape) != 2:
         raise ShapeError(f"anneal_factorize needs a 2-axis tensor, got {len(w.shape)}")
     m, n = w.shape
-    if cfg.rank > min(m, n):
-        raise ConfigError(f"rank {cfg.rank} exceeds min(m, n) = {min(m, n)}")
+    check_rank(cfg.rank, m, n)
     a = w.data.astype(np.float64)
     norm = float(np.linalg.norm(a))
     init_scale = cfg.init_scale if cfg.init_scale is not None else 1.0 / np.sqrt(max(m, n))

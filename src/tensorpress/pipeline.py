@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import reprlib
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -131,11 +132,17 @@ def layer_row(w: DenseTensor, layer: CompressedLayer) -> dict:
     }
 
 
-def check_layer_input(name: str, w: DenseTensor) -> None:
-    """Raise ConfigError unless compress can take w (2 or 4 axes), and
-    ArchiveError if any of its weights is NaN or infinite."""
+def check_layer_input(w: DenseTensor, cfg: LayerConfig) -> None:
+    """Raise ConfigError unless compress can take w under cfg (2 or 4 axes, anneal
+    rank <= min(m, n), prune stages <= weights), then ArchiveError on NaN or inf."""
+    name = cfg.layer_name
     if len(w.shape) not in (2, 4):
         raise ConfigError(f"layer {name!r}: need a 2- or 4-axis tensor, got {len(w.shape)} axes")
+    if "factorize" in cfg.stage_list:
+        fac.check_rank(cfg.anneal.rank, *_as_matrix(w.data).shape, f"layer {name!r} (factorize): ")
+    if "prune" in cfg.stage_list and cfg.prune.stages > w.size:
+        raise ConfigError(f"layer {name!r} (prune): stages must be <= the layer's {w.size} "
+                          f"weights, got {reprlib.repr(cfg.prune.stages)}")
     bad = w.size - int(np.count_nonzero(np.isfinite(w.data)))
     if bad:
         raise ArchiveError(f"layer {name!r}: {bad} of {w.size} weights are NaN or infinite")
@@ -143,7 +150,7 @@ def check_layer_input(name: str, w: DenseTensor) -> None:
 
 def compress_layer(w: DenseTensor, cfg: LayerConfig) -> tuple[CompressedLayer, dict]:
     """Apply cfg.stage_list in order to one weight tensor."""
-    check_layer_input(cfg.layer_name, w)
+    check_layer_input(w, cfg)
     t0 = time.perf_counter()
     current = flatten_conv(w) if len(w.shape) == 4 else w
     mask = None
@@ -345,8 +352,8 @@ def compress_archive(
         raise ConfigError(f"config names layers missing from archive: {missing}")
     configured = [(name, tensor) for name, tensor in archive.entries if name in config.layers]
     configs = [config.resolved(name, seed_override) for name, _ in configured]
-    for name, tensor in configured:
-        check_layer_input(name, tensor)
+    for (_, tensor), cfg in zip(configured, configs):
+        check_layer_input(tensor, cfg)
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         results = list(pool.map(compress_layer, [t for _, t in configured], configs))
     rows = [row for _, row in results]

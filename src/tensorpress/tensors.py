@@ -39,9 +39,9 @@ class DenseTensor:
     data: np.ndarray
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(self.data, dtype=np.float32)
-        if arr.ndim == 0:
+        if np.ndim(self.data) == 0:  # ascontiguousarray would make it shape (1,)
             raise ShapeError("tensor must have at least one axis")
+        arr = np.ascontiguousarray(self.data, dtype=np.float32)
         if any(d < 1 for d in arr.shape):
             raise ShapeError(f"all dimensions must be >= 1, got {arr.shape}")
         arr.flags.writeable = False
@@ -156,8 +156,8 @@ def read_archive(raw: bytes) -> TensorArchive:
             raise ArchiveError(f"entry name is not valid UTF-8: {exc}") from exc
         ndim = r.u32()
         shape = tuple(r.u64() for _ in range(ndim))
-        if any(d < 1 for d in shape):
-            raise ArchiveError(f"entry {name!r} has invalid dimension in {shape}")
+        if not shape or min(shape) < 1:
+            raise ArchiveError(f"entry {name!r} has no axes or a dimension < 1: {shape}")
         dtype = r.u32()
         if dtype != DTYPE_F32:
             raise ArchiveError(f"entry {name!r} has unknown dtype code {dtype}")

@@ -202,6 +202,16 @@ def test_inspect_overflowing_dims_exit_3(workdir, capsys):
     assert "need 73786976294838206464 bytes" in capsys.readouterr().err
 
 
+def test_inspect_zero_axes_exit_3(workdir, capsys):
+    # one entry "w" declaring 0 axes, then dtype f32 and 4 data bytes
+    header = b"QTNS" + (1).to_bytes(4, "little") + (1).to_bytes(4, "little")
+    entry = (1).to_bytes(4, "little") + b"w" + (0).to_bytes(4, "little") * 2 + b"\0\0\x80?"
+    path = workdir / "scalar.qtns"
+    path.write_bytes(header + entry)
+    assert run(["inspect", path]) == 3
+    assert "entry 'w' has no axes" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("stage_list", [["factorize"], ["prune", "decompose", "factorize"]])
 def test_compress_non_finite_weights_exit_3(workdir, capsys, stage_list):
     data = np.random.default_rng(0).standard_normal((8, 8))
@@ -486,6 +496,12 @@ def with_edits(block, edits):
                  id="prune_alpha_string"),
     pytest.param({"defaults.anneal.decay": "x"}, [], "layer 'fc1': decay must be a number",
                  id="decay_string"),
+    # faults that the layer's shape decides: fc1 is 16 x 16
+    pytest.param({"defaults.anneal.rank": 100}, [],
+                 r"layer 'fc1' \(factorize\): rank 100 exceeds min\(m, n\) = 16",
+                 id="rank_past_shape"),
+    *[pytest.param({"defaults.prune.stages": v}, [], r"layer 'fc1' \(prune\): stages", id=i)
+      for v, i in [(257, "stages_257"), (10**12, "stages_1e12"), (10**400, "stages_huge")]],
 ])
 def test_compress_bad_config_exit_2_before_any_layer(workdir, capsys, monkeypatch,
                                                       edits, args, message):
@@ -521,8 +537,12 @@ def test_compress_divergence_exit_2(workdir, capsys, key, value):
     (["bench", "--size", "8x8x2", "--seed", -1], "seed must be >= 0, got -1"),
     (["gen", "--layer", "fc1=4x4:rank=0"], "bad layer option 'rank=0'"),
     (["gen", "--seed", -1, "--layer", "fc1=4x4"], "seed must be >= 0, got -1"),
+    (["gen", "--layer", "fc1=4x4:rank=5"], "layer 'fc1': rank 5 exceeds min(m, n) = 4"),
+    *[(["bench", "--size", "8x8x2", "--density", d], "density must be a number in (0, 1]")
+      for d in ["0", "-1", "1.5", "nan"]],
 ], ids=["size_not_int", "size_0", "reps_5", "warmup_2", "variant_unknown", "bench_seed_negative",
-        "gen_rank_0", "gen_seed_negative"])
+        "gen_rank_0", "gen_seed_negative", "gen_rank_past_shape", "density_0",
+        "density_negative", "density_1.5", "density_nan"])
 def test_bench_gen_bad_args_exit_2(workdir, capsys, args, message):
     out = workdir / "out"
     args = [*args, "--out", out] if args[0] == "bench" else [args[0], out, *args[1:]]
@@ -542,7 +562,7 @@ CONFIG_MENU = {
                    [[], ["prune", "prune"], ["bogus"], "prune", 5, [["prune"]]]),
     "rank_svd": ([1, 3, 100], [MISSING, 0, -1, 2.5, "3", None, True, False]),
     "prune.alpha": ([MISSING, 0.0, 0.3], [1.0, -0.1, NAN, "a", None, True, False, HUGE]),
-    "prune.stages": ([MISSING, 1, 3], [0, 2.5, "2", True, False]),
+    "prune.stages": ([MISSING, 1, 3], [0, 2.5, "2", True, False, HUGE]),
     "prune.entangle_prob": ([MISSING, 0.0, 0.2], [1.5, NAN, True, False, HUGE]),
     "prune.seed": ([MISSING, 0, -5, 2**70], [1.5, "x", True, False]),
     "anneal.rank": ([1, 3], [MISSING, 100, 0, 2.5, "2", True, False, HUGE]),

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from tensorpress.errors import (
+    ArchiveError,
     BadMagicError,
     DuplicateNameError,
     ShapeError,
@@ -33,6 +34,8 @@ def test_dense_tensor_basics():
 def test_dense_tensor_rejects_bad_shapes():
     with pytest.raises(ShapeError):
         DenseTensor(np.empty((2, 0), dtype=np.float32))
+    with pytest.raises(ShapeError):
+        DenseTensor(np.float32(1.0))
 
 
 def test_flatten_conv_degenerate_spatial():
@@ -115,6 +118,13 @@ def test_truncated_payload():
     # declared 16 floats, keep only 8
     with pytest.raises(TruncatedArchiveError):
         read_archive(raw[: len(raw) - 8 * 4])
+
+
+def test_zero_axis_entry_rejected():
+    # one entry "w": 0 axes, dtype f32, 4 data bytes
+    raw = b"QTNS" + struct.pack("<III", 1, 1, 1) + b"w" + struct.pack("<IIf", 0, 0, 1.0)
+    with pytest.raises(ArchiveError, match="'w' has no axes"):
+        read_archive(raw)
 
 
 def test_duplicate_names_rejected():
