@@ -33,7 +33,8 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("config", help="JSON config file")
     c.add_argument("output", help="output QTNS archive")
     c.add_argument("--seed", type=int, default=None, help="override all config seeds")
-    c.add_argument("--jobs", type=int, default=1, help="layer-level parallelism")
+    c.add_argument("--jobs", type=int, default=None,
+                   help="layers compressed at once (default: one per usable CPU)")
 
     i = sub.add_parser("inspect", help="list tensors in an archive")
     i.add_argument("archive")

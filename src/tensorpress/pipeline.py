@@ -3,11 +3,15 @@ parameter bookkeeping, and the compression report."""
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import hashlib
 import json
+import os
 import reprlib
+import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -155,7 +159,9 @@ def compress_layer(w: DenseTensor, cfg: LayerConfig) -> tuple[CompressedLayer, d
     current = flatten_conv(w) if len(w.shape) == 4 else w
     mask = None
     try:
-        for stage in cfg.stage_list:
+        for i, stage in enumerate(cfg.stage_list):
+            # the matrix a next stage takes; the last stage's is never read
+            more = i + 1 < len(cfg.stage_list)
             if stage == "prune":
                 # prune in the original layout so conv adjacency applies
                 res = pr.iterative_prune(current.reshape(w.shape), cfg.prune)
@@ -173,11 +179,13 @@ def compress_layer(w: DenseTensor, cfg: LayerConfig) -> tuple[CompressedLayer, d
                 # the archive stores sigma as f32; a next stage takes the f64 product
                 sigma = DenseTensor(np.asarray(svd_f.sigma, dtype=np.float32))
                 kind, tensors = "svd", (svd_f.u, sigma, svd_f.v)
-                current = dec.reconstruct(svd_f)
+                if more:
+                    current = dec.reconstruct(svd_f)
             else:
                 pair = fac.anneal_factorize(current, cfg.anneal)
                 kind, tensors = "factored", (pair.w1, pair.w2)
-                current = fac.compressed_matrix(pair)
+                if more:
+                    current = fac.compressed_matrix(pair)
     except Exception as exc:
         exc.args = (f"layer {cfg.layer_name!r} ({stage}): {exc}",)
         raise
@@ -337,16 +345,109 @@ def total_ratio(original: TensorArchive, rows: list[dict]) -> float:
     return before / after if after else 1.0
 
 
+@functools.cache
+def _blas_thread_setter():
+    """openblas_set_num_threads_local of the OpenBLAS numpy loaded, which sets the
+    BLAS thread count and returns the old one, or None where there is no such
+    symbol (MKL, Accelerate, OpenBLAS before 0.3.27)."""
+    try:
+        from numpy.linalg import _umath_linalg
+
+        setter = ctypes.CDLL(_umath_linalg.__file__).openblas_set_num_threads_local
+    except (ImportError, OSError, AttributeError):
+        return None
+    setter.argtypes, setter.restype = [ctypes.c_int], ctypes.c_int
+    return setter
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the body with BLAS on one thread (if a setter exists), then restore
+    the old count, on return and on raise."""
+    setter = _blas_thread_setter()
+    old = setter(1) if setter else None
+    try:
+        yield
+    finally:
+        if setter:
+            setter(old)
+
+
+def _default_jobs() -> int:
+    """One worker per usable CPU; 1 without a BLAS thread setter, since
+    parallel layers on a threaded BLAS oversubscribe the cores."""
+    if _blas_thread_setter() is None:
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _compress_layers(tensors: list[DenseTensor], configs: list[LayerConfig],
+                     jobs: int) -> list[tuple[CompressedLayer, dict]]:
+    """compress_layer on each layer, by the calling thread and jobs - 1 more
+    threads taking layers in archive order. After a fault no layer starts; once
+    every worker has stopped, the fault of the first failing layer in archive
+    order is raised, so which fault surfaces does not depend on jobs.
+
+    Where the BLAS has a thread setter, every worker runs it on one thread, at
+    any jobs: a threaded BLAS sums a dot product in an order that depends on
+    its thread count, which moves the report's recon_error_rel in its last bits."""
+    results: list = [None] * len(configs)
+    faults: dict[int, Exception] = {}
+    lock = threading.Lock()
+    queue = iter(range(len(configs)))
+
+    def stop():
+        nonlocal queue
+        with lock:
+            queue = iter(())
+
+    def work():
+        while True:
+            with lock:
+                i = next(queue, None)
+            if i is None:
+                return
+            try:
+                results[i] = compress_layer(tensors[i], configs[i])
+            except Exception as exc:
+                faults[i] = exc
+                stop()
+
+    def pool_thread():
+        with _one_blas_thread():
+            work()
+
+    # the caller caps first, so where the count is process-wide the pool
+    # threads save and restore 1 and only the caller restores the old count
+    with _one_blas_thread():
+        # daemon: an interrupt of the caller's join must not keep the process alive
+        threads = [threading.Thread(target=pool_thread, daemon=True) for _ in range(jobs - 1)]
+        for t in threads:
+            t.start()
+        try:
+            work()
+        finally:
+            stop()  # an interrupt of the caller stops the others too
+            for t in threads:
+                t.join()
+    if faults:
+        raise faults[min(faults)]
+    return results
+
+
 def compress_archive(
     archive: TensorArchive,
     config: PipelineConfig,
-    jobs: int = 1,
+    jobs: int | None = None,
     seed_override: int | None = None,
 ) -> tuple[TensorArchive, CompressionReport]:
-    """Compress configured layers, up to jobs at once, and pass the rest through
-    unmodified. Every configured layer's config and weights are checked
-    before the first layer is compressed."""
-    check_int("jobs", jobs, 1)
+    """Compress configured layers, up to jobs at once (one per usable CPU if None),
+    and pass the rest through unmodified. Every configured layer's config and
+    weights are checked before the first layer is compressed."""
+    if jobs is not None:
+        check_int("jobs", jobs, 1)
     missing = [name for name in config.layers if name not in archive]
     if missing:
         raise ConfigError(f"config names layers missing from archive: {missing}")
@@ -354,8 +455,8 @@ def compress_archive(
     configs = [config.resolved(name, seed_override) for name, _ in configured]
     for (_, tensor), cfg in zip(configured, configs):
         check_layer_input(tensor, cfg)
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        results = list(pool.map(compress_layer, [t for _, t in configured], configs))
+    jobs = max(1, min(_default_jobs() if jobs is None else jobs, len(configs)))
+    results = _compress_layers([t for _, t in configured], configs, jobs)
     rows = [row for _, row in results]
     report = CompressionReport(
         per_layer=rows, total_ratio=total_ratio(archive, rows), config_echo=config.echo()

@@ -221,15 +221,16 @@ def test_criterion_9_determinism(tmp_path):
     with criterion(9, "byte-identical determinism across jobs", 30.0):
         arc_path, cfg_path = _table1_fixture(tmp_path)
         digests = []
-        for name, jobs in (("d1", "1"), ("d2", "4")):
+        # --jobs 1, 4, the default (one worker per CPU) and more jobs than the 10 layers
+        for name, jobs in (("d1", ["--jobs", "1"]), ("d2", ["--jobs", "4"]), ("d3", []),
+                           ("d4", ["--jobs", "11"])):
             out = tmp_path / f"{name}.qtns"
-            assert cli_main(["compress", str(arc_path), str(cfg_path), str(out),
-                             "--jobs", jobs]) == 0
+            assert cli_main(["compress", str(arc_path), str(cfg_path), str(out), *jobs]) == 0
             digests.append((
                 hashlib.sha256(out.read_bytes()).hexdigest(),
                 hashlib.sha256((tmp_path / f"{name}.qtns.report.json").read_bytes()).hexdigest(),
             ))
-        assert digests[0] == digests[1]
+        assert digests[1:] == digests[:1] * 3
 
 
 def test_criterion_10_latency_analog():

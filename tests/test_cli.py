@@ -2,6 +2,7 @@ import copy
 import hashlib
 import json
 import re
+import time
 
 import numpy as np
 import pytest
@@ -353,6 +354,46 @@ def test_compress_prune_leaves_no_weight_exit_2(workdir, capsys):
                                         ["prune", "decompose", "factorize"]], ids="-".join)
 def test_compress_prune_empties_layer_before_later_stages_exit_2(workdir, capsys, stage_list):
     assert_prune_empties_layer_exit_2(workdir, capsys, stage_list)
+
+
+@pytest.mark.parametrize("jobs", [["--jobs", 1], ["--jobs", 2], ["--jobs", 4], []],
+                         ids=["1", "2", "4", "default"])
+def test_compress_first_fault_in_archive_order_exit_2(workdir, capsys, monkeypatch, jobs):
+    # big and small both lose every weight to prune; small fails sooner, yet big
+    # comes first in the archive, so its fault is the one reported at any jobs
+    rng = np.random.default_rng(0)
+    names = ["big", "small", "ok1", "ok2", "ok3", "ok4", "ok5"]
+    save_archive(TensorArchive(entries=[
+        ("big", DenseTensor(rng.standard_normal((96, 96)))),
+        ("small", DenseTensor(np.array([[1.0, 2.0]]))),
+    ] + [(n, DenseTensor(rng.standard_normal((4, 4)))) for n in names[2:]]),
+        workdir / "in.qtns")
+    cfg = workdir / "cfg.json"
+    cfg.write_text(json.dumps({
+        "defaults": {"stage_list": ["prune"], "prune": {"alpha": 0.1}},
+        "layers": {"big": {"prune": {"alpha": 0.99995, "stages": 1}},
+                   "small": {"prune": {"alpha": 0.75}}, **{n: {} for n in names[2:]}},
+    }))
+    started = []
+    real = pipeline.compress_layer
+
+    def recording(w, cfg):
+        started.append(cfg.layer_name)
+        if cfg.layer_name.startswith("ok"):
+            time.sleep(0.2)  # long past the faults, so a later start would show
+        return real(w, cfg)
+
+    monkeypatch.setattr(pipeline, "compress_layer", recording)
+    capsys.readouterr()
+    assert run(["compress", workdir / "in.qtns", cfg, workdir / "out.qtns", *jobs]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: layer 'big' (prune): leaves none of its 9216 weights"), err
+    assert not (workdir / "out.qtns").exists()
+    # workers take layers in archive order and stop at the first fault they see:
+    # only the first layer each worker took has started
+    workers = min(jobs[1] if jobs else pipeline._default_jobs(), len(names))
+    assert sorted(started, key=names.index) == names[:len(started)]
+    assert len(started) <= workers
 
 
 @pytest.mark.parametrize("edit, message", [

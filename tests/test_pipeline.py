@@ -1,9 +1,13 @@
 import itertools
 import json
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 
+from tensorpress import pipeline
 from tensorpress.errors import ConfigError, DivergenceError, VerificationError
 from tensorpress.factorize import AnnealConfig
 from tensorpress.pipeline import (
@@ -131,6 +135,24 @@ def build_archive_and_config():
     return archive, config
 
 
+def prune_only_archive(names):
+    """4 x 4 layers under a prune-only config."""
+    archive = TensorArchive(entries=[(n, random_tensor((4, 4), i)) for i, n in enumerate(names)])
+    return archive, PipelineConfig(defaults={"stage_list": ["prune"]},
+                                   layers={n: {} for n in names})
+
+
+def run_before_each_layer(monkeypatch, before):
+    """Make compress_archive call before(cfg) ahead of each compress_layer."""
+    real = pipeline.compress_layer
+
+    def wrapped(w, cfg):
+        before(cfg)
+        return real(w, cfg)
+
+    monkeypatch.setattr(pipeline, "compress_layer", wrapped)
+
+
 class TestCompressArchive:
     def test_empty_config_is_noop(self):
         archive, _ = build_archive_and_config()
@@ -158,10 +180,96 @@ class TestCompressArchive:
 
     def test_deterministic_across_jobs(self):
         archive, config = build_archive_and_config()
-        out1, rep1 = compress_archive(archive, config, jobs=1)
-        out4, rep4 = compress_archive(archive, config, jobs=4)
-        assert write_archive(out1) == write_archive(out4)
-        assert rep1.to_json() == rep4.to_json()
+        # past 10,000 weights OpenBLAS splits a dot product over its threads
+        archive.entries.append(("big", random_tensor((256, 256), 3)))
+        config.layers["big"] = {"stage_list": ["prune"]}  # three configured layers
+        archive = TensorArchive(entries=archive.entries)
+        setter = pipeline._blas_thread_setter()
+        # a threaded BLAS must not reach jobs=1 and change the report's last bits
+        old = setter(2) if setter else None
+        try:
+            out1, rep1 = compress_archive(archive, config, jobs=1)
+        finally:
+            if setter:
+                setter(old)
+        for jobs in (2, 4, None):  # 4 is past the layer count, None the default
+            out, rep = compress_archive(archive, config, jobs=jobs)
+            assert write_archive(out1) == write_archive(out), jobs
+            assert rep1.to_json() == rep.to_json(), jobs
+
+    def test_jobs_1_runs_every_layer_on_the_calling_thread(self, monkeypatch):
+        threads = []
+        run_before_each_layer(monkeypatch, lambda cfg: threads.append(threading.get_ident()))
+        archive, config = build_archive_and_config()
+        compress_archive(archive, config, jobs=1)
+        assert threads == [threading.get_ident()] * 2
+
+    def test_jobs_2_is_the_caller_and_one_more_thread(self, monkeypatch):
+        threads = []
+        # the first two layers wait for each other, so two threads must run them
+        both_started = threading.Barrier(2, timeout=10)
+
+        def record(cfg):
+            threads.append(threading.get_ident())
+            if len(threads) <= 2:
+                both_started.wait()
+
+        run_before_each_layer(monkeypatch, record)
+        compress_archive(*prune_only_archive(["x", "y", "z"]), jobs=2)
+        assert len(threads) == 3
+        assert threading.get_ident() in threads and len(set(threads)) == 2
+
+    def test_many_workers_take_each_layer_once(self, monkeypatch):
+        calls = []
+        run_before_each_layer(monkeypatch, lambda cfg: calls.append(cfg.layer_name))
+        names = [f"l{i:02d}" for i in range(48)]
+        archive, config = prune_only_archive(names)
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, so a lost claim would show
+        try:
+            out, report = compress_archive(archive, config, jobs=12)
+        finally:
+            sys.setswitchinterval(old)
+        assert sorted(calls) == names
+        assert [r["layer_name"] for r in report.per_layer] == names
+        serial, _ = compress_archive(archive, config, jobs=1)
+        assert write_archive(out) == write_archive(serial)
+
+    @pytest.mark.parametrize("jobs", [1, 2, 4])
+    def test_interrupt_stops_every_worker(self, monkeypatch, jobs):
+        calls = []
+        caller = threading.get_ident()
+
+        def interrupt_caller(cfg):
+            calls.append(cfg.layer_name)
+            if threading.get_ident() == caller:  # signals reach only the main thread
+                raise KeyboardInterrupt
+            time.sleep(0.2)  # long past the interrupt, so a later start would show
+
+        run_before_each_layer(monkeypatch, interrupt_caller)
+        names = [f"l{i}" for i in range(8)]
+        with pytest.raises(KeyboardInterrupt):
+            compress_archive(*prune_only_archive(names), jobs=jobs)
+        assert sorted(calls) == names[:len(calls)] and len(calls) <= jobs
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("fail", [False, True], ids=["return", "raise"])
+    def test_blas_thread_count_restored(self, fail, jobs):
+        setter = pipeline._blas_thread_setter()
+        if setter is None:
+            pytest.skip("numpy's BLAS has no per-thread count setter")
+        archive, config = build_archive_and_config()
+        if fail:
+            config.layers["b"] = {"prune": {"alpha": 0.99}, "stage_list": ["prune"]}
+        old = setter(3)
+        try:
+            if fail:
+                with pytest.raises(ConfigError, match="leaves none"):
+                    compress_archive(archive, config, jobs=jobs)
+            else:
+                compress_archive(archive, config, jobs=jobs)
+        finally:
+            assert setter(old) == 3
 
     def test_verify_clean_and_tampered(self):
         archive, config = build_archive_and_config()
