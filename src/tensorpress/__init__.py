@@ -7,7 +7,14 @@ bookkeeping, a matvec latency benchmark, and a CLI over the QTNS archive
 format.
 """
 
-from .tensors import DenseTensor, TensorArchive, flatten_conv, read_archive, write_archive
+from .tensors import (
+    BitTensor,
+    DenseTensor,
+    TensorArchive,
+    flatten_conv,
+    read_archive,
+    write_archive,
+)
 from .prune import PruneConfig, PruneResult, iterative_prune
 from .decompose import SvdFactors, svd, truncate, reconstruct
 from .factorize import AnnealConfig, FactorPair, anneal_factorize, compressed_matrix
@@ -22,6 +29,7 @@ from .pipeline import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "BitTensor",
     "DenseTensor",
     "TensorArchive",
     "flatten_conv",

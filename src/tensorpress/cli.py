@@ -16,7 +16,7 @@ from . import bench as bn
 from . import pipeline as pl
 from .errors import ConfigError, check_int, exit_status
 from .factorize import check_rank
-from .tensors import DenseTensor, TensorArchive, load_archive, save_archive
+from .tensors import BitTensor, DenseTensor, TensorArchive, load_archive, save_archive
 
 EXIT_OK = 0
 
@@ -83,6 +83,7 @@ def cmd_compress(args) -> int:
 def cmd_inspect(args) -> int:
     rows = [{
         "name": name,
+        "dtype": "bits" if isinstance(t, BitTensor) else "f32",
         "shape": list(t.shape),
         "params": t.size,
         "frobenius_norm": float(np.linalg.norm(t.data.astype(np.float64))),
@@ -91,12 +92,13 @@ def cmd_inspect(args) -> int:
     if args.json:
         print(json.dumps(rows, indent=2))
         return EXIT_OK
-    header = f"{'name':<24} {'shape':<18} {'params':>10} {'fro norm':>12} {'sparsity':>9}"
+    header = (f"{'name':<24} {'dtype':<5} {'shape':<18} {'params':>10} {'fro norm':>12} "
+              f"{'sparsity':>9}")
     print(header)
     print("-" * len(header))
     for r in rows:
         shape = "x".join(str(d) for d in r["shape"])
-        print(f"{r['name']:<24} {shape:<18} {r['params']:>10} "
+        print(f"{r['name']:<24} {r['dtype']:<5} {shape:<18} {r['params']:>10} "
               f"{r['frobenius_norm']:>12.4f} {r['sparsity']:>9.4f}")
     return EXIT_OK
 

@@ -39,13 +39,12 @@ def svd(w_f: DenseTensor) -> SvdFactors:
 
 
 def _fix_signs(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # first nonzero entry of each u column made non-negative
-    for j in range(u.shape[1]):
-        col = u[:, j]
-        nz = np.flatnonzero(col)
-        if nz.size and col[nz[0]] < 0:
-            u[:, j] = -col
-            v[:, j] = -v[:, j]
+    """Negate, in place, each column pair whose u column's first nonzero entry
+    is negative; an all-zero column's argmax is its row 0, a zero, so it stays."""
+    first = (u != 0).argmax(axis=0)
+    flip = u[first, np.arange(u.shape[1])] < 0
+    np.negative(u, out=u, where=flip)
+    np.negative(v, out=v, where=flip)
     return u, v
 
 

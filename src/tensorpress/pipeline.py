@@ -20,7 +20,7 @@ from . import decompose as dec
 from . import factorize as fac
 from . import prune as pr
 from .errors import ArchiveError, ConfigError, VerificationError, check_int
-from .tensors import DenseTensor, TensorArchive, flatten_conv
+from .tensors import BitTensor, DenseTensor, Tensor, TensorArchive, flatten_conv
 
 STAGES = ("prune", "decompose", "factorize")
 DEFAULT_STAGE_LIST = list(STAGES)
@@ -28,7 +28,8 @@ DEFAULT_STAGE_LIST = list(STAGES)
 LAYER_KEYS = ("seed", "stage_list", "prune", "rank_svd", "anneal")
 
 # Entry names of each artifact kind (layer name + suffix), in entries() order;
-# a pruned layer adds name + MASK_SUFFIX, which a "masked" layer always has.
+# a pruned layer adds name + MASK_SUFFIX, bit-packed, which a "masked" layer
+# always has.
 ENTRY_SUFFIXES = {"masked": ("",), "svd": (".u", ".sigma", ".v"), "factored": (".w1", ".w2")}
 MASK_SUFFIX = ".mask"
 
@@ -60,8 +61,9 @@ class LayerConfig:
 @dataclass(frozen=True)
 class CompressedLayer:
     """One compressed layer as the archive stores it: the kind's f32 tensors in
-    ENTRY_SUFFIXES order, (weights,), (u, sigma, v) or (w1, w2), and the retain
-    mask of a prune stage, in the original shape, if one ran."""
+    ENTRY_SUFFIXES order, (values,), (u, sigma, v) or (w1, w2), and the retain
+    mask of a prune stage, in the original shape, if one ran. A masked layer's
+    values are its kept weights alone, in C flat order of the mask."""
 
     layer_name: str
     kind: str  # "masked" | "svd" | "factored"
@@ -70,8 +72,12 @@ class CompressedLayer:
 
     @property
     def masked(self) -> DenseTensor:
-        (weights,) = self.tensors
-        return weights
+        """A masked layer's weights in the original shape: its values where
+        the mask is 1, 0 elsewhere."""
+        (values,) = self.tensors
+        weights = np.zeros(self.mask.shape, dtype=np.float32)
+        weights[self.mask != 0] = values.data
+        return DenseTensor(weights)
 
     @property
     def svd_factors(self) -> dec.SvdFactors:
@@ -84,15 +90,13 @@ class CompressedLayer:
         return fac.FactorPair(w1, w2, final_loss=0.0)
 
     def param_count(self) -> int:
-        if self.kind == "masked":
-            return int(np.count_nonzero(self.mask))
         return sum(t.size for t in self.tensors)
 
-    def entries(self) -> list[tuple[str, DenseTensor]]:
+    def entries(self) -> list[tuple[str, Tensor]]:
         """Archive entries representing this layer's stored artifact."""
         out = [(self.layer_name + s, t) for s, t in zip(ENTRY_SUFFIXES[self.kind], self.tensors)]
         if self.mask is not None:
-            out.append((self.layer_name + MASK_SUFFIX, DenseTensor(self.mask.astype(np.float32))))
+            out.append((self.layer_name + MASK_SUFFIX, BitTensor(self.mask)))
         return out
 
     def effective_matrix(self) -> np.ndarray:
@@ -123,23 +127,29 @@ def relative_recon_error(original: DenseTensor, layer: CompressedLayer) -> float
 
 
 def layer_row(w: DenseTensor, layer: CompressedLayer) -> dict:
-    """The report row of one layer: its bookkeeping against the original w."""
+    """The report row of one layer: its bookkeeping against the original w.
+    Bytes are archive payload, headers excluded."""
     params_after = layer.param_count()
     return {
         "layer_name": layer.layer_name,
         "kind": layer.kind,
         "params_before": w.size,
         "params_after": params_after,
+        "bytes_before": w.nbytes,
+        "bytes_after": sum(t.nbytes for _, t in layer.entries()),
         "ratio": w.size / params_after,
         "recon_error_rel": relative_recon_error(w, layer),
         "mask_bits": w.size if layer.mask is not None else 0,
     }
 
 
-def check_layer_input(w: DenseTensor, cfg: LayerConfig) -> None:
-    """Raise ConfigError unless compress can take w under cfg (2 or 4 axes, anneal
-    rank <= min(m, n), prune stages <= weights), then ArchiveError on NaN or inf."""
+def check_layer_input(w: Tensor, cfg: LayerConfig) -> None:
+    """Raise ConfigError unless compress can take w under cfg (f32, 2 or 4 axes,
+    anneal rank <= min(m, n), prune stages <= weights), then ArchiveError on NaN
+    or inf."""
     name = cfg.layer_name
+    if not isinstance(w, DenseTensor):
+        raise ConfigError(f"layer {name!r}: is a bit tensor; compress takes f32 weights")
     if len(w.shape) not in (2, 4):
         raise ConfigError(f"layer {name!r}: need a 2- or 4-axis tensor, got {len(w.shape)} axes")
     if "factorize" in cfg.stage_list:
@@ -171,7 +181,7 @@ def compress_layer(w: DenseTensor, cfg: LayerConfig) -> tuple[CompressedLayer, d
                         f"leaves none of its {w.size} weights "
                         f"(alpha {cfg.prune.alpha}, entangle_prob {cfg.prune.entangle_prob})"
                     )
-                kind, tensors = "masked", (res.pruned_weights,)
+                kind, tensors = "masked", (DenseTensor(res.pruned_weights.data[mask != 0]),)
                 current = DenseTensor(_as_matrix(res.pruned_weights.data))
             elif stage == "decompose":
                 full = dec.svd(current)
@@ -199,7 +209,8 @@ def compress_layer(w: DenseTensor, cfg: LayerConfig) -> tuple[CompressedLayer, d
 @dataclass
 class CompressionReport:
     per_layer: list[dict]
-    total_ratio: float
+    total_ratio: float  # parameters
+    total_bytes_ratio: float | None  # archive payload
     config_echo: dict
 
     def to_json(self) -> str:
@@ -209,6 +220,7 @@ class CompressionReport:
         doc = {
             "per_layer": rows,
             "total_ratio": self.total_ratio,
+            "total_bytes_ratio": self.total_bytes_ratio,
             "config_echo": self.config_echo,
         }
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
@@ -225,6 +237,9 @@ class CompressionReport:
             return CompressionReport(
                 per_layer=doc["per_layer"],
                 total_ratio=doc["total_ratio"],
+                # absent from reports written before masks were bit-packed:
+                # verify then names the first layer the old archive fails on
+                total_bytes_ratio=doc.get("total_bytes_ratio"),
                 config_echo=doc.get("config_echo", {}),
             )
         except KeyError as exc:
@@ -240,6 +255,7 @@ class CompressionReport:
                 f"{r['params_after']:>10} {r['ratio']:>8.2f} {r['recon_error_rel']:>10.3e} {wt:>8}"
             )
         lines.append(f"total ratio: {self.total_ratio:.2f}x")
+        lines.append(f"total bytes ratio: {self.total_bytes_ratio:.2f}x")
         return "\n".join(lines)
 
 
@@ -333,15 +349,16 @@ def _check_keys(where: str, block) -> None:
             raise ConfigError(f"{where}: {key} must be a JSON object")
 
 
-def total_ratio(original: TensorArchive, rows: list[dict]) -> float:
-    """Parameters before over after across the archive; entries without a row
-    pass through at their own size."""
+def total_ratio(original: TensorArchive, rows: list[dict], unit: str = "params") -> float:
+    """Parameters (unit "params") or payload bytes ("bytes") before over after
+    across the archive; entries without a row pass through at their own size."""
     by_name = {r["layer_name"]: r for r in rows}
     before = after = 0
     for name, tensor in original.entries:
-        row = by_name.get(name, {"params_before": tensor.size, "params_after": tensor.size})
-        before += row["params_before"]
-        after += row["params_after"]
+        own = tensor.size if unit == "params" else tensor.nbytes
+        row = by_name.get(name, {f"{unit}_before": own, f"{unit}_after": own})
+        before += row[f"{unit}_before"]
+        after += row[f"{unit}_after"]
     return before / after if after else 1.0
 
 
@@ -445,7 +462,12 @@ def compress_archive(
 ) -> tuple[TensorArchive, CompressionReport]:
     """Compress configured layers, up to jobs at once (one per usable CPU if None),
     and pass the rest through unmodified. Every configured layer's config and
-    weights are checked before the first layer is compressed."""
+    weights are checked before the first layer is compressed.
+
+    While it runs, BLAS is held to one thread where openblas_set_num_threads_local
+    exists. With numpy's pthreads OpenBLAS that count is process-wide, so BLAS
+    work in other threads of the caller's process also runs on one thread until
+    compress_archive returns."""
     if jobs is not None:
         check_int("jobs", jobs, 1)
     missing = [name for name in config.layers if name not in archive]
@@ -459,7 +481,8 @@ def compress_archive(
     results = _compress_layers([t for _, t in configured], configs, jobs)
     rows = [row for _, row in results]
     report = CompressionReport(
-        per_layer=rows, total_ratio=total_ratio(archive, rows), config_echo=config.echo()
+        per_layer=rows, total_ratio=total_ratio(archive, rows),
+        total_bytes_ratio=total_ratio(archive, rows, "bytes"), config_echo=config.echo(),
     )
     return output_archive(archive, {layer.layer_name: layer for layer, _ in results}), report
 
@@ -467,7 +490,7 @@ def compress_archive(
 def output_archive(original: TensorArchive, layers: dict[str, CompressedLayer]) -> TensorArchive:
     """The archive compress writes: the original entries in order, each layer's
     entries in place of the weights it compresses."""
-    entries: list[tuple[str, DenseTensor]] = []
+    entries: list[tuple[str, Tensor]] = []
     for name, tensor in original.entries:
         entries.extend(layers[name].entries() if name in layers else [(name, tensor)])
     return TensorArchive(entries=entries)
@@ -477,15 +500,15 @@ def rebuild_layer(
     original: DenseTensor, compressed: TensorArchive, name: str, kind: str
 ) -> CompressedLayer:
     """Read back the CompressedLayer that entries() stored in the archive. Every
-    stored tensor must have the shape its kind gives it against the original:
-    u m x r, sigma r, v n x r, w1 m x r, w2 r x n, mask and masked weights the
-    original shape. A stored mask holds only +0.0 and 1.0 and keeps a weight,
-    and a masked layer's weights are 0 wherever its mask is."""
+    stored tensor must have the type and shape its kind gives it against the
+    original: u m x r, sigma r, v n x r, w1 m x r, w2 r x n, all f32; the mask a
+    bit tensor of the original shape that keeps a weight; a masked layer's
+    values f32, one per weight its mask keeps."""
     if kind not in ENTRY_SUFFIXES:
         raise VerificationError(f"layer {name!r}: unknown artifact kind {kind!r}")
-    if len(original.shape) not in (2, 4):
+    if not isinstance(original, DenseTensor) or len(original.shape) not in (2, 4):
         raise VerificationError(
-            f"layer {name!r}: original has {len(original.shape)} axes, compress takes 2 or 4"
+            f"layer {name!r}: original is not an f32 tensor of 2 or 4 axes, which compress takes"
         )
     names = [name + s for s in ENTRY_SUFFIXES[kind]]
     if kind == "masked" or name + MASK_SUFFIX in compressed:
@@ -494,29 +517,33 @@ def rebuild_layer(
     if missing:
         raise VerificationError(f"layer {name!r} ({kind}): archive has no {missing}")
     tensors = [compressed.get(n) for n in names]
-    m, n = _as_matrix(original.data).shape
-    r = tensors[0].shape[-1]  # u and w1 are m x r
-    shapes = {"masked": [original.shape], "svd": [(m, r), (r,), (n, r)],
-              "factored": [(m, r), (r, n)]}[kind] + [original.shape]  # then the mask
-    for entry, t, shape in zip(names, tensors, shapes):
-        if t.shape != shape:
-            raise VerificationError(f"layer {name!r} ({kind}): {entry} is {t.shape}, not {shape}")
     k = len(ENTRY_SUFFIXES[kind])
     mask = None
     if len(tensors) > k:
-        bits = tensors[k].data
-        mask = (bits == 1).astype(np.uint8)
-        # by bytes: a mask has the one encoding compress writes, so no -0.0
-        if mask.astype(np.float32).tobytes() != bits.tobytes():
-            raise VerificationError(
-                f"layer {name!r}: {names[k]} holds values other than 0, 1 (as f32 +0.0, 1.0)"
-            )
+        _check_entry(name, kind, names[k], tensors[k], original.shape, BitTensor)
+        mask = tensors[k].data
         if not mask.any():
             raise VerificationError(f"layer {name!r}: stored mask keeps no weight")
-        # by value: compress stores -0.0 where it prunes a negative weight
-        if kind == "masked" and np.any(tensors[0].data[mask == 0]):
-            raise VerificationError(f"layer {name!r}: {name} holds weights where its mask is 0")
+    if kind == "masked":
+        shapes = [(int(np.count_nonzero(mask)),)]
+    else:
+        m, n = _as_matrix(original.data).shape
+        r = tensors[0].shape[-1]  # u and w1 are m x r
+        shapes = {"svd": [(m, r), (r,), (n, r)], "factored": [(m, r), (r, n)]}[kind]
+    for entry, t, shape in zip(names, tensors, shapes):
+        _check_entry(name, kind, entry, t, shape, DenseTensor)
     return CompressedLayer(name, kind, tuple(tensors[:k]), mask)
+
+
+def _check_entry(name: str, kind: str, entry: str, t: Tensor, shape: tuple, cls: type) -> None:
+    if t.shape != shape:
+        raise VerificationError(f"layer {name!r} ({kind}): {entry} is {t.shape}, not {shape}")
+    if not isinstance(t, cls):
+        # an f32 mask is what compress wrote before masks were bit-packed
+        raise VerificationError(
+            f"layer {name!r} ({kind}): {entry} is "
+            + ("f32, not bit-packed" if cls is BitTensor else "bit-packed, not f32")
+        )
 
 
 def _agrees(got, expected) -> bool:
@@ -550,11 +577,10 @@ def verify_report(
         for key, want in rows[-1].items():
             if not _agrees(row.get(key), want):
                 raise VerificationError(f"{name}.{key}: report {row.get(key)}, recomputed {want}")
-    expected_total = total_ratio(original, rows)
-    if not _agrees(report.total_ratio, expected_total):
-        raise VerificationError(
-            f"total_ratio: report {report.total_ratio}, recomputed {expected_total}"
-        )
+    for key, unit in (("total_ratio", "params"), ("total_bytes_ratio", "bytes")):
+        want, got = total_ratio(original, rows, unit), getattr(report, key)
+        if not _agrees(got, want):
+            raise VerificationError(f"{key}: report {got}, recomputed {want}")
 
     expected = output_archive(original, layers)
     if compressed.names() != expected.names():
@@ -568,5 +594,6 @@ def verify_report(
         if name not in layers:
             stored = compressed.get(name)
             # bytes, not values: NaN pass-throughs are legal and equal only so
-            if stored.shape != tensor.shape or stored.data.tobytes() != tensor.data.tobytes():
+            if (type(stored) is not type(tensor) or stored.shape != tensor.shape
+                    or stored.data.tobytes() != tensor.data.tobytes()):
                 raise VerificationError(f"{name}: pass-through entry differs from the original")

@@ -1,12 +1,24 @@
-"""Dense tensor container and the QTNS binary archive format.
+"""Tensor containers and the QTNS binary archive format.
 
-All tensors are 32-bit floats in row-major (C) order. The archive layout is:
+An archive entry is a DenseTensor (32-bit floats) or a BitTensor (bits, each
+0 or 1), in row-major (C) order. The archive layout is:
 
     magic "QTNS" | version u32 | entry count u32
     per entry: name length u32 | UTF-8 name | axis count u32 |
-               dims u64 each | dtype code u32 (0 = f32) | raw LE f32 data
+               dims u64 each | dtype code u32 | payload
 
-Everything on disk is little-endian, and nothing may follow the last entry.
+The dtype code says how the n elements that the dims give are stored:
+
+    0 = f32   4n bytes, little-endian IEEE 754 floats
+    1 = bits  ceil(n/8) bytes, np.packbits(..., bitorder="little"): element i
+              is bit i % 8 of byte i // 8; the padding bits of the last byte
+              must be 0, so a bit tensor has exactly one encoding
+
+Version 2 adds code 1; version 1 has only code 0. write_archive writes
+version 1 whenever no entry is bit-coded, so an archive of f32 tensors has the
+bytes it had before version 2. read_archive reads both, and rejects a
+bit-coded entry in a version-1 file. Everything on disk is little-endian, and
+nothing may follow the last entry.
 """
 
 from __future__ import annotations
@@ -28,8 +40,9 @@ from .errors import (
 )
 
 MAGIC = b"QTNS"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 DTYPE_F32 = 0
+DTYPE_BITS = 1  # from version 2
 
 
 @dataclass(frozen=True)
@@ -68,6 +81,53 @@ class DenseTensor:
     def __hash__(self):
         return hash((self.shape, self.data.tobytes()))
 
+    @property
+    def nbytes(self) -> int:
+        """Payload bytes in an archive."""
+        return 4 * self.size
+
+
+@dataclass(frozen=True, eq=False)
+class BitTensor:
+    """Immutable tensor of bits, each 0 or 1, held as uint8; an archive stores
+    it bit-packed."""
+
+    data: np.ndarray
+
+    def __post_init__(self):
+        arr = np.asarray(self.data)
+        if arr.ndim == 0 or any(d < 1 for d in arr.shape):
+            raise ShapeError(f"a bit tensor needs axes all >= 1, got shape {arr.shape}")
+        if not np.all((arr == 0) | (arr == 1)):
+            raise ValueError("bit tensor values must be 0 or 1")
+        arr = arr.astype(np.uint8)  # a copy, so freezing it leaves the caller's array alone
+        arr.flags.writeable = False
+        object.__setattr__(self, "data", arr)
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.data.shape
+
+    @property
+    def size(self) -> int:
+        return self.data.size
+
+    @property
+    def nbytes(self) -> int:
+        """Payload bytes in an archive."""
+        return (self.size + 7) // 8
+
+    def __eq__(self, other):
+        if not isinstance(other, BitTensor):
+            return NotImplemented
+        return self.shape == other.shape and np.array_equal(self.data, other.data)
+
+    def __hash__(self):
+        return hash((self.shape, self.data.tobytes()))
+
+
+Tensor = DenseTensor | BitTensor
+
 
 def flatten_conv(w: DenseTensor) -> DenseTensor:
     """Flatten a 4-axis conv tensor (C_out, C_in, H, W) to (C_out, C_in*H*W)."""
@@ -81,7 +141,7 @@ def flatten_conv(w: DenseTensor) -> DenseTensor:
 class TensorArchive:
     """Ordered collection of uniquely named tensors."""
 
-    entries: list[tuple[str, DenseTensor]] = field(default_factory=list)
+    entries: list[tuple[str, Tensor]] = field(default_factory=list)
 
     def __post_init__(self):
         # name -> position; a repeated name keeps its last position
@@ -93,7 +153,7 @@ class TensorArchive:
     def names(self) -> list[str]:
         return [n for n, _ in self.entries]
 
-    def get(self, name: str) -> DenseTensor:
+    def get(self, name: str) -> Tensor:
         return self.entries[self._index[name]][1]
 
     def __contains__(self, name: str) -> bool:
@@ -104,9 +164,11 @@ class TensorArchive:
 
 
 def write_archive(archive: TensorArchive) -> bytes:
+    """The archive's bytes: version 2 if an entry is a BitTensor, else version 1."""
+    bits = any(isinstance(t, BitTensor) for _, t in archive.entries)
     buf = io.BytesIO()
     buf.write(MAGIC)
-    buf.write(struct.pack("<II", FORMAT_VERSION, len(archive.entries)))
+    buf.write(struct.pack("<II", FORMAT_VERSION if bits else 1, len(archive.entries)))
     for name, tensor in archive.entries:
         encoded = name.encode("utf-8")
         buf.write(struct.pack("<I", len(encoded)))
@@ -114,8 +176,12 @@ def write_archive(archive: TensorArchive) -> bytes:
         buf.write(struct.pack("<I", len(tensor.shape)))
         for dim in tensor.shape:
             buf.write(struct.pack("<Q", dim))
-        buf.write(struct.pack("<I", DTYPE_F32))
-        buf.write(tensor.data.astype("<f4").tobytes(order="C"))
+        if isinstance(tensor, BitTensor):
+            buf.write(struct.pack("<I", DTYPE_BITS))
+            buf.write(np.packbits(tensor.data, axis=None, bitorder="little").tobytes())
+        else:
+            buf.write(struct.pack("<I", DTYPE_F32))
+            buf.write(tensor.data.astype("<f4").tobytes(order="C"))
     return buf.getvalue()
 
 
@@ -145,10 +211,10 @@ def read_archive(raw: bytes) -> TensorArchive:
     if r.take(4) != MAGIC:
         raise BadMagicError("not a QTNS file")
     version = r.u32()
-    if version != FORMAT_VERSION:
+    if not 1 <= version <= FORMAT_VERSION:
         raise UnsupportedVersionError(f"unsupported format version {version}")
     count = r.u32()
-    entries: list[tuple[str, DenseTensor]] = []
+    entries: list[tuple[str, Tensor]] = []
     for _ in range(count):
         try:
             name = r.take(r.u32()).decode("utf-8")
@@ -159,12 +225,21 @@ def read_archive(raw: bytes) -> TensorArchive:
         if not shape or min(shape) < 1:
             raise ArchiveError(f"entry {name!r} has no axes or a dimension < 1: {shape}")
         dtype = r.u32()
-        if dtype != DTYPE_F32:
-            raise ArchiveError(f"entry {name!r} has unknown dtype code {dtype}")
         # Python ints: a dims product past 2**63 must not wrap before take checks it
         n_elems = math.prod(shape)
-        data = np.frombuffer(r.take(4 * n_elems), dtype="<f4").reshape(shape)
-        entries.append((name, DenseTensor(data)))
+        if dtype == DTYPE_F32:
+            data = np.frombuffer(r.take(4 * n_elems), dtype="<f4").reshape(shape)
+            entries.append((name, DenseTensor(data)))
+        elif dtype == DTYPE_BITS and version >= 2:
+            packed = np.frombuffer(r.take((n_elems + 7) // 8), dtype=np.uint8)
+            if n_elems % 8 and int(packed[-1]) >> n_elems % 8:
+                raise ArchiveError(f"entry {name!r} has nonzero padding bits")
+            data = np.unpackbits(packed, count=n_elems, bitorder="little").reshape(shape)
+            entries.append((name, BitTensor(data)))
+        elif dtype == DTYPE_BITS:
+            raise ArchiveError(f"entry {name!r} is bit-coded in a version-{version} file")
+        else:
+            raise ArchiveError(f"entry {name!r} has unknown dtype code {dtype}")
     if r.pos != len(raw):
         raise ArchiveError(f"{len(raw) - r.pos} bytes after the last entry")
     return TensorArchive(entries=entries)  # raises DuplicateNameError

@@ -26,7 +26,13 @@ from tensorpress.errors import (
 )
 from tensorpress.factorize import AnnealConfig, anneal_factorize, frobenius_loss, loss_gradient
 from tensorpress.prune import PruneConfig, entangle, iterative_prune
-from tensorpress.tensors import DenseTensor, TensorArchive, read_archive, write_archive
+from tensorpress.tensors import (
+    BitTensor,
+    DenseTensor,
+    TensorArchive,
+    read_archive,
+    write_archive,
+)
 
 
 @contextlib.contextmanager
@@ -205,7 +211,8 @@ def test_criterion_8_report_bookkeeping(tmp_path, capsys):
         assert cli_main(["compress", str(arc_path), str(cfg_path), str(out_path)]) == 0
         assert "total ratio: 1.90x" in capsys.readouterr().out
         report_path = str(out_path) + ".report.json"
-        doc = json.loads(open(report_path).read())
+        with open(report_path) as f:
+            doc = json.loads(f.read())
         assert round(doc["total_ratio"], 3) == 1.900
         for row in doc["per_layer"]:
             assert row["params_before"] == 9025
@@ -253,11 +260,17 @@ def test_criterion_11_format_round_trip():
             for j in range(n_entries):
                 ndim = int(rng.integers(1, 5))
                 shape = tuple(int(rng.integers(1, 5)) for _ in range(ndim))
-                entries.append((f"t{j}", DenseTensor(rng.standard_normal(shape))))
+                if rng.random() < 0.5:
+                    entries.append((f"t{j}", DenseTensor(rng.standard_normal(shape))))
+                else:
+                    entries.append((f"t{j}", BitTensor(rng.integers(0, 2, shape))))
             arc = TensorArchive(entries=entries)
             raw = write_archive(arc)
             back = read_archive(raw)
             assert write_archive(back) == raw
+            assert back.entries == entries
+            bits = any(isinstance(t, BitTensor) for _, t in entries)
+            assert raw[4:8] == struct.pack("<I", 2 if bits else 1)
 
         t = DenseTensor(np.arange(16, dtype=np.float32).reshape(4, 4))
         good = write_archive(TensorArchive(entries=[("w", t)]))
@@ -287,3 +300,12 @@ def test_criterion_11_format_round_trip():
         with pytest.raises(ArchiveError) as exc_info:
             read_archive(bytes(corrupt))
         assert type(exc_info.value) is ArchiveError  # distinct from the four above
+
+        # version 2: 9 bits take 2 bytes, and the 7 spare bits of the last must be 0
+        good = write_archive(TensorArchive(entries=[("m", BitTensor(np.ones((3, 3))))]))
+        assert good[-2:] == b"\xff\x01"
+        with pytest.raises(ArchiveError, match="nonzero padding bits"):
+            read_archive(good[:-1] + b"\x03")
+        # a bit-coded entry where the version says there can be none
+        with pytest.raises(ArchiveError, match="bit-coded in a version-1 file"):
+            read_archive(good[:4] + struct.pack("<I", 1) + good[8:])

@@ -11,7 +11,13 @@ import hypothesis.strategies as st
 
 from tensorpress import pipeline
 from tensorpress.cli import main
-from tensorpress.tensors import DenseTensor, TensorArchive, load_archive, save_archive
+from tensorpress.tensors import (
+    BitTensor,
+    DenseTensor,
+    TensorArchive,
+    load_archive,
+    save_archive,
+)
 
 
 @pytest.fixture
@@ -253,8 +259,9 @@ def test_compress_passes_non_finite_unconfigured_layer(workdir):
 def verify_tampered(workdir, capsys, edit_report=None, drop_entry=None, replace=None,
                     stage_list=None, report_doc=None, append=None):
     """compress the fixture (with stage_list, if given), tamper with the report
-    or the archive (replace maps entry names to functions of their data, append
-    maps the original archive to entries added at the end), run verify."""
+    or the archive (replace maps entry names to functions of their data that
+    return a tensor, or an array kept in the entry's type; append maps the
+    original archive to entries added at the end), run verify."""
     archive, cfg = write_fixture(workdir)
     if stage_list is not None:
         config = json.loads(cfg.read_text())
@@ -271,13 +278,17 @@ def verify_tampered(workdir, capsys, edit_report=None, drop_entry=None, replace=
         report.write_text(json.dumps(report_doc(json.loads(report.read_text()))))
     if drop_entry is not None or replace is not None or append is not None:
         replace = replace or {}
-        entries = [(n, DenseTensor(replace[n](t.data)) if n in replace else t)
+        entries = [(n, retyped(t, replace[n](t.data)) if n in replace else t)
                    for n, t in load_archive(out).entries if n != drop_entry]
         entries += append(load_archive(archive)) if append is not None else []
         save_archive(TensorArchive(entries=entries), out)
     capsys.readouterr()
     code = run(["verify", archive, out, report])
     return code, capsys.readouterr().err
+
+
+def retyped(t, new):
+    return new if isinstance(new, (DenseTensor, BitTensor)) else type(t)(new)
 
 
 def test_verify_archive_missing_entry_exit_4(workdir, capsys):
@@ -398,7 +409,8 @@ def test_compress_first_fault_in_archive_order_exit_2(workdir, capsys, monkeypat
 
 @pytest.mark.parametrize("edit, message", [
     (np.zeros_like, "keeps no weight"),
-    (lambda mask: 1.5 * mask, "holds values other than 0, 1"),  # 1.5 casts to 1
+    # a mask as compress wrote it before masks were bit-packed
+    (DenseTensor, "layer 'fc1' (masked): fc1.mask is f32, not bit-packed"),
 ])
 def test_verify_mask_keeps_nothing_or_not_binary_exit_4(workdir, capsys, edit, message):
     code, err = verify_tampered(workdir, capsys, stage_list=["prune"],
@@ -433,16 +445,86 @@ def test_verify_report_not_objects_exit_4(workdir, capsys, report_doc):
     assert code == 4
 
 
-@pytest.mark.parametrize("tamper, message", [
-    ({"replace": {"fc1": lambda data: np.where(data == 0, 1e-12, data)}},
-     "fc1 holds weights where its mask is 0"),
-    ({"replace": {"fc1.mask": lambda mask: np.where(mask == 0, -0.0, mask)}},
-     "fc1.mask holds values other than 0, 1"),
-], ids=["weight_under_zero_mask", "mask_negative_zero"])
-def test_verify_masked_layer_one_encoding_exit_4(workdir, capsys, tamper, message):
-    code, err = verify_tampered(workdir, capsys, stage_list=["prune"], **tamper)
+@pytest.mark.parametrize("edit", [
+    lambda values: np.append(values, np.float32(1.0)),
+    lambda values: values[:-1],
+    BitTensor,  # values all 0 or 1 after pruning a tensor of ones
+], ids=["one_more", "one_fewer", "bit_packed"])
+def test_verify_masked_values_one_per_kept_weight_exit_4(workdir, capsys, edit):
+    """A masked layer stores one f32 value per weight its mask keeps."""
+    path = workdir / "ones.qtns"
+    save_archive(TensorArchive(entries=[("fc1", DenseTensor(np.ones((16, 16))))]), path)
+    cfg = workdir / "prune.json"
+    cfg.write_text(json.dumps({"defaults": {"stage_list": ["prune"], "prune": {"alpha": 0.5}},
+                               "layers": {"fc1": {}}}))
+    out = workdir / "out.qtns"
+    assert run(["compress", path, cfg, out]) == 0
+    entries = dict(load_archive(out).entries)
+    kept = int(entries["fc1.mask"].data.sum())
+    entries["fc1"] = retyped(entries["fc1"], edit(entries["fc1"].data))
+    save_archive(TensorArchive(entries=list(entries.items())), out)
+    capsys.readouterr()
+    assert run(["verify", path, out, f"{out}.report.json"]) == 4
+    err = capsys.readouterr().err
+    if entries["fc1"].shape == (kept,):
+        assert "layer 'fc1' (masked): fc1 is bit-packed, not f32" in err
+    else:
+        assert f"layer 'fc1' (masked): fc1 is {entries['fc1'].shape}, not ({kept},)" in err
+
+
+def test_verify_pre_bit_packed_archive_exit_4(workdir, capsys):
+    """An archive and report in the layout compress wrote before masks were
+    bit-packed: weights in the layer's shape, an f32 mask, no byte counts."""
+    def edit(doc):
+        del doc["total_bytes_ratio"]
+        for row in doc["per_layer"]:
+            del row["bytes_before"], row["bytes_after"]
+
+    code, err = verify_tampered(workdir, capsys, stage_list=["prune"], edit_report=edit,
+                                replace={"fc1.mask": DenseTensor,
+                                         "fc1": lambda _: np.zeros((16, 16))})
     assert code == 4
-    assert message in err
+    assert "layer 'fc1' (masked): fc1.mask is f32, not bit-packed" in err
+
+
+def test_mask_padding_bits_exit_3(workdir, capsys):
+    """A mask of 25 bits takes 4 bytes; setting any of the 7 spare bits of the
+    last one leaves a second encoding of the same mask, which no reader accepts."""
+    path = workdir / "in.qtns"
+    save_archive(TensorArchive(entries=[
+        ("fc1", DenseTensor(np.random.default_rng(0).standard_normal((5, 5))))]), path)
+    cfg = workdir / "prune.json"
+    cfg.write_text(json.dumps({"defaults": {"stage_list": ["prune"], "prune": {"alpha": 0.4}},
+                               "layers": {"fc1": {}}}))
+    out = workdir / "out.qtns"
+    assert run(["compress", path, cfg, out]) == 0
+    assert load_archive(out).names()[-1] == "fc1.mask"  # its payload ends the file
+    raw = out.read_bytes()
+    for bit in range(1, 8):
+        out.write_bytes(raw[:-1] + bytes([raw[-1] | 1 << bit]))
+        capsys.readouterr()
+        assert run(["inspect", out]) == 3
+        assert run(["verify", path, out, f"{out}.report.json"]) == 3
+        assert "entry 'fc1.mask' has nonzero padding bits" in capsys.readouterr().err
+    out.write_bytes(raw)
+    assert run(["verify", path, out, f"{out}.report.json"]) == 0
+
+
+def test_inspect_compressed_archive(workdir, capsys):
+    archive, cfg = write_fixture(workdir)
+    assert run(["compress", archive, cfg, workdir / "out.qtns"]) == 0
+    capsys.readouterr()
+    assert run(["--json", "inspect", workdir / "out.qtns"]) == 0
+    rows = {r["name"]: r for r in json.loads(capsys.readouterr().out)}
+    assert list(rows) == ["fc1.w1", "fc1.w2", "fc1.mask", "fc2", "b", "t"]
+    assert rows["fc1.w1"]["dtype"] == "f32" and rows["fc1.w1"]["shape"] == [16, 4]
+    mask = rows["fc1.mask"]
+    assert mask["dtype"] == "bits" and mask["shape"] == [16, 16] and mask["params"] == 256
+    kept = int(load_archive(workdir / "out.qtns").get("fc1.mask").data.sum())
+    assert mask["sparsity"] == pytest.approx(1 - kept / 256)
+    assert mask["frobenius_norm"] == pytest.approx(np.sqrt(kept))
+    assert run(["inspect", workdir / "out.qtns"]) == 0
+    assert "fc1.mask" in capsys.readouterr().out
 
 
 MISSING = object()  # as a value: the key is left out
@@ -669,7 +751,7 @@ def fuzz_base(tmp_path_factory):
         for name, t in load_archive(path).entries:
             size = 4 + len(name.encode()) + 4 + 8 * len(t.shape) + 4
             offsets += range(pos, pos + size)
-            pos += size + 4 * t.size
+            pos += size + t.nbytes
         headers[path.name] = offsets
     return workdir, headers
 

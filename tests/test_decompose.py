@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh
 
-from tensorpress.decompose import reconstruct, svd, truncate
+from tensorpress.decompose import _fix_signs, reconstruct, svd, truncate
 from tensorpress.errors import ConfigError, ShapeError
 from tensorpress.tensors import DenseTensor, flatten_conv
 
@@ -136,3 +136,33 @@ def test_sign_convention_deterministic():
         nz = np.flatnonzero(col)
         if nz.size:
             assert col[nz[0]] >= 0
+
+
+def fix_signs_loop(u, v):
+    """Column-by-column reference for _fix_signs."""
+    u, v = u.copy(), v.copy()
+    for j in range(u.shape[1]):
+        nz = np.flatnonzero(u[:, j])
+        if nz.size and u[nz[0], j] < 0:
+            u[:, j] = -u[:, j]
+            v[:, j] = -v[:, j]
+    return u, v
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_fix_signs_matches_loop(seed):
+    rng = np.random.default_rng(seed)
+    m, n, r = 7, 5, 12
+    u, v = rng.standard_normal((m, r)), rng.standard_normal((n, r))
+    u[:3, 0] = 0.0                # leading zeros, then a negative entry
+    u[3, 0] = -1.0
+    u[:, 1] = 0.0                 # all-zero column: left as it is
+    u[:2, 2] = [-0.0, 0.0]        # -0.0 counts as zero
+    u[2, 2] = -2.0
+    u[:, 3] = [-0.0] * (m - 1) + [3.0]
+    u[0, 4], u[0, 5] = -1e-300, 1e-300
+    want_u, want_v = fix_signs_loop(u, v)
+    got_u, got_v = _fix_signs(u, v)
+    assert got_u.tobytes() == want_u.tobytes()
+    assert got_v.tobytes() == want_v.tobytes()
+    assert got_u[3, 0] == 1.0 and got_u[2, 2] == 2.0 and not got_u[:, 1].any()

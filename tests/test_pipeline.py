@@ -23,7 +23,13 @@ from tensorpress.pipeline import (
     verify_report,
 )
 from tensorpress.prune import PruneConfig
-from tensorpress.tensors import DenseTensor, TensorArchive, read_archive, write_archive
+from tensorpress.tensors import (
+    BitTensor,
+    DenseTensor,
+    TensorArchive,
+    read_archive,
+    write_archive,
+)
 
 
 def random_tensor(shape, seed):
@@ -95,6 +101,16 @@ class TestCompressLayer:
         assert layer.kind == "masked"
         assert row["params_after"] == int(layer.mask.sum())
         assert row["mask_bits"] == 100
+        # stored: the kept weights alone, in C flat order, and the mask as bits
+        kept = layer.mask.astype(bool)
+        (values,) = layer.tensors
+        assert values.data.tobytes() == w.data[kept].tobytes()
+        assert np.array_equal(layer.masked.data, np.where(kept, w.data, 0))
+        assert row["bytes_before"] == 400
+        assert row["bytes_after"] == 4 * int(kept.sum()) + 13
+        (_, stored_values), (_, stored_mask) = layer.entries()
+        assert stored_values is values
+        assert isinstance(stored_mask, BitTensor) and np.array_equal(stored_mask.data, layer.mask)
 
     def test_conv_tensor_flattened(self):
         w = random_tensor((6, 2, 3, 3), 3)
@@ -172,6 +188,41 @@ class TestCompressArchive:
         before = sum(r["params_before"] for r in report.per_layer) + 35
         after = sum(r["params_after"] for r in report.per_layer) + 35
         assert report.total_ratio == pytest.approx(before / after)
+        before = sum(r["bytes_before"] for r in report.per_layer) + 4 * 35
+        after = sum(r["bytes_after"] for r in report.per_layer) + 4 * 35
+        assert report.total_bytes_ratio == pytest.approx(before / after)
+
+    def test_bytes_are_the_written_payload(self):
+        """Each row's bytes_after, plus the pass-throughs, sum to the written
+        file's size less its headers; bytes_before likewise for the input."""
+        archive, config = build_archive_and_config()
+        archive.entries.append(("c", random_tensor((5, 7), 6)))
+        config.layers["c"] = {"stage_list": ["prune"]}  # 35 mask bits: padding
+        config.layers["d"] = {"stage_list": ["decompose"]}
+        archive.entries.append(("d", random_tensor((9, 6), 7)))
+        archive = TensorArchive(entries=archive.entries)
+        out, report = compress_archive(archive, config)
+        assert [r["kind"] for r in report.per_layer] == ["factored", "factored", "masked", "svd"]
+
+        def payload(arc):
+            headers = 12 + sum(4 + len(n.encode()) + 4 + 8 * len(t.shape) + 4
+                               for n, t in arc.entries)
+            return len(write_archive(arc)) - headers
+
+        passthrough = archive.get("passthrough").nbytes
+        assert payload(out) == sum(r["bytes_after"] for r in report.per_layer) + passthrough
+        assert payload(archive) == sum(r["bytes_before"] for r in report.per_layer) + passthrough
+        assert report.total_bytes_ratio == payload(archive) / payload(out)
+        verify_report(archive, read_archive(write_archive(out)), report)
+        report.total_bytes_ratio *= 1.01
+        with pytest.raises(VerificationError, match="total_bytes_ratio"):
+            verify_report(archive, out, report)
+
+    def test_bit_tensor_layer_rejected(self):
+        archive = TensorArchive(entries=[("m", BitTensor(np.ones((4, 4))))])
+        config = PipelineConfig(defaults={"stage_list": ["prune"]}, layers={"m": {}})
+        with pytest.raises(ConfigError, match="layer 'm': is a bit tensor"):
+            compress_archive(archive, config)
 
     def test_passthrough_bit_identical(self):
         archive, config = build_archive_and_config()

@@ -14,6 +14,7 @@ from tensorpress.errors import (
     UnsupportedVersionError,
 )
 from tensorpress.tensors import (
+    BitTensor,
     DenseTensor,
     TensorArchive,
     flatten_conv,
@@ -98,6 +99,70 @@ def test_write_is_deterministic():
     t = DenseTensor(np.random.default_rng(0).standard_normal((3, 4)))
     arc = TensorArchive(entries=[("x", t)])
     assert write_archive(arc) == write_archive(arc)
+
+
+def bit_entry_raw(bits):
+    """A version-2 archive holding one bit tensor "m" of the given bits."""
+    t = BitTensor(np.array(bits))
+    return write_archive(TensorArchive(entries=[("m", t)]))
+
+
+def test_bit_tensor_basics():
+    t = BitTensor(np.array([[1, 0, 1], [0, 0, 1]]))
+    assert t.shape == (2, 3) and t.size == 6 and t.nbytes == 1
+    assert t.data.dtype == np.uint8
+    with pytest.raises(ValueError):
+        t.data[0, 0] = 0  # immutable
+    assert BitTensor(np.ones(9)).nbytes == 2
+    assert t == BitTensor(t.data.astype(bool)) and t != DenseTensor(t.data)
+    with pytest.raises(ValueError, match="0 or 1"):
+        BitTensor(np.array([0.0, 1.5]))
+    with pytest.raises(ShapeError):
+        BitTensor(np.ones((2, 0)))
+    with pytest.raises(ShapeError):
+        BitTensor(np.uint8(1))
+
+
+def test_bit_tensor_layout_and_round_trip():
+    bits = [1, 0, 0, 0, 0, 0, 0, 1, 1, 1]  # element i is bit i % 8 of byte i // 8
+    raw = bit_entry_raw(bits)
+    assert raw[4:8] == struct.pack("<I", 2)
+    header = 12 + 4 + 1 + 4 + 8 + 4  # file, name length, "m", axis count, dim, dtype
+    assert raw[header - 4:header] == struct.pack("<I", 1)
+    assert raw[header:] == bytes([0b10000001, 0b00000011])
+    back = read_archive(raw).get("m")
+    assert isinstance(back, BitTensor) and back.data.tolist() == bits
+
+
+def test_version_1_without_bit_entries():
+    dense = TensorArchive(entries=[("a", DenseTensor(np.ones((2, 2))))])
+    assert write_archive(dense)[4:8] == struct.pack("<I", 1)
+    mixed = TensorArchive(entries=dense.entries + [("m", BitTensor(np.ones(3)))])
+    raw = write_archive(mixed)
+    assert raw[4:8] == struct.pack("<I", 2)
+    # a version-2 file reads back, and its f32 entry has its version-1 bytes
+    assert read_archive(raw).entries == mixed.entries
+    assert raw[12:].startswith(write_archive(dense)[12:])
+
+
+@pytest.mark.parametrize("n", [1, 7, 9, 15, 17])
+def test_nonzero_padding_bits_rejected(n):
+    raw = bit_entry_raw(np.ones(n))
+    for bit in range(n % 8, 8):
+        with pytest.raises(ArchiveError, match="'m' has nonzero padding bits"):
+            read_archive(raw[:-1] + bytes([raw[-1] | 1 << bit]))
+
+
+def test_bit_entry_in_version_1_rejected():
+    raw = bit_entry_raw([1, 0])
+    with pytest.raises(ArchiveError, match="'m' is bit-coded in a version-1 file"):
+        read_archive(raw[:4] + struct.pack("<I", 1) + raw[8:])
+
+
+def test_truncated_bit_payload():
+    raw = bit_entry_raw(np.ones(17))  # 3 bytes
+    with pytest.raises(TruncatedArchiveError):
+        read_archive(raw[:-1])
 
 
 def test_bad_magic():
