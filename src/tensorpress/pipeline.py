@@ -75,9 +75,9 @@ class CompressedLayer:
         """A masked layer's weights in the original shape: its values where
         the mask is 1, 0 elsewhere."""
         (values,) = self.tensors
-        weights = np.zeros(self.mask.shape, dtype=np.float32)
-        weights[self.mask != 0] = values.data
-        return DenseTensor(weights)
+        weights = np.zeros(self.mask.size, dtype=np.float32)
+        weights[np.flatnonzero(self.mask != 0)] = values.data
+        return DenseTensor(weights.reshape(self.mask.shape))
 
     @property
     def svd_factors(self) -> dec.SvdFactors:
@@ -181,7 +181,8 @@ def compress_layer(w: DenseTensor, cfg: LayerConfig) -> tuple[CompressedLayer, d
                         f"leaves none of its {w.size} weights "
                         f"(alpha {cfg.prune.alpha}, entangle_prob {cfg.prune.entangle_prob})"
                     )
-                kind, tensors = "masked", (DenseTensor(res.pruned_weights.data[mask != 0]),)
+                kept = res.pruned_weights.data.ravel().take(np.flatnonzero(mask != 0))
+                kind, tensors = "masked", (DenseTensor(kept),)
                 current = DenseTensor(_as_matrix(res.pruned_weights.data))
             elif stage == "decompose":
                 full = dec.svd(current)

@@ -4,8 +4,15 @@ The pipeline per stage: importance = |w| over the surviving weights, a
 threshold calibrated so the cumulative pruned count tracks a linear schedule,
 then one non-cascading pass that prunes retained neighbors of pruned weights
 with a fixed probability. That pass takes one uniform draw per (pruned weight,
-retained in-plane neighbor) pair, in pruned flat index order, then up, down,
-left, right (left, right only, off 4-axis tensors), so a seed fixes the mask.
+retained in-plane neighbor) pair, so a seed fixes the mask.
+
+The pairs are enumerated pruned-major: by pruned flat index, then in
+direction order up, down, left, right (left, right only, off 4-axis tensors).
+Archive byte-identity rests on that enumeration, not on how it is computed:
+entangle packs each weight's retained-neighbor flags into a uint8 direction
+code and lists the pairs from the codes of the pruned weights, but any
+computation of the same pair sequence takes the same draws.
+
 The paper thresholds softmax(|w|); softmax is monotone, so the threshold is
 applied to |w| directly, which also keeps apart magnitudes that float64
 softmax rounds to equal values. Ties at the threshold are pruned lowest flat
@@ -14,6 +21,8 @@ index first.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,6 +71,31 @@ def _smallest_k(x: np.ndarray, k: int) -> np.ndarray:
     return np.concatenate([below, ties])
 
 
+def _steps(shape: tuple[int, ...]) -> tuple[int, ...]:
+    """Flat index steps to a weight's neighbors, in direction order."""
+    return (-shape[3], shape[3], -1, 1) if len(shape) == 4 else (-1, 1)
+
+
+# _BITS[c, d]: bit d of direction code c
+_BITS = (np.arange(16)[:, None] >> np.arange(4) & 1).astype(bool)
+
+
+@functools.lru_cache(maxsize=8)
+def _in_plane(shape: tuple[int, ...]) -> np.ndarray:
+    """Read-only uint8 table of a mask shape: bit d of entry i is set where
+    entangle's step d from flat index i stays in i's plane (-W and -1
+    coincide when W == 1, the bound tells them apart)."""
+    h, w = shape[2:] if len(shape) == 4 else (1, shape[-1])
+    rows, cols = np.indices((h, w))
+    inside = (rows > 0, rows < h - 1, cols > 0, cols < w - 1)[-len(_steps(shape)) :]
+    plane = np.zeros(h * w, dtype=np.uint8)
+    for d, ok in enumerate(inside):
+        plane |= ok.ravel().astype(np.uint8) << d
+    table = np.tile(plane, math.prod(shape) // plane.size)
+    table.flags.writeable = False
+    return table
+
+
 def entangle(mask: RetainMask, entangle_prob: float, seed) -> RetainMask:
     """One propagation pass: each retained neighbor of a pruned weight is
     independently pruned with probability entangle_prob. Non-cascading: only
@@ -77,32 +111,28 @@ def entangle(mask: RetainMask, entangle_prob: float, seed) -> RetainMask:
     if entangle_prob == 0.0:
         return mask.copy()
     flat_in = mask.ravel()
-    if mask.ndim == 4:
-        h, w = mask.shape[2:]
-        steps = np.array([-w, w, -1, 1])
-    else:
-        h, w = 1, mask.shape[-1]
-        steps = np.array([-1, 1])
-    # in-plane bound of each direction, by index: -W and -1 coincide when W == 1
-    rows, cols = np.indices((h, w))
-    inside = (rows > 0, rows < h - 1, cols > 0, cols < w - 1)[-steps.size :]
-    n, k = flat_in.size, steps.size
-    pruned = (flat_in == 0).reshape(-1, h * w)
-    kept = flat_in == 1
-    # pairs[p, d]: pruned p has a retained neighbor p + steps[d]; its flat
-    # nonzero ids p * k + d come in the draw order
-    pairs = np.zeros((n, k), dtype=bool)
-    for d, (step, ok) in enumerate(zip(steps.tolist(), inside)):
-        src = (pruned & ok.ravel()).ravel()
-        if step > 0:
-            pairs[: n - step, d] = src[: n - step] & kept[step:]
-        else:
-            pairs[-step:, d] = src[-step:] & kept[: n + step]
+    steps = _steps(mask.shape)
+    n, k = flat_in.size, len(steps)
+    kept = (flat_in == 1).view(np.uint8)
+    # code[i]: bit d set where weight i + steps[d] is retained and in i's
+    # plane, left at 0 unless weight i is pruned; built last direction first,
+    # doubling (a fast shift by one) before each direction's bit is or-ed in
+    code = np.zeros(n, dtype=np.uint8)
+    for step in reversed(steps):
+        np.add(code, code, out=code)
+        lo, hi = max(-step, 0), n - max(step, 0)
+        np.bitwise_or(code[lo:hi], kept[lo + step : hi + step], out=code[lo:hi])
+    np.bitwise_and(code, _in_plane(mask.shape), out=code)
+    np.multiply(code, flat_in == 0, out=code)
+    # pairs[i, d]: pruned weight p[i] has a retained neighbor p[i] + steps[d];
+    # the flat nonzero ids i * k + d come in the draw order
+    p = np.flatnonzero(code != 0)
+    pairs = _BITS[:, :k].take(code.take(p), axis=0)
     ids = np.flatnonzero(pairs)
     draws = np.random.default_rng(seed).random(ids.size)
-    hit = ids[draws < entangle_prob]
+    hit = ids.take(np.flatnonzero(draws < entangle_prob))
     out = flat_in.copy()
-    out[hit // k + steps[hit % k]] = 0
+    out[p.take(hit // k) + np.take(steps, hit % k)] = 0
     return out.reshape(mask.shape)
 
 
@@ -115,18 +145,18 @@ def iterative_prune(w: DenseTensor, cfg: PruneConfig) -> PruneResult:
     lose ones. Deterministic given cfg.seed.
     """
     n = w.size
-    flat_w = w.data.ravel()
+    magnitude = np.abs(w.data.ravel())
     mask = np.ones(n, dtype=np.uint8)
     per_stage: list[float] = []
     for stage in range(1, cfg.stages + 1):
         target_total = _round_half_up(cfg.alpha * stage / cfg.stages * n)
         survivors = np.flatnonzero(mask == 1)
         k_add = target_total - (n - survivors.size)
-        mask[survivors[_smallest_k(np.abs(flat_w[survivors]), k_add)]] = 0
+        mask[survivors.take(_smallest_k(magnitude.take(survivors), k_add))] = 0
         if cfg.entangle_prob > 0.0:
             stage_seed = np.random.SeedSequence([cfg.seed & 0xFFFFFFFFFFFFFFFF, stage])
             mask = entangle(mask.reshape(w.shape), cfg.entangle_prob, stage_seed).ravel()
-        per_stage.append(1.0 - float(mask.sum()) / n)
+        per_stage.append(1.0 - np.count_nonzero(mask) / n)
     shaped = mask.reshape(w.shape)
     pruned = DenseTensor(w.data * shaped)
     return PruneResult(

@@ -17,8 +17,9 @@ The dtype code says how the n elements that the dims give are stored:
 Version 2 adds code 1; version 1 has only code 0. write_archive writes
 version 1 whenever no entry is bit-coded, so an archive of f32 tensors has the
 bytes it had before version 2. read_archive reads both, and rejects a
-bit-coded entry in a version-1 file. Everything on disk is little-endian, and
-nothing may follow the last entry.
+bit-coded entry in a version-1 file and a version-2 file with no bit-coded
+entry, so every archive has one encoding. Everything on disk is
+little-endian, and nothing may follow the last entry.
 """
 
 from __future__ import annotations
@@ -163,12 +164,17 @@ class TensorArchive:
         return len(self.entries)
 
 
+def _version(entries: list[tuple[str, Tensor]]) -> int:
+    """The one version an archive of these entries has: 2 if an entry is a
+    BitTensor, else 1."""
+    return FORMAT_VERSION if any(isinstance(t, BitTensor) for _, t in entries) else 1
+
+
 def write_archive(archive: TensorArchive) -> bytes:
-    """The archive's bytes: version 2 if an entry is a BitTensor, else version 1."""
-    bits = any(isinstance(t, BitTensor) for _, t in archive.entries)
+    """The archive's bytes, in the version _version gives."""
     buf = io.BytesIO()
     buf.write(MAGIC)
-    buf.write(struct.pack("<II", FORMAT_VERSION if bits else 1, len(archive.entries)))
+    buf.write(struct.pack("<II", _version(archive.entries), len(archive.entries)))
     for name, tensor in archive.entries:
         encoded = name.encode("utf-8")
         buf.write(struct.pack("<I", len(encoded)))
@@ -242,6 +248,10 @@ def read_archive(raw: bytes) -> TensorArchive:
             raise ArchiveError(f"entry {name!r} has unknown dtype code {dtype}")
     if r.pos != len(raw):
         raise ArchiveError(f"{len(raw) - r.pos} bytes after the last entry")
+    if version != _version(entries):  # a bit entry in version 1 failed above
+        raise ArchiveError(
+            f"version-{version} file has no bit-coded entry; it must be version {_version(entries)}"
+        )
     return TensorArchive(entries=entries)  # raises DuplicateNameError
 
 

@@ -209,6 +209,18 @@ def test_inspect_overflowing_dims_exit_3(workdir, capsys):
     assert "need 73786976294838206464 bytes" in capsys.readouterr().err
 
 
+def test_inspect_version_2_gen_output_exit_3(workdir, capsys):
+    # gen writes version 1; the same entries under a version-2 header are a
+    # second encoding of an f32-only archive
+    path = workdir / "in.qtns"
+    assert run(["gen", path, "--seed", 1, "--layer", "fc1=4x4"]) == 0
+    raw = path.read_bytes()
+    path.write_bytes(raw[:4] + (2).to_bytes(4, "little") + raw[8:])
+    capsys.readouterr()
+    assert run(["inspect", path]) == 3
+    assert "version-2 file has no bit-coded entry" in capsys.readouterr().err
+
+
 def test_inspect_zero_axes_exit_3(workdir, capsys):
     # one entry "w" declaring 0 axes, then dtype f32 and 4 data bytes
     header = b"QTNS" + (1).to_bytes(4, "little") + (1).to_bytes(4, "little")

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import sys
@@ -399,3 +400,31 @@ def test_report_json_round_trip_and_excludes_wall_time():
     back = CompressionReport.from_json(report.to_json())
     assert back.total_ratio == report.total_ratio
     assert back.to_json() == report.to_json()
+
+
+def _formula_tensor(shape, offset):
+    """Weights from integer arithmetic alone, exact in f32 on any platform."""
+    i = np.arange(int(np.prod(shape)), dtype=np.int64)
+    return DenseTensor((((i * 40503 + offset) % 997 - 498) / 64).reshape(shape))
+
+
+def test_prune_only_archive_bytes_pinned():
+    # The prune path does no BLAS or transcendental arithmetic, so its bytes
+    # are the same on every platform; the digest pins the entanglement draws
+    # (pair order included), the tie order and the archive layout.
+    archive = TensorArchive(entries=[
+        ("conv_a", _formula_tensor((12, 8, 3, 3), 1)),
+        ("bias", _formula_tensor((40,), 2)),
+        ("conv_b", _formula_tensor((8, 6, 5, 4), 3)),
+        ("fc", _formula_tensor((24, 40), 4)),
+    ])
+    config = PipelineConfig(
+        defaults={"seed": 13, "stage_list": ["prune"],
+                  "prune": {"alpha": 0.45, "stages": 4, "entangle_prob": 0.1}},
+        layers={"conv_a": {}, "conv_b": {}, "fc": {}},
+    )
+    out, report = compress_archive(archive, config)
+    # entanglement pruned beyond alpha's 475, 528 and 528 kept weights
+    assert [r["params_after"] for r in report.per_layer] == [419, 464, 474]
+    digest = hashlib.sha256(write_archive(out)).hexdigest()
+    assert digest == "b1ab5157ac2d7f4e72b0db119f3e65a059bdcbc59ec297c92dfe8c7b7ced785f"

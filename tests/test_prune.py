@@ -5,7 +5,7 @@ import hypothesis.extra.numpy as hnp
 import hypothesis.strategies as st
 
 from tensorpress.errors import ConfigError
-from tensorpress.prune import PruneConfig, _smallest_k, entangle, iterative_prune
+from tensorpress.prune import PruneConfig, _in_plane, _smallest_k, entangle, iterative_prune
 from tensorpress.tensors import DenseTensor
 
 
@@ -372,6 +372,20 @@ def test_entangle_matches_pair_list_oracle(shape, pruned_frac, entangle_prob, se
     want = _entangle_oracle(mask, entangle_prob, seed)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert np.array_equal(got, want)
+
+
+def test_entangle_in_plane_bound_follows_shape():
+    # equal sizes, different planes: a bound keyed or cached by element
+    # count alone would apply one shape's plane edges to another
+    shapes = [(4, 4, 3, 3), (4, 4, 1, 9), (4, 4, 9, 1), (16, 9)]
+    rng = np.random.default_rng(4)
+    for seed in range(3):
+        for shape in shapes:
+            mask = (rng.random(shape) >= 0.4).astype(np.uint8)
+            want = _entangle_oracle(mask, 0.5, seed)
+            assert np.array_equal(entangle(mask, 0.5, seed), want)
+    for shape in shapes:
+        assert not _in_plane(shape).flags.writeable
 
 
 @pytest.mark.parametrize("shape", [(32, 16, 3, 3), (64, 48)])

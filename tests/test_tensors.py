@@ -159,6 +159,13 @@ def test_bit_entry_in_version_1_rejected():
         read_archive(raw[:4] + struct.pack("<I", 1) + raw[8:])
 
 
+@pytest.mark.parametrize("entries", [[], [("a", DenseTensor(np.ones((2, 2))))]])
+def test_version_2_without_bit_entries_rejected(entries):
+    raw = write_archive(TensorArchive(entries=entries))
+    with pytest.raises(ArchiveError, match="version-2 file has no bit-coded entry"):
+        read_archive(raw[:4] + struct.pack("<I", 2) + raw[8:])
+
+
 def test_truncated_bit_payload():
     raw = bit_entry_raw(np.ones(17))  # 3 bytes
     with pytest.raises(TruncatedArchiveError):
