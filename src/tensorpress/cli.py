@@ -143,6 +143,10 @@ def _parse_layer_spec(spec: str):
     if not name or not shape_s:
         raise ConfigError(f"bad --layer {spec!r}, expected NAME=SHAPE")
     try:
+        name.encode("utf-8")  # an archive stores names as UTF-8
+    except UnicodeEncodeError:
+        raise ConfigError(f"layer name {name!r} is not valid UTF-8") from None
+    try:
         shape = tuple(int(d) for d in shape_s.lower().split("x"))
     except ValueError:
         raise ConfigError(f"bad shape in --layer {spec!r}") from None

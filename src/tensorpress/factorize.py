@@ -7,7 +7,9 @@ accepted iterates are monotone in loss.
 
 The residual W1 @ W2 - W of the accepted candidate is carried into the next
 iteration, so one iteration costs three m x n x r products: the two gradients
-and the candidate product (one more for each step halving).
+and the candidate product (one more for each step halving). The loop allocates
+nothing per iteration: residuals, gradients and candidate factors live in
+buffers made once per call, which each product and update writes with out=.
 """
 
 from __future__ import annotations
@@ -73,12 +75,13 @@ def frobenius_loss(w, w1, w2) -> float:
     return float(np.sum((a - b @ c) ** 2))
 
 
-def _gradients(resid, w1, w2) -> tuple[np.ndarray, np.ndarray]:
-    """(2 R W2^T, 2 W1^T R) for the residual R = W1 @ W2 - W."""
+def _gradients(resid, w1, w2, g1, g2) -> tuple[np.ndarray, np.ndarray]:
+    """(2 R W2^T, 2 W1^T R) for the residual R = W1 @ W2 - W, written into g1
+    and g2, which are returned."""
     # a power-of-two scale is exact: the same bits as (2 * resid) @ w2.T
-    g1 = resid @ w2.T
+    np.matmul(resid, w2.T, out=g1)
     g1 *= 2.0
-    g2 = w1.T @ resid
+    np.matmul(w1.T, resid, out=g2)
     g2 *= 2.0
     return g1, g2
 
@@ -86,7 +89,7 @@ def _gradients(resid, w1, w2) -> tuple[np.ndarray, np.ndarray]:
 def loss_gradient(w, w1, w2) -> tuple[np.ndarray, np.ndarray]:
     """Analytic gradients of frobenius_loss, as anneal_factorize computes them."""
     a, b, c = _as_matrices(w, w1, w2)
-    return _gradients(b @ c - a, b, c)
+    return _gradients(b @ c - a, b, c, np.empty_like(b), np.empty_like(c))
 
 
 def check_rank(rank: int, m: int, n: int, where: str = "") -> None:
@@ -117,20 +120,25 @@ def anneal_factorize(w: DenseTensor, cfg: AnnealConfig) -> FactorPair:
     w2 = rng.uniform(-init_scale, init_scale, (cfg.rank, n))
 
     # resid = w1 @ w2 - a is handed on from the accepted candidate; the
-    # candidate residual and its squares go to the reused buffers spare and sq.
+    # candidate residual and its squares go to the reused buffers spare and sq,
+    # the gradients to g1, g2 and the candidate factors to cand1, cand2, which
+    # trade places with w1, w2 on acceptance.
     resid = w1 @ w2
     resid -= a
     spare = np.empty_like(resid)
     sq = np.empty_like(resid)
+    g1, cand1 = np.empty_like(w1), np.empty_like(w1)
+    g2, cand2 = np.empty_like(w2), np.empty_like(w2)
     loss = float(np.sum(np.square(resid, out=sq)))
     trace = [loss]
     for t in range(cfg.max_iters):
         eta = eta0 * cfg.decay**t
-        g1, g2 = _gradients(resid, w1, w2)
+        _gradients(resid, w1, w2, g1, g2)
         accepted = False
         for _ in range(MAX_HALVINGS + 1):
-            cand1 = w1 - eta * g1
-            cand2 = w2 - eta * g2
+            # w - eta * g, in the buffer the product eta * g fills
+            np.subtract(w1, np.multiply(eta, g1, out=cand1), out=cand1)
+            np.subtract(w2, np.multiply(eta, g2, out=cand2), out=cand2)
             cand_resid = np.matmul(cand1, cand2, out=spare)
             cand_resid -= a
             cand_loss = float(np.sum(np.square(cand_resid, out=sq)))
@@ -143,7 +151,7 @@ def anneal_factorize(w: DenseTensor, cfg: AnnealConfig) -> FactorPair:
         if not accepted:
             break
         improvement = (loss - cand_loss) / loss if loss > 0 else 0.0
-        w1, w2, loss = cand1, cand2, cand_loss
+        w1, cand1, w2, cand2, loss = cand1, w1, cand2, w2, cand_loss
         resid, spare = cand_resid, resid
         trace.append(loss)
         if improvement < cfg.rel_tol:

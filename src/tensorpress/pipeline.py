@@ -119,11 +119,18 @@ def _as_matrix(a: np.ndarray) -> np.ndarray:
 
 
 def relative_recon_error(original: DenseTensor, layer: CompressedLayer) -> float:
+    """||w - layer.effective_matrix()|| / ||w||, 0 for an all-zero w."""
     w = _as_matrix(original.data.astype(np.float64))
     norm = np.linalg.norm(w)
     if norm == 0:
         return 0.0
-    return float(np.linalg.norm(w - layer.effective_matrix()) / norm)
+    if layer.kind != "masked":
+        return float(np.linalg.norm(w - layer.effective_matrix()) / norm)
+    # w - effective_matrix() formed in w, a float64 copy of the original: the
+    # stored values subtracted at the kept flat indices, with no dense matrix
+    # of the layer built
+    w.reshape(-1)[np.flatnonzero(layer.mask != 0)] -= layer.tensors[0].data
+    return float(np.linalg.norm(w) / norm)
 
 
 def layer_row(w: DenseTensor, layer: CompressedLayer) -> dict:
@@ -162,9 +169,12 @@ def check_layer_input(w: Tensor, cfg: LayerConfig) -> None:
         raise ArchiveError(f"layer {name!r}: {bad} of {w.size} weights are NaN or infinite")
 
 
-def compress_layer(w: DenseTensor, cfg: LayerConfig) -> tuple[CompressedLayer, dict]:
-    """Apply cfg.stage_list in order to one weight tensor."""
-    check_layer_input(w, cfg)
+def compress_layer(w: DenseTensor, cfg: LayerConfig, *,
+                   checked: bool = False) -> tuple[CompressedLayer, dict]:
+    """Apply cfg.stage_list in order to one weight tensor; checked=True says
+    the caller has run check_layer_input(w, cfg) already."""
+    if not checked:
+        check_layer_input(w, cfg)
     t0 = time.perf_counter()
     current = flatten_conv(w) if len(w.shape) == 4 else w
     mask = None
@@ -403,10 +413,11 @@ def _default_jobs() -> int:
 
 def _compress_layers(tensors: list[DenseTensor], configs: list[LayerConfig],
                      jobs: int) -> list[tuple[CompressedLayer, dict]]:
-    """compress_layer on each layer, by the calling thread and jobs - 1 more
-    threads taking layers in archive order. After a fault no layer starts; once
-    every worker has stopped, the fault of the first failing layer in archive
-    order is raised, so which fault surfaces does not depend on jobs.
+    """compress_layer on each layer, already checked, by the calling thread and
+    jobs - 1 more threads taking layers in archive order. After a fault no
+    layer starts; once every worker has stopped, the fault of the first failing
+    layer in archive order is raised, so which fault surfaces does not depend
+    on jobs.
 
     Where the BLAS has a thread setter, every worker runs it on one thread, at
     any jobs: a threaded BLAS sums a dot product in an order that depends on
@@ -428,7 +439,7 @@ def _compress_layers(tensors: list[DenseTensor], configs: list[LayerConfig],
             if i is None:
                 return
             try:
-                results[i] = compress_layer(tensors[i], configs[i])
+                results[i] = compress_layer(tensors[i], configs[i], checked=True)
             except Exception as exc:
                 faults[i] = exc
                 stop()

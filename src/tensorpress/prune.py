@@ -13,6 +13,12 @@ entangle packs each weight's retained-neighbor flags into a uint8 direction
 code and lists the pairs from the codes of the pruned weights, but any
 computation of the same pair sequence takes the same draws.
 
+iterative_prune keeps one bool keep-mask for all stages and updates it in
+place: a stage's threshold and its entanglement pass clear their picks in that
+array, which is never copied, and the result's mask is it viewed as uint8.
+Beside it, the magnitudes of pruned weights are set to inf, so a stage ranks
+the whole |w| array rather than a gathered copy of the survivors.
+
 The paper thresholds softmax(|w|); softmax is monotone, so the threshold is
 applied to |w| directly, which also keeps apart magnitudes that float64
 softmax rounds to equal values. Ties at the threshold are pruned lowest flat
@@ -105,15 +111,25 @@ def entangle(mask: RetainMask, entangle_prob: float, seed) -> RetainMask:
     -W, +W, -1, +1: up, down, left, right), otherwise along the last axis
     (steps -1, +1). One uniform draw is taken per (pruned weight, retained
     neighbor) pair, in pruned flat index order, then direction order; archive
-    byte-identity rests on this order.
+    byte-identity rests on this order. A 1 is retained and a 0 pruned; any
+    other value is neither, and passes through unchanged.
     """
     check_real("entangle_prob", entangle_prob, "[0, 1]")
-    if entangle_prob == 0.0:
-        return mask.copy()
-    flat_in = mask.ravel()
-    steps = _steps(mask.shape)
-    n, k = flat_in.size, len(steps)
-    kept = (flat_in == 1).view(np.uint8)
+    flat = mask.ravel()
+    out = flat.copy()
+    if entangle_prob > 0.0:
+        out[_entangle_into(flat == 1, flat == 0, mask.shape, entangle_prob, seed)] = 0
+    return out.reshape(mask.shape)
+
+
+def _entangle_into(keep: np.ndarray, pruned: np.ndarray, shape: tuple[int, ...],
+                   entangle_prob: float, seed) -> np.ndarray:
+    """entangle's pass on flat bool masks of a tensor of this shape: keep marks
+    the retained weights, pruned the weights that propagate (~keep for a 0/1
+    mask). Each hit is set False in keep, in place; returns their flat indices."""
+    kept = keep.view(np.uint8)
+    steps = _steps(shape)
+    n, k = keep.size, len(steps)
     # code[i]: bit d set where weight i + steps[d] is retained and in i's
     # plane, left at 0 unless weight i is pruned; built last direction first,
     # doubling (a fast shift by one) before each direction's bit is or-ed in
@@ -122,8 +138,8 @@ def entangle(mask: RetainMask, entangle_prob: float, seed) -> RetainMask:
         np.add(code, code, out=code)
         lo, hi = max(-step, 0), n - max(step, 0)
         np.bitwise_or(code[lo:hi], kept[lo + step : hi + step], out=code[lo:hi])
-    np.bitwise_and(code, _in_plane(mask.shape), out=code)
-    np.multiply(code, flat_in == 0, out=code)
+    np.bitwise_and(code, _in_plane(shape), out=code)
+    np.multiply(code, pruned, out=code)
     # pairs[i, d]: pruned weight p[i] has a retained neighbor p[i] + steps[d];
     # the flat nonzero ids i * k + d come in the draw order
     p = np.flatnonzero(code != 0)
@@ -131,9 +147,9 @@ def entangle(mask: RetainMask, entangle_prob: float, seed) -> RetainMask:
     ids = np.flatnonzero(pairs)
     draws = np.random.default_rng(seed).random(ids.size)
     hit = ids.take(np.flatnonzero(draws < entangle_prob))
-    out = flat_in.copy()
-    out[p.take(hit // k) + np.take(steps, hit % k)] = 0
-    return out.reshape(mask.shape)
+    hits = p.take(hit // k) + np.take(steps, hit % k)
+    keep[hits] = False
+    return hits
 
 
 def iterative_prune(w: DenseTensor, cfg: PruneConfig) -> PruneResult:
@@ -142,25 +158,30 @@ def iterative_prune(w: DenseTensor, cfg: PruneConfig) -> PruneResult:
     Stage t targets round(alpha * t/stages * N) pruned weights; the
     threshold is recalibrated over the survivors each stage, and an
     entanglement pass follows each stage's threshold mask. Masks only ever
-    lose ones. Deterministic given cfg.seed.
+    lose ones. Deterministic given cfg.seed. The weights must be finite, as
+    compress checks before any stage runs.
     """
     n = w.size
+    # inf ranks a pruned weight above every survivor
     magnitude = np.abs(w.data.ravel())
-    mask = np.ones(n, dtype=np.uint8)
+    keep = np.ones(n, dtype=bool)
+    kept = n
     per_stage: list[float] = []
     for stage in range(1, cfg.stages + 1):
         target_total = _round_half_up(cfg.alpha * stage / cfg.stages * n)
-        survivors = np.flatnonzero(mask == 1)
-        k_add = target_total - (n - survivors.size)
-        mask[survivors.take(_smallest_k(magnitude.take(survivors), k_add))] = 0
+        picks = _smallest_k(magnitude, target_total - (n - kept))
+        keep[picks] = False
+        magnitude[picks] = np.inf
         if cfg.entangle_prob > 0.0:
             stage_seed = np.random.SeedSequence([cfg.seed & 0xFFFFFFFFFFFFFFFF, stage])
-            mask = entangle(mask.reshape(w.shape), cfg.entangle_prob, stage_seed).ravel()
-        per_stage.append(1.0 - np.count_nonzero(mask) / n)
-    shaped = mask.reshape(w.shape)
-    pruned = DenseTensor(w.data * shaped)
+            hits = _entangle_into(keep, ~keep, w.shape, cfg.entangle_prob, stage_seed)
+            magnitude[hits] = np.inf
+        kept = np.count_nonzero(keep)
+        per_stage.append(1.0 - kept / n)
+    mask = keep.view(np.uint8).reshape(w.shape)
+    pruned = DenseTensor(w.data * mask)
     return PruneResult(
-        mask=shaped,
+        mask=mask,
         pruned_weights=pruned,
         achieved_sparsity=per_stage[-1],
         per_stage_sparsity=per_stage,

@@ -170,24 +170,31 @@ def _version(entries: list[tuple[str, Tensor]]) -> int:
     return FORMAT_VERSION if any(isinstance(t, BitTensor) for _, t in entries) else 1
 
 
+def _write(archive: TensorArchive, f) -> None:
+    """Write the archive to the binary file f, entry by entry, in the version
+    _version gives."""
+    f.write(MAGIC)
+    f.write(struct.pack("<II", _version(archive.entries), len(archive.entries)))
+    for name, tensor in archive.entries:
+        encoded = name.encode("utf-8")
+        f.write(struct.pack("<I", len(encoded)))
+        f.write(encoded)
+        f.write(struct.pack("<I", len(tensor.shape)))
+        for dim in tensor.shape:
+            f.write(struct.pack("<Q", dim))
+        if isinstance(tensor, BitTensor):
+            f.write(struct.pack("<I", DTYPE_BITS))
+            f.write(np.packbits(tensor.data, axis=None, bitorder="little"))
+        else:
+            f.write(struct.pack("<I", DTYPE_F32))
+            # the C-contiguous array itself where f32 is already little-endian
+            f.write(tensor.data.astype("<f4", copy=False))
+
+
 def write_archive(archive: TensorArchive) -> bytes:
     """The archive's bytes, in the version _version gives."""
     buf = io.BytesIO()
-    buf.write(MAGIC)
-    buf.write(struct.pack("<II", _version(archive.entries), len(archive.entries)))
-    for name, tensor in archive.entries:
-        encoded = name.encode("utf-8")
-        buf.write(struct.pack("<I", len(encoded)))
-        buf.write(encoded)
-        buf.write(struct.pack("<I", len(tensor.shape)))
-        for dim in tensor.shape:
-            buf.write(struct.pack("<Q", dim))
-        if isinstance(tensor, BitTensor):
-            buf.write(struct.pack("<I", DTYPE_BITS))
-            buf.write(np.packbits(tensor.data, axis=None, bitorder="little").tobytes())
-        else:
-            buf.write(struct.pack("<I", DTYPE_F32))
-            buf.write(tensor.data.astype("<f4").tobytes(order="C"))
+    _write(archive, buf)
     return buf.getvalue()
 
 
@@ -257,7 +264,7 @@ def read_archive(raw: bytes) -> TensorArchive:
 
 def save_archive(archive: TensorArchive, path) -> None:
     with open(path, "wb") as f:
-        f.write(write_archive(archive))
+        _write(archive, f)
 
 
 def load_archive(path) -> TensorArchive:

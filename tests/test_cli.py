@@ -400,11 +400,11 @@ def test_compress_first_fault_in_archive_order_exit_2(workdir, capsys, monkeypat
     started = []
     real = pipeline.compress_layer
 
-    def recording(w, cfg):
+    def recording(w, cfg, **kw):
         started.append(cfg.layer_name)
         if cfg.layer_name.startswith("ok"):
             time.sleep(0.2)  # long past the faults, so a later start would show
-        return real(w, cfg)
+        return real(w, cfg, **kw)
 
     monkeypatch.setattr(pipeline, "compress_layer", recording)
     capsys.readouterr()
@@ -673,10 +673,12 @@ def test_compress_divergence_exit_2(workdir, capsys, key, value):
     (["gen", "--layer", "fc1=4x4:rank=0"], "bad layer option 'rank=0'"),
     (["gen", "--seed", -1, "--layer", "fc1=4x4"], "seed must be >= 0, got -1"),
     (["gen", "--layer", "fc1=4x4:rank=5"], "layer 'fc1': rank 5 exceeds min(m, n) = 4"),
+    # a command-line byte that is not UTF-8 reaches the name as a lone surrogate
+    (["gen", "--layer", "a\udcff=4x4"], "layer name 'a\\udcff' is not valid UTF-8"),
     *[(["bench", "--size", "8x8x2", "--density", d], "density must be a number in (0, 1]")
       for d in ["0", "-1", "1.5", "nan"]],
 ], ids=["size_not_int", "size_0", "reps_5", "warmup_2", "variant_unknown", "bench_seed_negative",
-        "gen_rank_0", "gen_seed_negative", "gen_rank_past_shape", "density_0",
+        "gen_rank_0", "gen_seed_negative", "gen_rank_past_shape", "gen_name_not_utf8", "density_0",
         "density_negative", "density_1.5", "density_nan"])
 def test_bench_gen_bad_args_exit_2(workdir, capsys, args, message):
     out = workdir / "out"

@@ -295,3 +295,85 @@ def test_divergence_iteration_matches_oracle(eta0):
     with np.errstate(over="ignore"), pytest.raises(DivergenceError) as got:
         anneal_factorize(w, cfg)
     assert got.value.iteration == want.value.iteration
+
+
+def _allocating_anneal(w, cfg):
+    """The residual-carrying anneal loop with fresh gradient and candidate
+    arrays on every iteration: the reference anneal_factorize, which writes
+    them into buffers made once, must match bit for bit."""
+    m, n = w.shape
+    a = w.data.astype(np.float64)
+    norm = float(np.linalg.norm(a))
+    init_scale = cfg.init_scale if cfg.init_scale is not None else 1.0 / np.sqrt(max(m, n))
+    eta0 = cfg.eta0 if cfg.eta0 is not None else (0.5 / norm if norm > 0 else 0.5)
+
+    rng = np.random.default_rng(cfg.seed)
+    w1 = rng.uniform(-init_scale, init_scale, (m, cfg.rank))
+    w2 = rng.uniform(-init_scale, init_scale, (cfg.rank, n))
+
+    halvings = 0
+    resid = w1 @ w2
+    resid -= a
+    spare = np.empty_like(resid)
+    sq = np.empty_like(resid)
+    loss = float(np.sum(np.square(resid, out=sq)))
+    trace = [loss]
+    for t in range(cfg.max_iters):
+        eta = eta0 * cfg.decay**t
+        g1 = resid @ w2.T
+        g1 *= 2.0
+        g2 = w1.T @ resid
+        g2 *= 2.0
+        accepted = False
+        for _ in range(MAX_HALVINGS + 1):
+            cand1 = w1 - eta * g1
+            cand2 = w2 - eta * g2
+            cand_resid = np.matmul(cand1, cand2, out=spare)
+            cand_resid -= a
+            cand_loss = float(np.sum(np.square(cand_resid, out=sq)))
+            if not np.isfinite(cand_loss):
+                raise DivergenceError(t)
+            if cand_loss <= loss:
+                accepted = True
+                break
+            eta /= 2.0
+            halvings += 1
+        if not accepted:
+            break
+        improvement = (loss - cand_loss) / loss if loss > 0 else 0.0
+        w1, w2, loss = cand1, cand2, cand_loss
+        resid, spare = cand_resid, resid
+        trace.append(loss)
+        if improvement < cfg.rel_tol:
+            break
+    out1, out2 = DenseTensor(w1), DenseTensor(w2)
+    pair = FactorPair(w1=out1, w2=out2, final_loss=frobenius_loss(w, out1, out2),
+                      loss_trace=trace)
+    return pair, halvings
+
+
+@pytest.mark.parametrize(
+    "shape, cfg, halves",
+    [
+        ((48, 40), AnnealConfig(rank=6, seed=21), False),
+        ((16, 8, 3, 3), AnnealConfig(rank=5, seed=22, decay=0.99), False),  # conv, 16 x 72
+        ((30, 25), AnnealConfig(rank=4, seed=23, eta0=0.5, max_iters=300), True),
+    ],
+)
+def test_matches_allocating_loop(shape, cfg, halves):
+    data = np.random.default_rng(cfg.seed).standard_normal(shape)
+    w = DenseTensor(data.reshape(shape[0], -1))
+    want, halvings = _allocating_anneal(w, cfg)
+    assert (halvings > 0) == halves
+    assert len(want.loss_trace) > 10
+    _assert_bit_identical(anneal_factorize(w, cfg), want)
+
+
+def test_divergence_matches_allocating_loop():
+    w = DenseTensor(np.random.default_rng(24).standard_normal((10, 6)))
+    cfg = AnnealConfig(rank=3, seed=25, eta0=1e200)
+    with np.errstate(over="ignore"), pytest.raises(DivergenceError) as want:
+        _allocating_anneal(w, cfg)
+    with np.errstate(over="ignore"), pytest.raises(DivergenceError) as got:
+        anneal_factorize(w, cfg)
+    assert got.value.iteration == want.value.iteration

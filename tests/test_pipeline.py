@@ -113,6 +113,26 @@ class TestCompressLayer:
         assert stored_values is values
         assert isinstance(stored_mask, BitTensor) and np.array_equal(stored_mask.data, layer.mask)
 
+    @pytest.mark.parametrize("shape", [(12, 9), (4, 3, 3, 3)])
+    @pytest.mark.parametrize("stored", ["kept", "moved"])
+    def test_masked_recon_error_equals_dense_error(self, shape, stored):
+        # compress stores the kept weights; verify rebuilds whatever the
+        # archive holds, so the stored values may differ from the original
+        rng = np.random.default_rng(len(shape))
+        data = rng.standard_normal(shape).astype(np.float32)
+        data.flat[::5] = -0.0
+        w = DenseTensor(data)
+        for seed in range(5):
+            mask = (np.random.default_rng(seed).random(shape) < 0.6).astype(np.uint8)
+            values = data[mask == 1]
+            if stored == "moved":
+                values = values + np.random.default_rng(seed).standard_normal(values.size)
+                values[::3] = -0.0
+            layer = pipeline.CompressedLayer("L", "masked", (DenseTensor(values),), mask)
+            a = w.data.reshape(shape[0], -1).astype(np.float64)
+            want = float(np.linalg.norm(a - layer.effective_matrix()) / np.linalg.norm(a))
+            assert pipeline.relative_recon_error(w, layer) == want
+
     def test_conv_tensor_flattened(self):
         w = random_tensor((6, 2, 3, 3), 3)
         layer, row = compress_layer(w, full_config(rank_svd=3, anneal=AnnealConfig(rank=3, seed=0)))
@@ -163,9 +183,9 @@ def run_before_each_layer(monkeypatch, before):
     """Make compress_archive call before(cfg) ahead of each compress_layer."""
     real = pipeline.compress_layer
 
-    def wrapped(w, cfg):
+    def wrapped(w, cfg, **kw):
         before(cfg)
-        return real(w, cfg)
+        return real(w, cfg, **kw)
 
     monkeypatch.setattr(pipeline, "compress_layer", wrapped)
 
@@ -229,6 +249,22 @@ class TestCompressArchive:
         archive, config = build_archive_and_config()
         out, _ = compress_archive(archive, config)
         assert out.get("passthrough").data.tobytes() == archive.get("passthrough").data.tobytes()
+
+    def test_each_layer_checked_once(self, monkeypatch):
+        archive, config = build_archive_and_config()
+        checked = []
+        real = pipeline.check_layer_input
+
+        def counting(w, cfg):
+            checked.append(cfg.layer_name)
+            real(w, cfg)
+
+        monkeypatch.setattr(pipeline, "check_layer_input", counting)
+        compress_archive(archive, config)
+        assert sorted(checked) == sorted(config.layers)
+        # a direct call still checks its input
+        compress_layer(archive.get("a"), config.resolved("a"))
+        assert checked.count("a") == 2
 
     def test_deterministic_across_jobs(self):
         archive, config = build_archive_and_config()

@@ -374,6 +374,19 @@ def test_entangle_matches_pair_list_oracle(shape, pruned_frac, entangle_prob, se
     assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("shape", [(3, 4, 5, 5), (30, 40)])
+def test_entangle_value_2_is_neither_source_nor_target(shape):
+    # a value other than 0 or 1 neither propagates nor is pruned, and comes
+    # back unchanged in the input's dtype
+    for seed in range(4):
+        mask = np.random.default_rng(seed).integers(0, 3, shape).astype(np.uint8)
+        want = _entangle_oracle(mask, 0.5, seed)
+        got = entangle(mask, 0.5, seed)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        assert np.array_equal(got == 2, mask == 2)
+
+
 def test_entangle_in_plane_bound_follows_shape():
     # equal sizes, different planes: a bound keyed or cached by element
     # count alone would apply one shape's plane edges to another
