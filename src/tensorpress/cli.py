@@ -2,11 +2,17 @@
 
 Exit codes, from errors.exit_status: 0 ok, 2 config error, 3 I/O or format
 error, 4 verification mismatch; 1 is a bug.
+
+Once per process, before its first command, main has glibc's malloc keep
+freed blocks in the heap (_hold_freed_memory), which only the CLI may do since
+it owns its process.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
+import functools
 import json
 import sys
 
@@ -19,6 +25,35 @@ from .factorize import check_rank
 from .tensors import BitTensor, DenseTensor, TensorArchive, load_archive, save_archive
 
 EXIT_OK = 0
+
+# glibc mallopt(3) parameters and the values the CLI sets
+M_TRIM_THRESHOLD = -1
+M_MMAP_THRESHOLD = -3
+MMAP_THRESHOLD = 32 << 20  # glibc's largest on 64-bit: smaller blocks come from the heap
+TRIM_THRESHOLD = 64 << 20  # free heap top kept before it is handed back
+
+
+def _mallopt():
+    """The C library's mallopt, or None where it has none (macOS, Windows)."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):  # Windows: CDLL(None) is a TypeError
+        return None
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    return mallopt
+
+
+@functools.cache
+def _hold_freed_memory() -> None:
+    """Keep freed blocks below MMAP_THRESHOLD in the heap for the next
+    allocation, and up to TRIM_THRESHOLD of free heap top, so that numpy's
+    freed temporaries are reused instead of being unmapped and faulted in
+    again as fresh zero pages. The setting is process-wide and cannot be
+    undone, so only the CLI, which owns its process, makes it."""
+    mallopt = _mallopt()
+    if mallopt is not None:
+        mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD)
+        mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -192,6 +227,7 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
+    _hold_freed_memory()
     args = build_parser().parse_args(argv)
     try:
         return COMMANDS[args.command](args)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import event, given, settings
 import hypothesis.strategies as st
 
-from tensorpress import pipeline
+from tensorpress import cli, pipeline
 from tensorpress.cli import main
 from tensorpress.tensors import (
     BitTensor,
@@ -793,3 +793,51 @@ def test_archive_fuzz_exits_documented(fuzz_base, target, truncate, flips, cut):
     report = workdir / "out.qtns.report.json"
     assert run(["inspect", bad]) in (0, 3)
     assert run(["verify", archives["in.qtns"], archives["out.qtns"], report]) in (0, 3, 4)
+
+
+@pytest.fixture
+def mallopt_calls(monkeypatch):
+    """The (param, value) pairs passed to mallopt, recorded instead of made,
+    with _hold_freed_memory's once-per-process cache cleared around the test."""
+    calls = []
+    monkeypatch.setattr(cli, "_mallopt", lambda: lambda param, value: calls.append((param, value)))
+    cli._hold_freed_memory.cache_clear()
+    yield calls
+    cli._hold_freed_memory.cache_clear()
+
+
+def test_hold_freed_memory_once_per_process(workdir, mallopt_calls):
+    for name in ("a.qtns", "b.qtns"):
+        assert run(["gen", workdir / name, "--layer", "x=4x4"]) == 0
+    cli._hold_freed_memory()
+    assert mallopt_calls == [(cli.M_MMAP_THRESHOLD, 32 << 20), (cli.M_TRIM_THRESHOLD, 64 << 20)]
+
+
+@pytest.mark.parametrize("error", [AttributeError, OSError])
+def test_hold_freed_memory_without_mallopt(workdir, monkeypatch, error):
+    def lookup(name):
+        raise error("no mallopt")
+
+    monkeypatch.setattr(cli.ctypes, "CDLL", lookup)
+    cli._hold_freed_memory.cache_clear()
+    try:
+        assert cli._mallopt() is None
+        assert run(["gen", workdir / "a.qtns", "--layer", "x=4x4"]) == 0
+    finally:
+        cli._hold_freed_memory.cache_clear()
+
+
+def test_cli_compress_writes_the_library_bytes(workdir, mallopt_calls):
+    """The library leaves the allocator alone, and the CLI, which sets its
+    policy, writes the same archive and report bytes."""
+    archive, cfg = write_fixture(workdir)  # gen goes through main: start the record after it
+    cli._hold_freed_memory.cache_clear()
+    mallopt_calls.clear()
+    out, report = pipeline.compress_archive(load_archive(archive),
+                                            pipeline.PipelineConfig.from_json(cfg.read_text()))
+    save_archive(out, workdir / "lib.qtns")
+    assert mallopt_calls == []
+    assert run(["compress", archive, cfg, workdir / "cli.qtns"]) == 0
+    assert len(mallopt_calls) == 2
+    assert (workdir / "cli.qtns").read_bytes() == (workdir / "lib.qtns").read_bytes()
+    assert (workdir / "cli.qtns.report.json").read_text() == report.to_json()

@@ -1,4 +1,7 @@
+import os
 import struct
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,14 +16,28 @@ from tensorpress.errors import (
     TruncatedArchiveError,
     UnsupportedVersionError,
 )
+from tensorpress.cli import main
 from tensorpress.tensors import (
     BitTensor,
     DenseTensor,
     TensorArchive,
     flatten_conv,
+    load_archive,
     read_archive,
     write_archive,
 )
+
+
+def assert_rejected(raw, tmp_path, error, match=None):
+    """Both readers reject raw with the same error: read_archive on the bytes
+    and load_archive on a file holding them."""
+    with pytest.raises(error, match=match) as from_bytes:
+        read_archive(raw)
+    path = tmp_path / "bad.qtns"
+    path.write_bytes(raw)
+    with pytest.raises(error, match=match) as from_file:
+        load_archive(path)
+    assert str(from_file.value) == str(from_bytes.value)
 
 
 def test_dense_tensor_basics():
@@ -146,11 +163,11 @@ def test_version_1_without_bit_entries():
 
 
 @pytest.mark.parametrize("n", [1, 7, 9, 15, 17])
-def test_nonzero_padding_bits_rejected(n):
+def test_nonzero_padding_bits_rejected(n, tmp_path):
     raw = bit_entry_raw(np.ones(n))
     for bit in range(n % 8, 8):
-        with pytest.raises(ArchiveError, match="'m' has nonzero padding bits"):
-            read_archive(raw[:-1] + bytes([raw[-1] | 1 << bit]))
+        assert_rejected(raw[:-1] + bytes([raw[-1] | 1 << bit]), tmp_path, ArchiveError,
+                        "'m' has nonzero padding bits")
 
 
 def test_bit_entry_in_version_1_rejected():
@@ -166,15 +183,14 @@ def test_version_2_without_bit_entries_rejected(entries):
         read_archive(raw[:4] + struct.pack("<I", 2) + raw[8:])
 
 
-def test_truncated_bit_payload():
+def test_truncated_bit_payload(tmp_path):
     raw = bit_entry_raw(np.ones(17))  # 3 bytes
-    with pytest.raises(TruncatedArchiveError):
-        read_archive(raw[:-1])
+    assert_rejected(raw[:-1], tmp_path, TruncatedArchiveError,
+                    "need 3 bytes at offset 33, only 2 left")
 
 
-def test_bad_magic():
-    with pytest.raises(BadMagicError):
-        read_archive(b"NOPE" + b"\x00" * 16)
+def test_bad_magic(tmp_path):
+    assert_rejected(b"NOPE" + b"\x00" * 16, tmp_path, BadMagicError)
 
 
 def test_unsupported_version():
@@ -184,12 +200,55 @@ def test_unsupported_version():
         read_archive(bytes(raw))
 
 
-def test_truncated_payload():
+def test_truncated_payload(tmp_path):
     t = DenseTensor(np.ones((4, 4)))
     raw = write_archive(TensorArchive(entries=[("t", t)]))
     # declared 16 floats, keep only 8
-    with pytest.raises(TruncatedArchiveError):
-        read_archive(raw[: len(raw) - 8 * 4])
+    assert_rejected(raw[: len(raw) - 8 * 4], tmp_path, TruncatedArchiveError,
+                    "need 64 bytes at offset 41, only 32 left")
+
+
+def test_trailing_bytes_rejected(tmp_path):
+    raw = write_archive(TensorArchive(entries=[("t", DenseTensor(np.ones(2)))]))
+    assert_rejected(raw + b"junk", tmp_path, ArchiveError, "^4 bytes after the last entry$")
+
+
+def test_huge_declared_entry_allocates_nothing(tmp_path, capsys):
+    # one f32 entry "w" declaring 2**20 x 2**20 elements (4 TiB), with 19 bytes of payload
+    header = b"QTNS" + struct.pack("<II", 1, 1)
+    entry = struct.pack("<I", 1) + b"w" + struct.pack("<IQQI", 2, 2**20, 2**20, 0)
+    path = tmp_path / "huge.qtns"
+    path.write_bytes(header + entry + bytes(19))
+    assert path.stat().st_size == 60
+    tracemalloc.start()
+    try:
+        with pytest.raises(TruncatedArchiveError, match="need 4398046511104 bytes"):
+            load_archive(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert main(["inspect", str(path)]) == 3
+    assert "need 4398046511104 bytes at offset 41, only 19 left" in capsys.readouterr().err
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_load_archive_from_a_pipe(tmp_path):
+    arc = TensorArchive(entries=[("a", DenseTensor(np.arange(6.0).reshape(2, 3)))])
+    fifo = tmp_path / "pipe.qtns"
+    os.mkfifo(fifo)
+
+    def feed():
+        with open(fifo, "wb") as w:
+            w.write(write_archive(arc))
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    try:
+        assert load_archive(fifo).entries == arc.entries
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
 
 
 def test_zero_axis_entry_rejected():
