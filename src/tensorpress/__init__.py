@@ -11,7 +11,7 @@ from .tensors import (
     BitTensor,
     DenseTensor,
     TensorArchive,
-    flatten_conv,
+    as_matrix,
     read_archive,
     write_archive,
 )
@@ -32,7 +32,7 @@ __all__ = [
     "BitTensor",
     "DenseTensor",
     "TensorArchive",
-    "flatten_conv",
+    "as_matrix",
     "read_archive",
     "write_archive",
     "PruneConfig",

@@ -20,6 +20,7 @@ from .factorize import FactorPair
 from .tensors import DenseTensor
 
 VARIANTS = ("dense", "masked", "factored")
+RTOL = 1e-4  # a variant's matvec agrees with the dense oracle's to this relative norm
 
 
 @dataclass
@@ -96,7 +97,6 @@ def run_bench(
     warmup: int = 10,
     density: float = 0.5,
     seed: int = 0,
-    rtol: float = 1e-4,
 ) -> list[BenchResult]:
     """Time matvec variants for each (m, n, r). reps >= 30, warmup >= 5, density in (0, 1]."""
     check_int("reps", reps, 30)
@@ -134,7 +134,7 @@ def run_bench(
             csr = build_csr(w, mask)
             setup = float(time.perf_counter_ns() - t0)
             ref = dense_matvec(DenseTensor(w.data * mask), x)
-            _check_agreement("masked", csr_matvec(csr, x), ref, rtol)
+            _check_agreement("masked", csr_matvec(csr, x), ref)
             emit("masked", _time_loop(lambda: csr_matvec(csr, x), reps, warmup),
                  flops_masked(int(csr.nnz)), setup)
         if "factored" in variants:
@@ -144,16 +144,16 @@ def run_bench(
                 final_loss=0.0,
             )
             wc = DenseTensor(pair.w1.data.astype(np.float64) @ pair.w2.data.astype(np.float64))
-            _check_agreement("factored", factored_matvec(pair, x), dense_matvec(wc, x), rtol)
+            _check_agreement("factored", factored_matvec(pair, x), dense_matvec(wc, x))
             emit("factored", _time_loop(lambda: factored_matvec(pair, x), reps, warmup),
                  flops_factored(m, n, r))
     return results
 
 
-def _check_agreement(variant: str, got: np.ndarray, want: np.ndarray, rtol: float) -> None:
+def _check_agreement(variant: str, got: np.ndarray, want: np.ndarray) -> None:
     scale = float(np.linalg.norm(want))
     err = float(np.linalg.norm(got.astype(np.float64) - want.astype(np.float64)))
-    if err > rtol * max(scale, 1.0):
+    if err > RTOL * max(scale, 1.0):
         raise AssertionError(
             f"{variant} matvec disagrees with dense oracle: rel err {err / max(scale, 1.0):.3e}"
         )

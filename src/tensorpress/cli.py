@@ -18,7 +18,6 @@ import sys
 
 import numpy as np
 
-from . import bench as bn
 from . import pipeline as pl
 from .errors import ConfigError, check_int, exit_status
 from .factorize import check_rank
@@ -60,7 +59,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="tensorpress",
                                 description="Quantum-inspired weight tensor compression")
     p.add_argument("--json", action="store_true", help="machine-parsable stdout")
-    p.add_argument("-v", "--verbose", action="count", default=0)
     sub = p.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("compress", help="compress an archive per a JSON config")
@@ -149,6 +147,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    from . import bench as bn  # here, not at the top: only bench needs scipy
+
     sizes = []
     for spec in args.size or ["1024x1024x64"]:
         parts = spec.lower().split("x")

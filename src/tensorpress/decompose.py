@@ -12,9 +12,9 @@ from .tensors import DenseTensor
 
 @dataclass(frozen=True)
 class SvdFactors:
-    u: DenseTensor            # m x r
-    sigma: tuple[float, ...]  # non-increasing, >= 0
-    v: DenseTensor            # n x r
+    u: DenseTensor      # m x r
+    sigma: np.ndarray   # r, non-increasing, >= 0: f64 from svd, f32 as an archive stores it
+    v: DenseTensor      # n x r
 
     @property
     def rank(self) -> int:
@@ -31,11 +31,7 @@ def svd(w_f: DenseTensor) -> SvdFactors:
     u, s, vt = np.linalg.svd(a, full_matrices=False)
     v = vt.T
     u, v = _fix_signs(u, v)
-    return SvdFactors(
-        u=DenseTensor(u),
-        sigma=tuple(float(x) for x in s),
-        v=DenseTensor(v),
-    )
+    return SvdFactors(u=DenseTensor(u), sigma=s, v=DenseTensor(v))
 
 
 def _fix_signs(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -68,4 +64,4 @@ def reconstruct(f: SvdFactors) -> DenseTensor:
         raise ShapeError(
             f"inconsistent factors: u {u.shape}, v {v.shape}, {len(f.sigma)} sigmas"
         )
-    return DenseTensor((u.astype(np.float64) * np.asarray(f.sigma)) @ v.astype(np.float64).T)
+    return DenseTensor((u.astype(np.float64) * f.sigma) @ v.astype(np.float64).T)

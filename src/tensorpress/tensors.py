@@ -130,12 +130,12 @@ class BitTensor:
 Tensor = DenseTensor | BitTensor
 
 
-def flatten_conv(w: DenseTensor) -> DenseTensor:
-    """Flatten a 4-axis conv tensor (C_out, C_in, H, W) to (C_out, C_in*H*W)."""
-    if len(w.shape) != 4:
-        raise ShapeError(f"flatten_conv needs a 4-axis tensor, got {len(w.shape)} axes")
-    c_out = w.shape[0]
-    return DenseTensor(w.data.reshape(c_out, -1))
+def as_matrix(a: np.ndarray) -> np.ndarray:
+    """A layer's m x n view, the matrix every stage works on: a 2-axis array
+    as it is, a 4-axis conv array (C_out, C_in, H, W) as (C_out, C_in*H*W)."""
+    if a.ndim not in (2, 4):
+        raise ShapeError(f"a layer has 2 or 4 axes, got {a.ndim}")
+    return a.reshape(a.shape[0], -1)
 
 
 @dataclass

@@ -1,7 +1,10 @@
 import copy
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -9,6 +12,7 @@ import pytest
 from hypothesis import event, given, settings
 import hypothesis.strategies as st
 
+import tensorpress
 from tensorpress import cli, pipeline
 from tensorpress.cli import main
 from tensorpress.tensors import (
@@ -182,6 +186,23 @@ def test_bench_json_output(workdir, capsys):
     assert {r["variant"] for r in rows} == {"dense", "masked", "factored"}
     stdout_rows = json.loads(capsys.readouterr().out)
     assert len(stdout_rows) == len(rows)
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # only bench needs scipy, and it imports it when it runs
+    src = os.path.dirname(os.path.dirname(tensorpress.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, tensorpress.cli; assert 'scipy' not in sys.modules, 'scipy loaded'"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_verbose_flag_is_unknown(workdir, capsys):
+    archive, _ = write_fixture(workdir)
+    with pytest.raises(SystemExit) as exc:
+        run(["-v", "inspect", archive])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: -v" in capsys.readouterr().err
 
 
 def test_bench_bad_size_exit_2(workdir):

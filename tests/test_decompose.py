@@ -4,7 +4,7 @@ from scipy.linalg import eigh
 
 from tensorpress.decompose import _fix_signs, reconstruct, svd, truncate
 from tensorpress.errors import ConfigError, ShapeError
-from tensorpress.tensors import DenseTensor, flatten_conv
+from tensorpress.tensors import DenseTensor, as_matrix
 
 
 def random_matrix(m, n, seed):
@@ -14,6 +14,13 @@ def random_matrix(m, n, seed):
 def test_diagonal_singular_values():
     f = svd(DenseTensor(np.diag([3.0, 2.0])))
     assert list(f.sigma) == pytest.approx([3.0, 2.0])
+
+
+def test_sigma_is_the_f64_array_svd_returns():
+    f = svd(random_matrix(5, 3, 1))
+    assert isinstance(f.sigma, np.ndarray)
+    assert f.sigma.dtype == np.float64 and f.sigma.shape == (3,)
+    assert isinstance(truncate(f, 2).sigma, np.ndarray)
 
 
 def test_zero_matrix():
@@ -87,7 +94,7 @@ def test_rank1_outer_product_reconstruction():
 
     f = SvdFactors(
         u=DenseTensor(np.array([[1.0], [0.0]])),
-        sigma=(2.0,),
+        sigma=np.array([2.0]),
         v=DenseTensor(np.array([[0.0], [1.0]])),
     )
     assert reconstruct(f).data.tolist() == [[0.0, 2.0], [0.0, 0.0]]
@@ -98,7 +105,7 @@ def test_reconstruct_shape_mismatch():
 
     f = SvdFactors(
         u=DenseTensor(np.ones((2, 2))),
-        sigma=(1.0,),
+        sigma=np.array([1.0]),
         v=DenseTensor(np.ones((2, 2))),
     )
     with pytest.raises(ShapeError):
@@ -109,7 +116,7 @@ def test_conv_tensor_round_trip_shape():
     # a conv layer is decomposed as its flattened C_out x (C_in*H*W) matrix,
     # and reconstruct gives that matrix back
     w = DenseTensor(np.random.default_rng(5).standard_normal((4, 3, 2, 2)))
-    recon = reconstruct(truncate(svd(flatten_conv(w)), 2))
+    recon = reconstruct(truncate(svd(DenseTensor(as_matrix(w.data))), 2))
     assert recon.shape == (4, 12)
 
 

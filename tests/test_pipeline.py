@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from tensorpress import pipeline
+from tensorpress.decompose import SvdFactors, reconstruct
 from tensorpress.errors import ConfigError, DivergenceError, VerificationError
 from tensorpress.factorize import AnnealConfig
 from tensorpress.pipeline import (
@@ -23,7 +24,7 @@ from tensorpress.pipeline import (
     rebuild_layer,
     verify_report,
 )
-from tensorpress.prune import PruneConfig
+from tensorpress.prune import PruneConfig, iterative_prune
 from tensorpress.tensors import (
     BitTensor,
     DenseTensor,
@@ -139,6 +140,26 @@ class TestCompressLayer:
         assert layer.factors.w1.shape == (6, 3)
         assert layer.factors.w2.shape == (3, 18)
         assert layer.mask.shape == (6, 2, 3, 3)
+
+    @pytest.mark.parametrize("stage_list", [("decompose",), ("prune", "decompose"),
+                                            ("factorize", "decompose")])
+    def test_stored_sigma_reconstructs_as_the_python_floats_did(self, stage_list):
+        # the f32 sigma array promotes to f64 exactly, so the product has the
+        # bytes of the tuple of Python floats the layer used to hand over
+        w = random_tensor((6, 2, 3, 3), 4)
+        layer, _ = compress_layer(w, full_config(stage_list=stage_list, rank_svd=3))
+        u, sigma, v = layer.tensors
+        as_floats = SvdFactors(u=u, sigma=tuple(float(x) for x in sigma.data), v=v)
+        assert layer.svd_factors.sigma.dtype == np.float32
+        assert reconstruct(layer.svd_factors).data.tobytes() == reconstruct(as_floats).data.tobytes()
+
+    @pytest.mark.parametrize("shape", [(13, 11), (6, 5, 3, 3)])
+    def test_kept_indices_same_for_pruned_and_stored_mask(self, shape):
+        mask = iterative_prune(random_tensor(shape, 5), PruneConfig(alpha=0.55, stages=2, seed=1)).mask
+        stored = read_archive(write_archive(TensorArchive(entries=[("m", BitTensor(mask))])))
+        kept = pipeline._kept(mask)
+        assert np.array_equal(pipeline._kept(stored.get("m").data), kept)
+        assert np.array_equal(kept, np.nonzero(mask.ravel() == 1)[0])
 
     def test_errors_name_the_layer(self):
         w = DenseTensor(np.ones((8,)))

@@ -21,7 +21,7 @@ from tensorpress.tensors import (
     BitTensor,
     DenseTensor,
     TensorArchive,
-    flatten_conv,
+    as_matrix,
     load_archive,
     read_archive,
     write_archive,
@@ -56,46 +56,56 @@ def test_dense_tensor_rejects_bad_shapes():
         DenseTensor(np.float32(1.0))
 
 
-def test_flatten_conv_degenerate_spatial():
-    w = DenseTensor(np.array([5.0, 7.0]).reshape(2, 1, 1, 1))
-    out = flatten_conv(w)
+def test_as_matrix_degenerate_spatial():
+    w = np.array([5.0, 7.0], dtype=np.float32).reshape(2, 1, 1, 1)
+    out = as_matrix(w)
     assert out.shape == (2, 1)
-    assert out.data.ravel().tolist() == [5.0, 7.0]
+    assert out.ravel().tolist() == [5.0, 7.0]
 
 
-def test_flatten_conv_row_major_identity():
-    w = DenseTensor(np.arange(8, dtype=np.float32).reshape(1, 2, 2, 2))
-    out = flatten_conv(w)
+def test_as_matrix_row_major_identity():
+    w = np.arange(8, dtype=np.float32).reshape(1, 2, 2, 2)
+    out = as_matrix(w)
     assert out.shape == (1, 8)
-    assert out.data.ravel().tolist() == list(range(8))
+    assert out.ravel().tolist() == list(range(8))
 
 
-def test_flatten_conv_indexing_formula():
+def test_as_matrix_indexing_formula():
     rng = np.random.default_rng(3)
-    w = DenseTensor(rng.standard_normal((4, 3, 2, 2)))
-    out = flatten_conv(w)
+    w = DenseTensor(rng.standard_normal((4, 3, 2, 2))).data
+    out = as_matrix(w)
     c_in, h, wd = 3, 2, 2
     for o in range(4):
         for c in range(c_in):
             for i in range(h):
                 for j in range(wd):
-                    assert out.data[o, c * h * wd + i * wd + j] == w.data[o, c, i, j]
+                    assert out[o, c * h * wd + i * wd + j] == w[o, c, i, j]
     # inverse reshape is bit-exact
     back = out.reshape((4, 3, 2, 2))
-    assert np.array_equal(back.data, w.data)
+    assert np.array_equal(back, w)
 
 
-def test_flatten_conv_rejects_wrong_rank():
-    with pytest.raises(ShapeError):
-        flatten_conv(DenseTensor(np.ones((2, 3))))
+def test_as_matrix_two_axes_is_the_same_shape_as_a_view():
+    w = DenseTensor(np.arange(6.0).reshape(2, 3)).data
+    out = as_matrix(w)
+    assert out.shape == (2, 3)
+    assert np.shares_memory(out, w)
+    assert np.array_equal(out, w)
 
 
-def test_flatten_preserves_values_and_norm():
+@pytest.mark.parametrize("shape", [(6,), (2, 3, 1)], ids=["1_axis", "3_axes"])
+def test_as_matrix_rejects_other_axis_counts(shape):
+    with pytest.raises(ShapeError, match=f"got {len(shape)}"):
+        as_matrix(np.ones(shape, dtype=np.float32))
+
+
+def test_as_matrix_preserves_values_and_norm():
     rng = np.random.default_rng(11)
-    w = DenseTensor(rng.standard_normal((5, 2, 3, 3)))
-    out = flatten_conv(w)
-    assert sorted(out.data.ravel().tolist()) == sorted(w.data.ravel().tolist())
-    assert np.linalg.norm(out.data) == np.linalg.norm(w.data)
+    w = DenseTensor(rng.standard_normal((5, 2, 3, 3))).data
+    out = as_matrix(w)
+    assert sorted(out.ravel().tolist()) == sorted(w.ravel().tolist())
+    assert np.linalg.norm(out) == np.linalg.norm(w)
+    assert np.shares_memory(out, w)
 
 
 def test_empty_archive_round_trip():
