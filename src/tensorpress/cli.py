@@ -14,6 +14,7 @@ import argparse
 import ctypes
 import functools
 import json
+import math
 import sys
 
 import numpy as np
@@ -122,8 +123,9 @@ def cmd_inspect(args) -> int:
         "frobenius_norm": float(np.linalg.norm(t.data.astype(np.float64))),
         "sparsity": float(np.mean(t.data == 0)),
     } for name, t in load_archive(args.archive).entries]
-    if args.json:
-        print(json.dumps(rows, indent=2))
+    if args.json:  # strict JSON has no NaN or Infinity: a non-finite norm is null
+        print(json.dumps([r if math.isfinite(r["frobenius_norm"]) else {**r, "frobenius_norm": None}
+                          for r in rows], indent=2))
         return EXIT_OK
     header = (f"{'name':<24} {'dtype':<5} {'shape':<18} {'params':>10} {'fro norm':>12} "
               f"{'sparsity':>9}")
@@ -196,6 +198,8 @@ def gen_archive(layer_specs: list[str], seed: int) -> TensorArchive:
     entries = []
     for spec in layer_specs:
         name, shape, rank = _parse_layer_spec(spec)
+        if any(n == name for n, _ in entries):
+            raise ConfigError(f"layer name {name!r} is given by more than one --layer")
         if rank is not None:
             m, n = shape[0], int(np.prod(shape[1:]))
             check_rank(rank, m, n, f"layer {name!r}: ")

@@ -86,12 +86,6 @@ def _gradients(resid, w1, w2, g1, g2) -> tuple[np.ndarray, np.ndarray]:
     return g1, g2
 
 
-def loss_gradient(w, w1, w2) -> tuple[np.ndarray, np.ndarray]:
-    """Analytic gradients of frobenius_loss, as anneal_factorize computes them."""
-    a, b, c = _as_matrices(w, w1, w2)
-    return _gradients(b @ c - a, b, c, np.empty_like(b), np.empty_like(c))
-
-
 def check_rank(rank: int, m: int, n: int, where: str = "") -> None:
     """Raise ConfigError, its message led by where, unless a rank-`rank` factor
     pair fits an m x n matrix."""

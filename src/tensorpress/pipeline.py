@@ -3,6 +3,7 @@ parameter bookkeeping, and the compression report."""
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import ctypes
 import functools
@@ -23,21 +24,26 @@ from .errors import ArchiveError, ConfigError, VerificationError, check_int
 from .tensors import BitTensor, DenseTensor, Tensor, TensorArchive, as_matrix
 
 STAGES = ("prune", "decompose", "factorize")
-DEFAULT_STAGE_LIST = list(STAGES)
 # keys of "defaults" and of each layer's overrides; prune and anneal are objects
 LAYER_KEYS = ("seed", "stage_list", "prune", "rank_svd", "anneal")
 
 # Entry names of each artifact kind (layer name + suffix), in entries() order;
 # a pruned layer adds name + MASK_SUFFIX, bit-packed, which a "masked" layer
-# always has.
+# always has. The kind is the one its stage list's last stage stores.
 ENTRY_SUFFIXES = {"masked": ("",), "svd": (".u", ".sigma", ".v"), "factored": (".w1", ".w2")}
 MASK_SUFFIX = ".mask"
+LAST_STAGE_KIND = {"prune": "masked", "decompose": "svd", "factorize": "factored"}
+
+
+def _entry_names(name: str, kind: str, pruned: bool) -> list[str]:
+    """The archive entries of a layer's artifact, in entries() order."""
+    return [name + s for s in ENTRY_SUFFIXES[kind]] + [name + MASK_SUFFIX] * pruned
 
 
 @dataclass(frozen=True)
 class LayerConfig:
     layer_name: str
-    stage_list: tuple[str, ...] = tuple(DEFAULT_STAGE_LIST)
+    stage_list: tuple[str, ...] = STAGES
     prune: pr.PruneConfig = pr.PruneConfig()
     rank_svd: int | None = None
     anneal: fac.AnnealConfig | None = None
@@ -94,10 +100,8 @@ class CompressedLayer:
 
     def entries(self) -> list[tuple[str, Tensor]]:
         """Archive entries representing this layer's stored artifact."""
-        out = [(self.layer_name + s, t) for s, t in zip(ENTRY_SUFFIXES[self.kind], self.tensors)]
-        if self.mask is not None:
-            out.append((self.layer_name + MASK_SUFFIX, BitTensor(self.mask)))
-        return out
+        mask = () if self.mask is None else (BitTensor(self.mask),)
+        return list(zip(_entry_names(self.layer_name, self.kind, bool(mask)), self.tensors + mask))
 
     def effective_matrix(self) -> np.ndarray:
         """The matrix the artifact stands for at inference: mask applied
@@ -196,25 +200,25 @@ def compress_layer(w: DenseTensor, cfg: LayerConfig, *,
                         f"(alpha {cfg.prune.alpha}, entangle_prob {cfg.prune.entangle_prob})"
                     )
                 kept = res.pruned_weights.data.ravel().take(_kept(mask))
-                kind, tensors = "masked", (DenseTensor(kept),)
+                tensors = (DenseTensor(kept),)
                 current = DenseTensor(as_matrix(res.pruned_weights.data))
             elif stage == "decompose":
                 full = dec.svd(current)
                 svd_f = dec.truncate(full, min(cfg.rank_svd, full.rank))
                 # the archive stores sigma as f32; a next stage takes the f64 product
-                kind, tensors = "svd", (svd_f.u, DenseTensor(svd_f.sigma), svd_f.v)
+                tensors = (svd_f.u, DenseTensor(svd_f.sigma), svd_f.v)
                 if more:
                     current = dec.reconstruct(svd_f)
             else:
                 pair = fac.anneal_factorize(current, cfg.anneal)
-                kind, tensors = "factored", (pair.w1, pair.w2)
+                tensors = (pair.w1, pair.w2)
                 if more:
                     current = fac.compressed_matrix(pair)
     except Exception as exc:
         exc.args = (f"layer {cfg.layer_name!r} ({stage}): {exc}",)
         raise
 
-    layer = CompressedLayer(cfg.layer_name, kind, tensors, mask)
+    layer = CompressedLayer(cfg.layer_name, LAST_STAGE_KIND[cfg.stage_list[-1]], tensors, mask)
     row = layer_row(w, layer)
     row["wall_time"] = time.perf_counter() - t0
     return layer, row
@@ -328,7 +332,7 @@ class PipelineConfig:
             if seed_override is not None or "seed" not in prune_d:
                 prune_d["seed"] = derive_seed(base_seed, layer_name, "prune")
             anneal_d = dict(merged.get("anneal", {}))
-            stage_list = merged.get("stage_list", DEFAULT_STAGE_LIST)
+            stage_list = merged.get("stage_list", STAGES)
             if not isinstance(stage_list, (list, tuple)):
                 raise ConfigError(f"stage_list must be a list, got {stage_list!r}")
             anneal = None
@@ -490,6 +494,7 @@ def compress_archive(
         raise ConfigError(f"config names layers missing from archive: {missing}")
     configured = [(name, tensor) for name, tensor in archive.entries if name in config.layers]
     configs = [config.resolved(name, seed_override) for name, _ in configured]
+    _check_entry_names(archive, configs)
     for (_, tensor), cfg in zip(configured, configs):
         check_layer_input(tensor, cfg)
     jobs = max(1, min(_default_jobs() if jobs is None else jobs, len(configs)))
@@ -500,6 +505,19 @@ def compress_archive(
         total_bytes_ratio=total_ratio(archive, rows, "bytes"), config_echo=config.echo(),
     )
     return output_archive(archive, {layer.layer_name: layer for layer, _ in results}), report
+
+
+def _check_entry_names(archive: TensorArchive, configs: list[LayerConfig]) -> None:
+    """Raise ConfigError for the first configured layer sharing an output entry name."""
+    kinds = {c.layer_name: (LAST_STAGE_KIND[c.stage_list[-1]], "prune" in c.stage_list)
+             for c in configs}
+    planned = {name: _entry_names(name, *kinds[name]) if name in kinds else [name]
+               for name, _ in archive.entries}
+    counts = collections.Counter(n for names in planned.values() for n in names)
+    for name in kinds:
+        clash = [n for n in planned[name] if counts[n] > 1]
+        if clash:
+            raise ConfigError(f"layer {name!r}: entry names {clash} collide in the output archive")
 
 
 def output_archive(original: TensorArchive, layers: dict[str, CompressedLayer]) -> TensorArchive:
@@ -525,9 +543,7 @@ def rebuild_layer(
         raise VerificationError(
             f"layer {name!r}: original is not an f32 tensor of 2 or 4 axes, which compress takes"
         )
-    names = [name + s for s in ENTRY_SUFFIXES[kind]]
-    if kind == "masked" or name + MASK_SUFFIX in compressed:
-        names.append(name + MASK_SUFFIX)
+    names = _entry_names(name, kind, kind == "masked" or name + MASK_SUFFIX in compressed)
     missing = [n for n in names if n not in compressed]
     if missing:
         raise VerificationError(f"layer {name!r} ({kind}): archive has no {missing}")

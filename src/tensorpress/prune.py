@@ -14,8 +14,9 @@ code and lists the pairs from the codes of the pruned weights, but any
 computation of the same pair sequence takes the same draws.
 
 iterative_prune keeps one bool keep-mask for all stages and updates it in
-place: a stage's threshold and its entanglement pass clear their picks in that
-array, which is never copied, and the result's mask is it viewed as uint8.
+place: a stage's threshold and entangle, the one entanglement pass, clear
+their picks in that array, which is never copied, and the result's mask is it
+viewed as uint8.
 Beside it, the magnitudes of pruned weights are set to inf, so a stage ranks
 the whole |w| array rather than a gathered copy of the survivors.
 
@@ -102,31 +103,20 @@ def _in_plane(shape: tuple[int, ...]) -> np.ndarray:
     return table
 
 
-def entangle(mask: RetainMask, entangle_prob: float, seed) -> RetainMask:
-    """One propagation pass: each retained neighbor of a pruned weight is
-    independently pruned with probability entangle_prob. Non-cascading: only
-    weights pruned in the input mask propagate.
+def entangle(keep: np.ndarray, shape: tuple[int, ...], entangle_prob: float,
+             seed) -> np.ndarray:
+    """One propagation pass on the flat bool keep-mask of a tensor of this
+    shape: each retained neighbor of a pruned weight is independently pruned
+    with probability entangle_prob. Non-cascading: only weights pruned in the
+    input mask propagate. Each hit is cleared in keep, in place; returns their
+    flat indices.
 
     Neighbors lie in the same trailing H x W plane of a 4-axis tensor (steps
     -W, +W, -1, +1: up, down, left, right), otherwise along the last axis
     (steps -1, +1). One uniform draw is taken per (pruned weight, retained
     neighbor) pair, in pruned flat index order, then direction order; archive
-    byte-identity rests on this order. A 1 is retained and a 0 pruned; any
-    other value is neither, and passes through unchanged.
+    byte-identity rests on this order.
     """
-    check_real("entangle_prob", entangle_prob, "[0, 1]")
-    flat = mask.ravel()
-    out = flat.copy()
-    if entangle_prob > 0.0:
-        out[_entangle_into(flat == 1, flat == 0, mask.shape, entangle_prob, seed)] = 0
-    return out.reshape(mask.shape)
-
-
-def _entangle_into(keep: np.ndarray, pruned: np.ndarray, shape: tuple[int, ...],
-                   entangle_prob: float, seed) -> np.ndarray:
-    """entangle's pass on flat bool masks of a tensor of this shape: keep marks
-    the retained weights, pruned the weights that propagate (~keep for a 0/1
-    mask). Each hit is set False in keep, in place; returns their flat indices."""
     kept = keep.view(np.uint8)
     steps = _steps(shape)
     n, k = keep.size, len(steps)
@@ -139,7 +129,7 @@ def _entangle_into(keep: np.ndarray, pruned: np.ndarray, shape: tuple[int, ...],
         lo, hi = max(-step, 0), n - max(step, 0)
         np.bitwise_or(code[lo:hi], kept[lo + step : hi + step], out=code[lo:hi])
     np.bitwise_and(code, _in_plane(shape), out=code)
-    np.multiply(code, pruned, out=code)
+    np.multiply(code, ~keep, out=code)
     # pairs[i, d]: pruned weight p[i] has a retained neighbor p[i] + steps[d];
     # the flat nonzero ids i * k + d come in the draw order
     p = np.flatnonzero(code != 0)
@@ -174,7 +164,7 @@ def iterative_prune(w: DenseTensor, cfg: PruneConfig) -> PruneResult:
         magnitude[picks] = np.inf
         if cfg.entangle_prob > 0.0:
             stage_seed = np.random.SeedSequence([cfg.seed & 0xFFFFFFFFFFFFFFFF, stage])
-            hits = _entangle_into(keep, ~keep, w.shape, cfg.entangle_prob, stage_seed)
+            hits = entangle(keep, w.shape, cfg.entangle_prob, stage_seed)
             magnitude[hits] = np.inf
         kept = np.count_nonzero(keep)
         per_stage.append(1.0 - kept / n)

@@ -79,9 +79,6 @@ class DenseTensor:
             return NotImplemented
         return self.shape == other.shape and np.array_equal(self.data, other.data)
 
-    def __hash__(self):
-        return hash((self.shape, self.data.tobytes()))
-
     @property
     def nbytes(self) -> int:
         """Payload bytes in an archive."""
@@ -122,9 +119,6 @@ class BitTensor:
         if not isinstance(other, BitTensor):
             return NotImplemented
         return self.shape == other.shape and np.array_equal(self.data, other.data)
-
-    def __hash__(self):
-        return hash((self.shape, self.data.tobytes()))
 
 
 Tensor = DenseTensor | BitTensor

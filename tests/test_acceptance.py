@@ -24,7 +24,7 @@ from tensorpress.errors import (
     TruncatedArchiveError,
     UnsupportedVersionError,
 )
-from tensorpress.factorize import AnnealConfig, anneal_factorize, frobenius_loss, loss_gradient
+from tensorpress.factorize import AnnealConfig, _gradients, anneal_factorize, frobenius_loss
 from tensorpress.prune import PruneConfig, entangle, iterative_prune
 from tensorpress.tensors import (
     BitTensor,
@@ -89,13 +89,15 @@ def test_criterion_3_entanglement_statistics():
         assert eligible >= 10_000
         extra = 0
         for seed in range(200):
-            out = entangle(base, 0.5, seed=seed)
-            extra += int((base == 1).sum() - out.sum())
+            keep = base == 1
+            entangle(keep, base.shape, 0.5, seed=seed)
+            extra += int((base == 1).sum() - keep.sum())
         rate = extra / (eligible * 200)
         assert abs(rate - 0.5) < 0.02, rate
         # p = 0 is a bit-exact no-op
-        noop = entangle(base, 0.0, seed=0)
-        assert noop.tobytes() == base.tobytes()
+        keep = base == 1
+        entangle(keep, base.shape, 0.0, seed=0)
+        assert keep.view(np.uint8).tobytes() == base.tobytes()
 
 
 def test_criterion_4_eckart_young():
@@ -132,7 +134,7 @@ def test_criterion_5_gradient_check():
             w = rng.standard_normal((m, n))
             w1 = rng.standard_normal((m, r))
             w2 = rng.standard_normal((r, n))
-            a1, a2 = loss_gradient(w, w1, w2)
+            a1, a2 = _gradients(w1 @ w2 - w, w1, w2, np.empty_like(w1), np.empty_like(w2))
             for arr, grad, which in ((w1, a1, 0), (w2, a2, 1)):
                 num = np.zeros_like(arr)
                 for idx in np.ndindex(arr.shape):

@@ -117,6 +117,25 @@ def test_inspect_counts(workdir, capsys):
     assert rows[0]["frobenius_norm"] == pytest.approx(np.sqrt(6))
 
 
+def test_inspect_json_non_finite_norm_is_null(workdir, capsys):
+    # pass-through NaN and inf entries are legal; strict JSON has no NaN or Infinity
+    save_archive(TensorArchive(entries=[
+        ("x", DenseTensor(np.array([NAN, 1.0, INF]))),
+        ("y", DenseTensor(np.array([INF, 1.0]))),
+        ("z", DenseTensor(np.ones(4))),
+    ]), workdir / "odd.qtns")
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    assert run(["--json", "inspect", workdir / "odd.qtns"]) == 0
+    rows = json.loads(capsys.readouterr().out, parse_constant=reject)
+    assert [r["frobenius_norm"] for r in rows] == [None, None, 2.0]
+    assert run(["inspect", workdir / "odd.qtns"]) == 0
+    table = capsys.readouterr().out.splitlines()[2:]
+    assert [line.split()[4] for line in table] == ["nan", "inf", "2.0000"]
+
+
 def test_inspect_empty_archive(workdir, capsys):
     save_archive(TensorArchive(), workdir / "empty.qtns")
     assert run(["--json", "inspect", workdir / "empty.qtns"]) == 0
@@ -672,6 +691,30 @@ def test_compress_bad_config_exit_2_before_any_layer(workdir, capsys, monkeypatc
     assert not (workdir / "out.qtns").exists()
 
 
+@pytest.mark.parametrize("layers, config, message", [
+    # fc's factor pair is named fc.w1 and fc.w2, and fc.w1 passes through
+    (["fc=64x64", "fc.w1=3x3"], {"fc": {}}, r"layer 'fc': entry names \['fc.w1'\] collide"),
+    # two configured layers: a's factor pair and the masked a.w1
+    (["a=8x8", "a.w1=8x8"], {"a": {}, "a.w1": {"stage_list": ["prune"]}},
+     r"layer 'a': entry names \['a.w1'\] collide"),
+], ids=["pass_through", "two_configured"])
+def test_compress_entry_name_collision_exit_2_before_any_layer(workdir, capsys, monkeypatch,
+                                                               layers, config, message):
+    gen = ["gen", workdir / "in.qtns"]
+    assert run([*gen, *[a for spec in layers for a in ("--layer", spec)]]) == 0
+    cfg = workdir / "cfg.json"
+    cfg.write_text(json.dumps({"defaults": {"stage_list": ["factorize"], "anneal": {"rank": 2}},
+                               "layers": config}))
+    calls = []
+    monkeypatch.setattr(pipeline, "compress_layer", lambda *a, **k: calls.append(a))
+    capsys.readouterr()
+    assert run(["compress", workdir / "in.qtns", cfg, workdir / "out.qtns"]) == 2
+    assert re.search(message, capsys.readouterr().err)
+    assert calls == []
+    assert not (workdir / "out.qtns").exists()
+    assert not (workdir / "out.qtns.report.json").exists()
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow on the way to inf
 @pytest.mark.parametrize("key, value", [("eta0", 1e300), ("init_scale", 1e200)])
 def test_compress_divergence_exit_2(workdir, capsys, key, value):
@@ -696,11 +739,13 @@ def test_compress_divergence_exit_2(workdir, capsys, key, value):
     (["gen", "--layer", "fc1=4x4:rank=5"], "layer 'fc1': rank 5 exceeds min(m, n) = 4"),
     # a command-line byte that is not UTF-8 reaches the name as a lone surrogate
     (["gen", "--layer", "a\udcff=4x4"], "layer name 'a\\udcff' is not valid UTF-8"),
+    (["gen", "--layer", "a=2x2", "--layer", "fc1=4x4", "--layer", "a=2x2"],
+     "layer name 'a' is given by more than one --layer"),
     *[(["bench", "--size", "8x8x2", "--density", d], "density must be a number in (0, 1]")
       for d in ["0", "-1", "1.5", "nan"]],
 ], ids=["size_not_int", "size_0", "reps_5", "warmup_2", "variant_unknown", "bench_seed_negative",
-        "gen_rank_0", "gen_seed_negative", "gen_rank_past_shape", "gen_name_not_utf8", "density_0",
-        "density_negative", "density_1.5", "density_nan"])
+        "gen_rank_0", "gen_seed_negative", "gen_rank_past_shape", "gen_name_not_utf8",
+        "gen_name_repeated", "density_0", "density_negative", "density_1.5", "density_nan"])
 def test_bench_gen_bad_args_exit_2(workdir, capsys, args, message):
     out = workdir / "out"
     args = [*args, "--out", out] if args[0] == "bench" else [args[0], out, *args[1:]]

@@ -4,6 +4,7 @@ from hypothesis import assume, example, given, settings
 import hypothesis.extra.numpy as hnp
 import hypothesis.strategies as st
 
+from tensorpress import prune
 from tensorpress.errors import ConfigError
 from tensorpress.prune import PruneConfig, _in_plane, _smallest_k, entangle, iterative_prune
 from tensorpress.tensors import DenseTensor
@@ -52,6 +53,14 @@ def _neighbor_pairs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     nbr = nbr.ravel()
     valid = nbr >= 0
     return src[valid], nbr[valid]
+
+
+def entangled(mask: np.ndarray, entangle_prob: float, seed) -> np.ndarray:
+    """entangle run in place on the keep-mask of a 0/1 mask (mask == 1), as a
+    0/1 uint8 array of the mask's shape."""
+    keep = mask.ravel() == 1
+    entangle(keep, mask.shape, entangle_prob, seed)
+    return keep.view(np.uint8).reshape(mask.shape)
 
 
 def _entangle_oracle(mask: np.ndarray, entangle_prob: float, seed) -> np.ndarray:
@@ -186,19 +195,19 @@ class TestRetainMask:
 class TestEntangle:
     def test_zero_prob_noop(self):
         mask = np.array([1, 0, 1, 1], dtype=np.uint8)
-        out = entangle(mask, 0.0, seed=1)
+        out = entangled(mask, 0.0, seed=1)
         assert np.array_equal(out, mask)
 
     def test_prob_one_single_pass_no_cascade(self):
         mask = np.array([1, 0, 1, 1], dtype=np.uint8)
-        out = entangle(mask, 1.0, seed=1)
+        out = entangled(mask, 1.0, seed=1)
         assert out.tolist() == [0, 0, 0, 1]
 
     def test_4axis_neighborhood_within_plane(self):
         # pruned center of one 3x3 plane; only its 4-neighbors are eligible
         mask = np.ones((2, 1, 3, 3), dtype=np.uint8)
         mask[0, 0, 1, 1] = 0
-        out = entangle(mask, 1.0, seed=0)
+        out = entangled(mask, 1.0, seed=0)
         expect = np.ones((2, 1, 3, 3), dtype=np.uint8)
         expect[0, 0, 1, 1] = 0
         expect[0, 0, 0, 1] = 0
@@ -211,7 +220,7 @@ class TestEntangle:
     def test_no_wraparound_across_rows(self):
         mask = np.ones((2, 3), dtype=np.uint8)
         mask[0, 2] = 0  # end of first row; (1, 0) is not a neighbor
-        out = entangle(mask, 1.0, seed=0)
+        out = entangled(mask, 1.0, seed=0)
         assert out[1, 0] == 1
         assert out[0, 1] == 0
 
@@ -229,19 +238,15 @@ class TestEntangle:
         assert eligible >= 10_000
         pruned_extra = 0
         for seed in range(200):
-            out = entangle(base, 0.5, seed=seed)
+            out = entangled(base, 0.5, seed=seed)
             pruned_extra += int((base == 1).sum() - out.sum())
         rate = pruned_extra / (eligible * 200)
         assert abs(rate - 0.5) < 0.02
 
-    def test_invalid_prob(self):
-        with pytest.raises(ConfigError):
-            entangle(np.ones(3, dtype=np.uint8), 1.5, seed=0)
-
     def test_deterministic_given_seed(self):
         mask = (np.random.default_rng(0).random(200) > 0.3).astype(np.uint8)
-        a = entangle(mask, 0.5, seed=123)
-        b = entangle(mask, 0.5, seed=123)
+        a = entangled(mask, 0.5, seed=123)
+        b = entangled(mask, 0.5, seed=123)
         assert np.array_equal(a, b)
 
 
@@ -368,23 +373,12 @@ def test_matches_softmax_oracle(data, alpha, stages, entangle_prob, seed):
 def test_entangle_matches_pair_list_oracle(shape, pruned_frac, entangle_prob, seed):
     rng = np.random.default_rng(seed)
     mask = (rng.random(shape) >= pruned_frac).astype(np.uint8)
-    got = entangle(mask, entangle_prob, seed)
+    keep = mask.ravel() == 1
+    hits = entangle(keep, mask.shape, entangle_prob, seed)
     want = _entangle_oracle(mask, entangle_prob, seed)
-    assert got.dtype == want.dtype and got.shape == want.shape
-    assert np.array_equal(got, want)
-
-
-@pytest.mark.parametrize("shape", [(3, 4, 5, 5), (30, 40)])
-def test_entangle_value_2_is_neither_source_nor_target(shape):
-    # a value other than 0 or 1 neither propagates nor is pruned, and comes
-    # back unchanged in the input's dtype
-    for seed in range(4):
-        mask = np.random.default_rng(seed).integers(0, 3, shape).astype(np.uint8)
-        want = _entangle_oracle(mask, 0.5, seed)
-        got = entangle(mask, 0.5, seed)
-        assert got.dtype == want.dtype
-        assert np.array_equal(got, want)
-        assert np.array_equal(got == 2, mask == 2)
+    assert np.array_equal(keep, want.ravel() == 1)
+    # the returned flat indices are exactly the weights the pass cleared
+    assert np.array_equal(np.unique(hits), np.flatnonzero((mask.ravel() == 1) & ~keep))
 
 
 def test_entangle_in_plane_bound_follows_shape():
@@ -396,7 +390,7 @@ def test_entangle_in_plane_bound_follows_shape():
         for shape in shapes:
             mask = (rng.random(shape) >= 0.4).astype(np.uint8)
             want = _entangle_oracle(mask, 0.5, seed)
-            assert np.array_equal(entangle(mask, 0.5, seed), want)
+            assert np.array_equal(entangled(mask, 0.5, seed), want)
     for shape in shapes:
         assert not _in_plane(shape).flags.writeable
 
@@ -409,4 +403,23 @@ def test_iterative_prune_matches_oracle_loop(shape):
     assert injective
     got = iterative_prune(w, cfg).mask
     assert (got == 0).mean() > 0.5  # entanglement added pruning beyond alpha
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("entangle_prob", [0.0, 0.3])
+def test_iterative_prune_runs_entangle_by_module_name(monkeypatch, entangle_prob):
+    # a wrapper set on the module is the pass iterative_prune runs: once per
+    # stage when entangle_prob > 0, never at 0, with the mask unchanged
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return entangle(*args, **kwargs)
+
+    w = DenseTensor(np.random.default_rng(9).standard_normal((8, 6, 3, 3)))
+    cfg = PruneConfig(alpha=0.5, stages=3, entangle_prob=entangle_prob, seed=4)
+    want = iterative_prune(w, cfg).mask
+    monkeypatch.setattr(prune, "entangle", counting)
+    got = iterative_prune(w, cfg).mask
+    assert len(calls) == (cfg.stages if entangle_prob > 0 else 0)
     assert np.array_equal(got, want)
