@@ -14,11 +14,11 @@ code and lists the pairs from the codes of the pruned weights, but any
 computation of the same pair sequence takes the same draws.
 
 iterative_prune keeps one bool keep-mask for all stages and updates it in
-place: a stage's threshold and entangle, the one entanglement pass, clear
-their picks in that array, which is never copied, and the result's mask is it
-viewed as uint8.
-Beside it, the magnitudes of pruned weights are set to inf, so a stage ranks
-the whole |w| array rather than a gathered copy of the survivors.
+place, never copied; the result's mask is it viewed as uint8. Threshold picks
+are always the smallest survivors, since entanglement removes only survivors,
+which rank above the picks of the stage that ran it. So a stage's keep-mask is
+one comparison of the whole |w| array against its threshold, with only
+entangled weights marked, at -inf.
 
 The paper thresholds softmax(|w|); softmax is monotone, so the threshold is
 applied to |w| directly, which also keeps apart magnitudes that float64
@@ -61,21 +61,6 @@ class PruneResult:
     pruned_weights: DenseTensor
     achieved_sparsity: float
     per_stage_sparsity: list[float] = field(default_factory=list)
-
-
-def _smallest_k(x: np.ndarray, k: int) -> np.ndarray:
-    """Flat indices of the k smallest entries of x, ties broken lowest index
-    first: the same set as np.argsort(x, kind="stable")[:k], in O(n).
-
-    The k-th smallest value lam is the calibrated threshold; every entry
-    below it is taken, then the first entries equal to it fill the count.
-    """
-    if k <= 0:
-        return np.empty(0, dtype=np.intp)
-    lam = np.partition(x, k - 1)[k - 1]
-    below = np.flatnonzero(x < lam)
-    ties = np.flatnonzero(x == lam)[: k - below.size]
-    return np.concatenate([below, ties])
 
 
 def _steps(shape: tuple[int, ...]) -> tuple[int, ...]:
@@ -145,27 +130,36 @@ def entangle(keep: np.ndarray, shape: tuple[int, ...], entangle_prob: float,
 def iterative_prune(w: DenseTensor, cfg: PruneConfig) -> PruneResult:
     """Multi-stage pruning toward cumulative sparsity alpha, linear schedule.
 
-    Stage t targets round(alpha * t/stages * N) pruned weights; the
-    threshold is recalibrated over the survivors each stage, and an
-    entanglement pass follows each stage's threshold mask. Masks only ever
-    lose ones. Deterministic given cfg.seed. The weights must be finite, as
-    compress checks before any stage runs.
+    Stage t targets round(alpha * t/stages * N) pruned weights; the threshold
+    lam is recalibrated over the survivors each stage, and an entanglement
+    pass follows each stage's threshold mask. Masks only ever lose ones.
+    Deterministic given cfg.seed. Raises ValueError on NaN or infinite
+    weights, which compress rejects before any stage runs.
+
+    lam is the target-th smallest entry of the |w| array in which entangled
+    weights are -inf. A stage's pruned weights are the target smallest
+    entries of that array, so it keeps |w| > lam, and where ties at lam make
+    that prune too many, the highest-index ties are kept again. A stage whose
+    target entanglement has already met runs no threshold.
     """
     n = w.size
-    # inf ranks a pruned weight above every survivor
     magnitude = np.abs(w.data.ravel())
+    if not np.isfinite(magnitude.max()):
+        raise ValueError("iterative_prune needs finite weights, got NaN or inf")
     keep = np.ones(n, dtype=bool)
     kept = n
     per_stage: list[float] = []
     for stage in range(1, cfg.stages + 1):
-        target_total = _round_half_up(cfg.alpha * stage / cfg.stages * n)
-        picks = _smallest_k(magnitude, target_total - (n - kept))
-        keep[picks] = False
-        magnitude[picks] = np.inf
+        target = _round_half_up(cfg.alpha * stage / cfg.stages * n)
+        if target > n - kept:
+            lam = np.partition(magnitude, target - 1)[target - 1]
+            np.greater(magnitude, lam, out=keep)
+            excess = n - np.count_nonzero(keep) - target
+            if excess:
+                keep[np.flatnonzero(magnitude == lam)[-excess:]] = True
         if cfg.entangle_prob > 0.0:
             stage_seed = np.random.SeedSequence([cfg.seed & 0xFFFFFFFFFFFFFFFF, stage])
-            hits = entangle(keep, w.shape, cfg.entangle_prob, stage_seed)
-            magnitude[hits] = np.inf
+            magnitude[entangle(keep, w.shape, cfg.entangle_prob, stage_seed)] = -np.inf
         kept = np.count_nonzero(keep)
         per_stage.append(1.0 - kept / n)
     mask = keep.view(np.uint8).reshape(w.shape)

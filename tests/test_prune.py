@@ -6,7 +6,7 @@ import hypothesis.strategies as st
 
 from tensorpress import prune
 from tensorpress.errors import ConfigError
-from tensorpress.prune import PruneConfig, _in_plane, _smallest_k, entangle, iterative_prune
+from tensorpress.prune import PruneConfig, _in_plane, entangle, iterative_prune
 from tensorpress.tensors import DenseTensor
 
 
@@ -106,6 +106,13 @@ def scalar_rank(x: np.ndarray, i: int) -> int:
     return sum(1 for j in range(x.size) if x[j] < x[i] or (x[j] == x[i] and j < i))
 
 
+def prune_k(x: np.ndarray, k: int) -> np.ndarray:
+    """The one-stage mask of iterative_prune on weights x at the alpha whose
+    target is k pruned weights, k in [0, x.size]."""
+    alpha = max(k - 0.25, 0.0) / x.size
+    return iterative_prune(DenseTensor(x), PruneConfig(alpha=alpha)).mask
+
+
 class TestImportance:
     """Importance is |w|: pruning ignores the sign."""
 
@@ -121,8 +128,8 @@ class TestImportance:
         rng = np.random.default_rng(5)
         x = np.abs(rng.integers(-4, 5, 35)).astype(np.float32)  # many ties
         for k in range(x.size + 1):
-            want = {i for i in range(x.size) if scalar_rank(x, i) < k}
-            assert set(_smallest_k(x, k).tolist()) == want
+            want = [int(scalar_rank(x, i) >= k) for i in range(x.size)]
+            assert prune_k(x, k).tolist() == want
 
 
 class TestSoftmax:
@@ -160,7 +167,7 @@ class TestCalibrate:
         assert res.mask.tolist() == [0, 1, 1, 1]
 
     def test_alpha_zero(self):
-        assert _smallest_k(np.array([0.3, 0.1, 0.6]), 0).size == 0
+        assert prune_k(np.array([0.3, 0.1, 0.6], dtype=np.float32), 0).tolist() == [1, 1, 1]
 
     def test_ties_broken_by_index(self):
         res = iterative_prune(t([0.25] * 8), PruneConfig(alpha=0.5))
@@ -179,17 +186,15 @@ class TestRetainMask:
     def test_eq3_elementwise(self):
         x = np.random.default_rng(3).permutation(50).astype(np.float32)
         for k in range(x.size):
-            mask = np.ones(x.size, dtype=np.uint8)
-            mask[_smallest_k(x, k)] = 0
-            assert np.array_equal(mask, x >= np.sort(x)[k])
+            assert np.array_equal(prune_k(x, k), x >= np.sort(x)[k])
 
     def test_lambda_zero_all_ones(self):
         res = iterative_prune(t([0.1, 0.5]), PruneConfig(alpha=0.0, stages=2))
         assert res.mask.tolist() == [1, 1]
 
     def test_lambda_above_max_all_zeros(self):
-        x = np.array([0.5, 0.1, 0.5])
-        assert sorted(_smallest_k(x, x.size).tolist()) == [0, 1, 2]
+        x = np.array([0.5, 0.1, 0.5], dtype=np.float32)
+        assert prune_k(x, x.size).tolist() == [0, 0, 0]
 
 
 class TestEntangle:
@@ -352,6 +357,15 @@ def test_calibration_bound_property(n, alpha, stages, seed):
     st.sampled_from([0.0, 0.3]),
     st.integers(0, 2**32 - 1),
 )
+# ties at 0.5 straddle both stages: stage 1 keeps two of them, and stage 2's
+# threshold is 0.5 again, with one of them entangled in between
+@example(np.array([[1.5, 0.5, 0.5, 1.0, -1.0, -0.5], [-1.0, -1.5, 0.0, 0.5, 1.5, -1.0]],
+                  dtype=np.float32), 0.5, 2, 0.3, 15)
+# entanglement passes stage 2's target (7 pruned, target 6), so stage 2 runs no
+# threshold; stage 3 thresholds again
+@example(np.array([[3.0, 2.25, -1.75, -2.0, -0.75, 2.75], [1.0, -0.25, -1.5, 2.5, -1.25, -0.5]],
+                  dtype=np.float32), 0.75, 3, 0.5, 341)
+@example(np.array([-2.0], dtype=np.float32), 0.5, 1, 0.3, 0)  # target == n
 def test_matches_softmax_oracle(data, alpha, stages, entangle_prob, seed):
     w = DenseTensor(data)
     cfg = PruneConfig(alpha=alpha, stages=stages, entangle_prob=entangle_prob, seed=seed)
@@ -393,6 +407,14 @@ def test_entangle_in_plane_bound_follows_shape():
             assert np.array_equal(entangled(mask, 0.5, seed), want)
     for shape in shapes:
         assert not _in_plane(shape).flags.writeable
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_iterative_prune_rejects_non_finite(bad):
+    data = np.ones((2, 4), dtype=np.float32)
+    data[1, 2] = bad
+    with pytest.raises(ValueError, match="finite"):
+        iterative_prune(DenseTensor(data), PruneConfig(alpha=0.5))
 
 
 @pytest.mark.parametrize("shape", [(32, 16, 3, 3), (64, 48)])
