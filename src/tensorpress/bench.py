@@ -56,10 +56,11 @@ def factored_matvec(f: FactorPair, x: np.ndarray) -> np.ndarray:
 
 
 def build_csr(w: DenseTensor, mask: np.ndarray) -> sparse.csr_matrix:
+    """W where the retain mask (bool, or 0/1) keeps it, as CSR."""
     a = w.data
     if a.shape != mask.shape:
         raise ShapeError(f"mask {mask.shape} does not match W {a.shape}")
-    return sparse.csr_matrix(a * (mask != 0))
+    return sparse.csr_matrix(a * mask)
 
 
 def csr_matvec(csr: sparse.csr_matrix, x: np.ndarray) -> np.ndarray:
@@ -129,7 +130,7 @@ def run_bench(
         if "dense" in variants:
             emit("dense", dense_samples, flops_dense(m, n))
         if "masked" in variants:
-            mask = (rng.random((m, n)) < density).astype(np.uint8)
+            mask = rng.random((m, n)) < density
             t0 = time.perf_counter_ns()
             csr = build_csr(w, mask)
             setup = float(time.perf_counter_ns() - t0)

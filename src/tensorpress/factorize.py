@@ -108,48 +108,53 @@ def anneal_factorize(w: DenseTensor, cfg: AnnealConfig) -> FactorPair:
     norm = float(np.linalg.norm(a))
     init_scale = cfg.init_scale if cfg.init_scale is not None else 1.0 / np.sqrt(max(m, n))
     eta0 = cfg.eta0 if cfg.eta0 is not None else (0.5 / norm if norm > 0 else 0.5)
+    if np.isinf(2.0 * init_scale):  # the initial draw's range overflows, as the loss would
+        raise DivergenceError(0)
 
     rng = np.random.default_rng(cfg.seed)
     w1 = rng.uniform(-init_scale, init_scale, (m, cfg.rank))
     w2 = rng.uniform(-init_scale, init_scale, (cfg.rank, n))
 
-    # resid = w1 @ w2 - a is handed on from the accepted candidate; the
-    # candidate residual and its squares go to the reused buffers spare and sq,
-    # the gradients to g1, g2 and the candidate factors to cand1, cand2, which
-    # trade places with w1, w2 on acceptance.
-    resid = w1 @ w2
-    resid -= a
-    spare = np.empty_like(resid)
-    sq = np.empty_like(resid)
-    g1, cand1 = np.empty_like(w1), np.empty_like(w1)
-    g2, cand2 = np.empty_like(w2), np.empty_like(w2)
-    loss = float(np.sum(np.square(resid, out=sq)))
-    trace = [loss]
-    for t in range(cfg.max_iters):
-        eta = eta0 * cfg.decay**t
-        _gradients(resid, w1, w2, g1, g2)
-        accepted = False
-        for _ in range(MAX_HALVINGS + 1):
-            # w - eta * g, in the buffer the product eta * g fills
-            np.subtract(w1, np.multiply(eta, g1, out=cand1), out=cand1)
-            np.subtract(w2, np.multiply(eta, g2, out=cand2), out=cand2)
-            cand_resid = np.matmul(cand1, cand2, out=spare)
-            cand_resid -= a
-            cand_loss = float(np.sum(np.square(cand_resid, out=sq)))
-            if not np.isfinite(cand_loss):
-                raise DivergenceError(t)
-            if cand_loss <= loss:
-                accepted = True
+    # a diverging run overflows to inf or nan, which the loss check below turns
+    # into DivergenceError; numpy's warnings on the way there say nothing more
+    with np.errstate(over="ignore", invalid="ignore"):
+        # resid = w1 @ w2 - a is handed on from the accepted candidate; the
+        # candidate residual and its squares go to the reused buffers spare and sq,
+        # the gradients to g1, g2 and the candidate factors to cand1, cand2, which
+        # trade places with w1, w2 on acceptance.
+        resid = w1 @ w2
+        resid -= a
+        spare = np.empty_like(resid)
+        sq = np.empty_like(resid)
+        g1, cand1 = np.empty_like(w1), np.empty_like(w1)
+        g2, cand2 = np.empty_like(w2), np.empty_like(w2)
+        loss = float(np.sum(np.square(resid, out=sq)))
+        trace = [loss]
+        for t in range(cfg.max_iters):
+            eta = eta0 * cfg.decay**t
+            _gradients(resid, w1, w2, g1, g2)
+            accepted = False
+            for _ in range(MAX_HALVINGS + 1):
+                # w - eta * g, in the buffer the product eta * g fills
+                np.subtract(w1, np.multiply(eta, g1, out=cand1), out=cand1)
+                np.subtract(w2, np.multiply(eta, g2, out=cand2), out=cand2)
+                cand_resid = np.matmul(cand1, cand2, out=spare)
+                cand_resid -= a
+                cand_loss = float(np.sum(np.square(cand_resid, out=sq)))
+                if not np.isfinite(cand_loss):
+                    raise DivergenceError(t)
+                if cand_loss <= loss:
+                    accepted = True
+                    break
+                eta /= 2.0
+            if not accepted:
                 break
-            eta /= 2.0
-        if not accepted:
-            break
-        improvement = (loss - cand_loss) / loss if loss > 0 else 0.0
-        w1, cand1, w2, cand2, loss = cand1, w1, cand2, w2, cand_loss
-        resid, spare = cand_resid, resid
-        trace.append(loss)
-        if improvement < cfg.rel_tol:
-            break
+            improvement = (loss - cand_loss) / loss if loss > 0 else 0.0
+            w1, cand1, w2, cand2, loss = cand1, w1, cand2, w2, cand_loss
+            resid, spare = cand_resid, resid
+            trace.append(loss)
+            if improvement < cfg.rel_tol:
+                break
     out1, out2 = DenseTensor(w1), DenseTensor(w2)
     # final_loss reflects the f32 factors actually returned
     return FactorPair(

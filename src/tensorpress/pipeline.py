@@ -13,7 +13,7 @@ import os
 import reprlib
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -26,6 +26,8 @@ from .tensors import BitTensor, DenseTensor, Tensor, TensorArchive, as_matrix
 STAGES = ("prune", "decompose", "factorize")
 # keys of "defaults" and of each layer's overrides; prune and anneal are objects
 LAYER_KEYS = ("seed", "stage_list", "prune", "rank_svd", "anneal")
+# the config each object resolves to, whose fields are the object's keys
+BLOCK_CONFIGS = {"prune": pr.PruneConfig, "anneal": fac.AnnealConfig}
 
 # Entry names of each artifact kind (layer name + suffix), in entries() order;
 # a pruned layer adds name + MASK_SUFFIX, bit-packed, which a "masked" layer
@@ -38,6 +40,16 @@ LAST_STAGE_KIND = {"prune": "masked", "decompose": "svd", "factorize": "factored
 def _entry_names(name: str, kind: str, pruned: bool) -> list[str]:
     """The archive entries of a layer's artifact, in entries() order."""
     return [name + s for s in ENTRY_SUFFIXES[kind]] + [name + MASK_SUFFIX] * pruned
+
+
+def _output_names(original: TensorArchive,
+                  kinds: dict[str, tuple[str, bool]]) -> dict[str, list[str]]:
+    """The entry names compress writes for each original entry, in order: a
+    compressed layer's _entry_names(name, *kinds[name]), with kinds[name] its
+    (kind, pruned), else the entry's own name. compress checks these names
+    for collisions, and verify requires exactly them."""
+    return {name: _entry_names(name, *kinds[name]) if name in kinds else [name]
+            for name, _ in original.entries}
 
 
 @dataclass(frozen=True)
@@ -120,10 +132,8 @@ class CompressedLayer:
 
 def _kept(mask: np.ndarray) -> np.ndarray:
     """The flat indices of the mask's ones, in C order: where a masked layer's
-    stored values go. flatnonzero takes the bool mask != 0, not the uint8 mask
-    itself, since bool is its fast path: on a 128x128x3x3 mask with 45% kept,
-    135 us against 880 us (2-core x86-64 VM)."""
-    return np.flatnonzero(mask != 0)
+    stored values go."""
+    return np.flatnonzero(mask)
 
 
 def relative_recon_error(original: DenseTensor, layer: CompressedLayer) -> float:
@@ -307,9 +317,13 @@ class PipelineConfig:
     def __post_init__(self):
         if not isinstance(self.layers, dict):
             raise ConfigError("layers: must be a JSON object")
-        _check_keys("defaults", self.defaults)
-        for name, overrides in self.layers.items():
-            _check_keys(f"layer {name!r}", overrides)
+        blocks = {"defaults": self.defaults,
+                  **{f"layer {name!r}": overrides for name, overrides in self.layers.items()}}
+        for where, block in blocks.items():
+            _check_keys(where, block, LAYER_KEYS)
+            for key in BLOCK_CONFIGS:
+                if not isinstance(block.get(key, {}), dict):
+                    raise ConfigError(f"{where}: {key} must be a JSON object")
 
     @staticmethod
     def from_json(text: str) -> "PipelineConfig":
@@ -326,6 +340,8 @@ class PipelineConfig:
         and each prune or anneal seed not given derived from the base seed."""
         try:
             merged = _deep_merge(self.defaults, self.layers.get(layer_name, {}))
+            for key, cls in BLOCK_CONFIGS.items():
+                _check_keys(key, merged.get(key, {}), [f.name for f in fields(cls)])
             base_seed = seed_override if seed_override is not None else merged.get("seed", 0)
             check_int("seed", base_seed)
             prune_d = dict(merged.get("prune", {}))
@@ -354,17 +370,13 @@ class PipelineConfig:
         return {"defaults": self.defaults, "layers": self.layers}
 
 
-def _check_keys(where: str, block) -> None:
+def _check_keys(where: str, block, known) -> None:
+    """Raise ConfigError unless block is a JSON object of known keys alone."""
     if not isinstance(block, dict):
         raise ConfigError(f"{where}: must be a JSON object")
-    unknown = set(block) - set(LAYER_KEYS)
+    unknown = set(block) - set(known)
     if unknown:
-        raise ConfigError(
-            f"{where}: unknown keys {sorted(unknown)}; known keys are {list(LAYER_KEYS)}"
-        )
-    for key in ("prune", "anneal"):
-        if not isinstance(block.get(key, {}), dict):
-            raise ConfigError(f"{where}: {key} must be a JSON object")
+        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}; known keys are {list(known)}")
 
 
 def total_ratio(original: TensorArchive, rows: list[dict], unit: str = "params") -> float:
@@ -494,7 +506,14 @@ def compress_archive(
         raise ConfigError(f"config names layers missing from archive: {missing}")
     configured = [(name, tensor) for name, tensor in archive.entries if name in config.layers]
     configs = [config.resolved(name, seed_override) for name, _ in configured]
-    _check_entry_names(archive, configs)
+    kinds = {c.layer_name: (LAST_STAGE_KIND[c.stage_list[-1]], "prune" in c.stage_list)
+             for c in configs}
+    planned = _output_names(archive, kinds)
+    counts = collections.Counter(n for names in planned.values() for n in names)
+    for name in kinds:
+        clash = [n for n in planned[name] if counts[n] > 1]
+        if clash:
+            raise ConfigError(f"layer {name!r}: entry names {clash} collide in the output archive")
     for (_, tensor), cfg in zip(configured, configs):
         check_layer_input(tensor, cfg)
     jobs = max(1, min(_default_jobs() if jobs is None else jobs, len(configs)))
@@ -504,29 +523,11 @@ def compress_archive(
         per_layer=rows, total_ratio=total_ratio(archive, rows),
         total_bytes_ratio=total_ratio(archive, rows, "bytes"), config_echo=config.echo(),
     )
-    return output_archive(archive, {layer.layer_name: layer for layer, _ in results}), report
-
-
-def _check_entry_names(archive: TensorArchive, configs: list[LayerConfig]) -> None:
-    """Raise ConfigError for the first configured layer sharing an output entry name."""
-    kinds = {c.layer_name: (LAST_STAGE_KIND[c.stage_list[-1]], "prune" in c.stage_list)
-             for c in configs}
-    planned = {name: _entry_names(name, *kinds[name]) if name in kinds else [name]
-               for name, _ in archive.entries}
-    counts = collections.Counter(n for names in planned.values() for n in names)
-    for name in kinds:
-        clash = [n for n in planned[name] if counts[n] > 1]
-        if clash:
-            raise ConfigError(f"layer {name!r}: entry names {clash} collide in the output archive")
-
-
-def output_archive(original: TensorArchive, layers: dict[str, CompressedLayer]) -> TensorArchive:
-    """The archive compress writes: the original entries in order, each layer's
-    entries in place of the weights it compresses."""
-    entries: list[tuple[str, Tensor]] = []
-    for name, tensor in original.entries:
-        entries.extend(layers[name].entries() if name in layers else [(name, tensor)])
-    return TensorArchive(entries=entries)
+    layers = {layer.layer_name: layer for layer, _ in results}
+    # the original entries in order, each layer's entries in place of its weights
+    entries = [e for name, t in archive.entries
+               for e in (layers[name].entries() if name in layers else [(name, t)])]
+    return TensorArchive(entries=entries), report
 
 
 def rebuild_layer(
@@ -588,7 +589,7 @@ def verify_report(
     original: TensorArchive, compressed: TensorArchive, report: CompressionReport
 ) -> None:
     """Recompute each row, and the total, from the layers rebuilt from the
-    archive; then check that the archive holds exactly the entries compress
+    archive; then check that the archive holds exactly the entry names compress
     writes for those layers, in its order, with each pass-through entry the
     original's bytes. Raise VerificationError at the first mismatch."""
     layers: dict[str, CompressedLayer] = {}
@@ -613,14 +614,15 @@ def verify_report(
         if not _agrees(got, want):
             raise VerificationError(f"{key}: report {got}, recomputed {want}")
 
-    expected = output_archive(original, layers)
-    if compressed.names() != expected.names():
-        extra = [n for n in compressed.names() if n not in expected]
-        missing = [n for n in expected.names() if n not in compressed]
-        raise VerificationError(
-            f"archive entries are not those compress writes, in its order: "
-            f"extra {extra}, missing {missing}"
-        )
+    kinds = {name: (layer.kind, layer.mask is not None) for name, layer in layers.items()}
+    expected = [n for names in _output_names(original, kinds).values() for n in names]
+    if compressed.names() != expected:
+        counts = collections.Counter(expected)
+        extra = [n for n in compressed.names() if n not in counts]
+        missing = [n for n in counts if n not in compressed]
+        repeated = [n for n, c in counts.items() if c > 1]
+        raise VerificationError(f"archive entries are not those compress writes, in its order: "
+                                f"extra {extra}, missing {missing}, repeated {repeated}")
     for name, tensor in original.entries:
         if name not in layers:
             stored = compressed.get(name)

@@ -14,7 +14,7 @@ code and lists the pairs from the codes of the pruned weights, but any
 computation of the same pair sequence takes the same draws.
 
 iterative_prune keeps one bool keep-mask for all stages and updates it in
-place, never copied; the result's mask is it viewed as uint8. Threshold picks
+place, never copied; the result's mask is it, reshaped. Threshold picks
 are always the smallest survivors, since entanglement removes only survivors,
 which rank above the picks of the stage that ran it. So a stage's keep-mask is
 one comparison of the whole |w| array against its threshold, with only
@@ -37,7 +37,7 @@ import numpy as np
 from .errors import check_int, check_real
 from .tensors import DenseTensor
 
-# Binary retain tensor, 1 = kept, 0 = pruned; same shape as the weights.
+# Bool retain tensor, True = kept, False = pruned; same shape as the weights.
 RetainMask = np.ndarray
 
 
@@ -162,7 +162,7 @@ def iterative_prune(w: DenseTensor, cfg: PruneConfig) -> PruneResult:
             magnitude[entangle(keep, w.shape, cfg.entangle_prob, stage_seed)] = -np.inf
         kept = np.count_nonzero(keep)
         per_stage.append(1.0 - kept / n)
-    mask = keep.view(np.uint8).reshape(w.shape)
+    mask = keep.reshape(w.shape)
     pruned = DenseTensor(w.data * mask)
     return PruneResult(
         mask=mask,

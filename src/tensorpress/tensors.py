@@ -1,7 +1,7 @@
 """Tensor containers and the QTNS binary archive format.
 
-An archive entry is a DenseTensor (32-bit floats) or a BitTensor (bits, each
-0 or 1), in row-major (C) order. The archive layout is:
+An archive entry is a DenseTensor (32-bit floats) or a BitTensor (bits, held
+as bool), in row-major (C) order. The archive layout is:
 
     magic "QTNS" | version u32 | entry count u32
     per entry: name length u32 | UTF-8 name | axis count u32 |
@@ -87,8 +87,8 @@ class DenseTensor:
 
 @dataclass(frozen=True, eq=False)
 class BitTensor:
-    """Immutable tensor of bits, each 0 or 1, held as uint8; an archive stores
-    it bit-packed."""
+    """Immutable tensor of bits, held as bool; an archive stores it bit-packed.
+    A non-bool input must hold only 0 and 1."""
 
     data: np.ndarray
 
@@ -96,9 +96,9 @@ class BitTensor:
         arr = np.asarray(self.data)
         if arr.ndim == 0 or any(d < 1 for d in arr.shape):
             raise ShapeError(f"a bit tensor needs axes all >= 1, got shape {arr.shape}")
-        if not np.all((arr == 0) | (arr == 1)):
+        if arr.dtype != bool and not np.all((arr == 0) | (arr == 1)):
             raise ValueError("bit tensor values must be 0 or 1")
-        arr = arr.astype(np.uint8)  # a copy, so freezing it leaves the caller's array alone
+        arr = arr.astype(bool)  # a copy, so freezing it leaves the caller's array alone
         arr.flags.writeable = False
         object.__setattr__(self, "data", arr)
 
@@ -241,8 +241,8 @@ def read_archive(raw: bytes) -> TensorArchive:
             packed = np.frombuffer(r.take((n_elems + 7) // 8), dtype=np.uint8)
             if n_elems % 8 and int(packed[-1]) >> n_elems % 8:
                 raise ArchiveError(f"entry {name!r} has nonzero padding bits")
-            data = np.unpackbits(packed, count=n_elems, bitorder="little").reshape(shape)
-            entries.append((name, BitTensor(data)))
+            data = np.unpackbits(packed, count=n_elems, bitorder="little").view(bool)
+            entries.append((name, BitTensor(data.reshape(shape))))
         elif dtype == DTYPE_BITS:
             raise ArchiveError(f"entry {name!r} is bit-coded in a version-{version} file")
         else:

@@ -394,6 +394,28 @@ def test_verify_whole_archive_exit_4(workdir, capsys, tamper, message):
     assert message in err
 
 
+def test_verify_layout_repeating_a_name_exit_4(workdir, capsys):
+    # fc's factor pair is named fc.w1 and fc.w2, beside an original pass-through
+    # fc.w1; compress refuses that layout, so its report is made by hand
+    rng = np.random.default_rng(0)
+    fc = DenseTensor(rng.standard_normal((8, 8)))
+    save_archive(TensorArchive(entries=[("fc", fc)]), workdir / "fc.qtns")
+    cfg = workdir / "cfg.json"
+    cfg.write_text(json.dumps({"defaults": {"stage_list": ["factorize"], "anneal": {"rank": 2}},
+                               "layers": {"fc": {}}}))
+    out, report = workdir / "out.qtns", workdir / "out.qtns.report.json"
+    assert run(["compress", workdir / "fc.qtns", cfg, out]) == 0
+    original = TensorArchive(entries=[("fc", fc), ("fc.w1", DenseTensor(np.ones((3, 3))))])
+    save_archive(original, workdir / "in.qtns")
+    doc = json.loads(report.read_text())
+    for key, unit in (("total_ratio", "params"), ("total_bytes_ratio", "bytes")):
+        doc[key] = pipeline.total_ratio(original, doc["per_layer"], unit)
+    report.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["verify", workdir / "in.qtns", out, report]) == 4
+    assert "repeated ['fc.w1']" in capsys.readouterr().err
+
+
 def assert_prune_empties_layer_exit_2(workdir, capsys, stage_list):
     save_archive(TensorArchive(entries=[("fc1", DenseTensor(np.array([[1.0, 2.0]])))]),
                  workdir / "in.qtns")
@@ -612,6 +634,14 @@ def with_edits(block, edits):
                  id="rank_string"),
     pytest.param({"defaults.anneal.bogus": 1}, [], "layer 'fc1': .*'bogus'",
                  id="anneal_unknown_key"),
+    pytest.param({"defaults.prune.bogus": 1}, [],
+                 r"layer 'fc1': prune: unknown keys \['bogus'\]; "
+                 r"known keys are \['alpha', 'stages', 'entangle_prob', 'seed'\]",
+                 id="prune_unknown_key"),
+    pytest.param({"layers.fc2": {"anneal": {"eta": 1, "rank": 2}}}, [],
+                 r"layer 'fc2': anneal: unknown keys \['eta'\]; known keys are \['rank', "
+                 r"'init_scale', 'eta0', 'decay', 'max_iters', 'rel_tol', 'seed'\]",
+                 id="anneal_unknown_key_named"),
     pytest.param({"defaults.anneal.seed": -1}, [], "layer 'fc1': seed must be >= 0",
                  id="anneal_seed_negative"),
     pytest.param({"defaults.anneal.eta0": float("nan")}, [], "layer 'fc1': eta0 must be",
@@ -715,8 +745,11 @@ def test_compress_entry_name_collision_exit_2_before_any_layer(workdir, capsys, 
     assert not (workdir / "out.qtns.report.json").exists()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow on the way to inf
-@pytest.mark.parametrize("key, value", [("eta0", 1e300), ("init_scale", 1e200)])
+# with warnings as errors: an overflow warning on the way to inf would exit 1;
+# at init_scale 1e308 the initial draw's range itself overflows
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("key, value", [("eta0", 1e300), ("init_scale", 1e200),
+                                        ("init_scale", 1e308)])
 def test_compress_divergence_exit_2(workdir, capsys, key, value):
     archive, cfg = write_fixture(workdir)
     cfg.write_text(json.dumps(with_edits(CONFIG, [(f"defaults.anneal.{key}", value)])))

@@ -404,12 +404,12 @@ STAGE_LISTS = [list(c) for k in (1, 2, 3) for c in itertools.combinations(STAGES
 STAGE_LISTS.append(["factorize", "prune"])
 
 
-@pytest.mark.parametrize("stage_list", STAGE_LISTS, ids="-".join)
-def test_report_rows_equal_stored_layer_rows(stage_list):
-    # compress computes each row from the layer in memory, never reading it
-    # back; the row must still be the one rebuilt from the stored bytes
+def mixed_archive_and_config(stage_list):
+    """A 2-axis fc and a 4-axis conv, both compressed under stage_list, around
+    a pass-through bias."""
     archive = TensorArchive(entries=[
         ("fc", random_tensor((24, 20), 4)),
+        ("bias", random_tensor((20,), 6)),
         ("conv", random_tensor((6, 3, 3, 3), 5)),
     ])
     config = PipelineConfig(defaults={
@@ -419,6 +419,14 @@ def test_report_rows_equal_stored_layer_rows(stage_list):
         "rank_svd": 5,
         "anneal": {"rank": 5, "max_iters": 200},
     }, layers={"fc": {}, "conv": {}})
+    return archive, config
+
+
+@pytest.mark.parametrize("stage_list", STAGE_LISTS, ids="-".join)
+def test_report_rows_equal_stored_layer_rows(stage_list):
+    # compress computes each row from the layer in memory, never reading it
+    # back; the row must still be the one rebuilt from the stored bytes
+    archive, config = mixed_archive_and_config(stage_list)
     out, report = compress_archive(archive, config)
     out = read_archive(write_archive(out))
     assert [r["layer_name"] for r in report.per_layer] == ["fc", "conv"]
@@ -426,6 +434,16 @@ def test_report_rows_equal_stored_layer_rows(stage_list):
         w = archive.get(row["layer_name"])
         stored = rebuild_layer(w, out, row["layer_name"], row["kind"])
         assert {k: v for k, v in row.items() if k != "wall_time"} == layer_row(w, stored)
+
+
+@pytest.mark.parametrize("stage_list", STAGE_LISTS, ids="-".join)
+def test_written_names_are_the_plan(stage_list):
+    # the names the pre-pass checks and verify expects are the ones written
+    archive, config = mixed_archive_and_config(stage_list)
+    out, _ = compress_archive(archive, config)
+    kind = (pipeline.LAST_STAGE_KIND[stage_list[-1]], "prune" in stage_list)
+    planned = pipeline._output_names(archive, {"fc": kind, "conv": kind})
+    assert out.names() == [n for names in planned.values() for n in names]
 
 
 class TestConfigResolution:

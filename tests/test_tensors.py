@@ -137,7 +137,7 @@ def bit_entry_raw(bits):
 def test_bit_tensor_basics():
     t = BitTensor(np.array([[1, 0, 1], [0, 0, 1]]))
     assert t.shape == (2, 3) and t.size == 6 and t.nbytes == 1
-    assert t.data.dtype == np.uint8
+    assert t.data.dtype == bool
     with pytest.raises(ValueError):
         t.data[0, 0] = 0  # immutable
     assert BitTensor(np.ones(9)).nbytes == 2
