@@ -115,14 +115,15 @@ def cmd_compress(args) -> int:
 
 
 def cmd_inspect(args) -> int:
-    rows = [{
-        "name": name,
-        "dtype": "bits" if isinstance(t, BitTensor) else "f32",
-        "shape": list(t.shape),
-        "params": t.size,
-        "frobenius_norm": float(np.linalg.norm(t.data.astype(np.float64))),
-        "sparsity": float(np.mean(t.data == 0)),
-    } for name, t in load_archive(args.archive).entries]
+    with np.errstate(invalid="ignore"):  # numpy warns as it casts a signaling NaN
+        rows = [{
+            "name": name,
+            "dtype": "bits" if isinstance(t, BitTensor) else "f32",
+            "shape": list(t.shape),
+            "params": t.size,
+            "frobenius_norm": float(np.linalg.norm(t.data.astype(np.float64))),
+            "sparsity": float(np.mean(t.data == 0)),
+        } for name, t in load_archive(args.archive).entries]
     if args.json:  # strict JSON has no NaN or Infinity: a non-finite norm is null
         print(json.dumps([r if math.isfinite(r["frobenius_norm"]) else {**r, "frobenius_norm": None}
                           for r in rows], indent=2))

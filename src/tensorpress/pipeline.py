@@ -605,7 +605,8 @@ def verify_report(
             raise VerificationError(f"report row {i}: {name!r} is not in the original archive")
         w = original.get(name)
         layers[name] = rebuild_layer(w, compressed, name, row["kind"])
-        rows.append(layer_row(w, layers[name]))
+        with np.errstate(invalid="ignore"):  # numpy warns as it casts a signaling NaN
+            rows.append(layer_row(w, layers[name]))
         for key, want in rows[-1].items():
             if not _agrees(row.get(key), want):
                 raise VerificationError(f"{name}.{key}: report {row.get(key)}, recomputed {want}")

@@ -117,12 +117,23 @@ def test_inspect_counts(workdir, capsys):
     assert rows[0]["frobenius_norm"] == pytest.approx(np.sqrt(6))
 
 
+def signaling_nan(data):
+    """A float32 copy of data whose first value is a signaling NaN (bits
+    0x7f800001), as a flipped byte can make; numpy warns as it casts one to
+    float64, which with warnings as errors would exit 1."""
+    out = np.array(data, dtype=np.float32)
+    out.reshape(-1).view(np.uint32)[0] = 0x7F800001
+    return out
+
+
+@pytest.mark.filterwarnings("error")
 def test_inspect_json_non_finite_norm_is_null(workdir, capsys):
     # pass-through NaN and inf entries are legal; strict JSON has no NaN or Infinity
     save_archive(TensorArchive(entries=[
         ("x", DenseTensor(np.array([NAN, 1.0, INF]))),
         ("y", DenseTensor(np.array([INF, 1.0]))),
         ("z", DenseTensor(np.ones(4))),
+        ("s", DenseTensor(signaling_nan(np.ones(2)))),
     ]), workdir / "odd.qtns")
 
     def reject(constant):
@@ -130,10 +141,29 @@ def test_inspect_json_non_finite_norm_is_null(workdir, capsys):
 
     assert run(["--json", "inspect", workdir / "odd.qtns"]) == 0
     rows = json.loads(capsys.readouterr().out, parse_constant=reject)
-    assert [r["frobenius_norm"] for r in rows] == [None, None, 2.0]
+    assert [r["frobenius_norm"] for r in rows] == [None, None, 2.0, None]
     assert run(["inspect", workdir / "odd.qtns"]) == 0
     table = capsys.readouterr().out.splitlines()[2:]
-    assert [line.split()[4] for line in table] == ["nan", "inf", "2.0000"]
+    assert [line.split()[4] for line in table] == ["nan", "inf", "2.0000", "nan"]
+
+
+@pytest.mark.filterwarnings("error")
+def test_verify_signaling_nan_in_original_layer_exit_4(workdir, capsys):
+    archive, cfg = write_fixture(workdir)
+    out = workdir / "out.qtns"
+    assert run(["compress", archive, cfg, out]) == 0
+    save_archive(TensorArchive(entries=[(n, DenseTensor(signaling_nan(t.data)) if n == "fc1" else t)
+                                        for n, t in load_archive(archive).entries]), archive)
+    capsys.readouterr()
+    assert run(["verify", archive, out, f"{out}.report.json"]) == 4
+    assert re.search(r"fc1\.recon_error_rel: report \S+, recomputed nan", capsys.readouterr().err)
+
+
+@pytest.mark.filterwarnings("error")
+def test_verify_signaling_nan_in_stored_factor_exit_4(workdir, capsys):
+    code, err = verify_tampered(workdir, capsys, replace={"fc1.w1": signaling_nan})
+    assert code == 4
+    assert re.search(r"fc1\.recon_error_rel: report \S+, recomputed nan", err)
 
 
 def test_inspect_empty_archive(workdir, capsys):

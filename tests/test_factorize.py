@@ -47,14 +47,14 @@ def test_gradient_zero_at_minimum():
     w1 = rng.standard_normal((4, 2))
     w2 = rng.standard_normal((2, 3))
     w = w1 @ w2
-    g1, g2 = _gradients(w1 @ w2 - w, w1, w2, np.empty_like(w1), np.empty_like(w2))
+    g1, g2 = _gradients(w1 @ w2 - w, w1, w2)
     assert np.abs(g1).max() < 1e-10
     assert np.abs(g2).max() < 1e-10
 
 
 def test_gradient_scalar_zero_factors():
     w, w1, w2 = np.ones((1, 1)), np.zeros((1, 1)), np.zeros((1, 1))
-    g1, g2 = _gradients(w1 @ w2 - w, w1, w2, np.empty_like(w1), np.empty_like(w2))
+    g1, g2 = _gradients(w1 @ w2 - w, w1, w2)
     assert g1.tolist() == [[0.0]]
     assert g2.tolist() == [[0.0]]
 
@@ -80,7 +80,7 @@ def test_gradient_matches_finite_differences():
     w = rng.standard_normal((6, 5))
     w1 = rng.standard_normal((6, 2))
     w2 = rng.standard_normal((2, 5))
-    a1, a2 = _gradients(w1 @ w2 - w, w1, w2, np.empty_like(w1), np.empty_like(w2))
+    a1, a2 = _gradients(w1 @ w2 - w, w1, w2)
     n1, n2 = finite_diff(w, w1, w2)
     assert np.abs(a1 - n1).max() / np.abs(n1).max() < 1e-4
     assert np.abs(a2 - n2).max() / np.abs(n2).max() < 1e-4
@@ -246,6 +246,8 @@ def _assert_bit_identical(got, want):
         ((16, 8, 3, 3), AnnealConfig(rank=5, seed=4)),  # conv, flattened to 16 x 72
         ((200, 48), AnnealConfig(rank=12, seed=5, decay=0.99, rel_tol=1e-9)),
         ((1, 7), AnnealConfig(rank=1, seed=6)),
+        ((48, 40), AnnealConfig(rank=6, seed=21)),
+        ((16, 8, 3, 3), AnnealConfig(rank=5, seed=22, decay=0.99)),  # conv, 16 x 72
     ],
 )
 def test_matches_four_product_oracle(shape, cfg):
@@ -265,14 +267,22 @@ def test_matches_oracle_on_exact_low_rank_input():
     _assert_bit_identical(anneal_factorize(w, cfg), want)
 
 
-def test_matches_oracle_through_step_halvings():
-    rng = np.random.default_rng(12)
-    w = DenseTensor(rng.standard_normal((24, 18)))
-    cfg = AnnealConfig(rank=4, seed=8, eta0=0.3, max_iters=200)
+def _assert_matches_oracle_with_halvings(data_seed, shape, cfg):
+    w = DenseTensor(np.random.default_rng(data_seed).standard_normal(shape))
     want, halvings = _anneal_oracle(w, cfg)
     assert halvings > 0
     assert len(want.loss_trace) > 10
     _assert_bit_identical(anneal_factorize(w, cfg), want)
+
+
+def test_matches_oracle_through_step_halvings():
+    _assert_matches_oracle_with_halvings(
+        12, (24, 18), AnnealConfig(rank=4, seed=8, eta0=0.3, max_iters=200))
+
+
+def test_matches_oracle_through_step_halvings_from_eta0_half():
+    _assert_matches_oracle_with_halvings(
+        23, (30, 25), AnnealConfig(rank=4, seed=23, eta0=0.5, max_iters=300))
 
 
 def test_matches_oracle_when_halvings_run_out():
@@ -285,97 +295,21 @@ def test_matches_oracle_when_halvings_run_out():
     _assert_bit_identical(anneal_factorize(w, cfg), want)
 
 
-@pytest.mark.parametrize("eta0", [None, 1e200])
-def test_divergence_iteration_matches_oracle(eta0):
-    data = np.random.default_rng(14).standard_normal((9, 7))
-    if eta0 is None:
-        data[4, 2] = np.nan
-    w = DenseTensor(data)
-    cfg = AnnealConfig(rank=2, seed=10, eta0=eta0)
-    with np.errstate(over="ignore"), pytest.raises(DivergenceError) as want:
-        _anneal_oracle(w, cfg)
-    with np.errstate(over="ignore"), pytest.raises(DivergenceError) as got:
-        anneal_factorize(w, cfg)
-    assert got.value.iteration == want.value.iteration
-
-
-def _allocating_anneal(w, cfg):
-    """The residual-carrying anneal loop with fresh gradient and candidate
-    arrays on every iteration: the reference anneal_factorize, which writes
-    them into buffers made once, must match bit for bit."""
-    m, n = w.shape
-    a = w.data.astype(np.float64)
-    norm = float(np.linalg.norm(a))
-    init_scale = cfg.init_scale if cfg.init_scale is not None else 1.0 / np.sqrt(max(m, n))
-    eta0 = cfg.eta0 if cfg.eta0 is not None else (0.5 / norm if norm > 0 else 0.5)
-
-    rng = np.random.default_rng(cfg.seed)
-    w1 = rng.uniform(-init_scale, init_scale, (m, cfg.rank))
-    w2 = rng.uniform(-init_scale, init_scale, (cfg.rank, n))
-
-    halvings = 0
-    resid = w1 @ w2
-    resid -= a
-    spare = np.empty_like(resid)
-    sq = np.empty_like(resid)
-    loss = float(np.sum(np.square(resid, out=sq)))
-    trace = [loss]
-    for t in range(cfg.max_iters):
-        eta = eta0 * cfg.decay**t
-        g1 = resid @ w2.T
-        g1 *= 2.0
-        g2 = w1.T @ resid
-        g2 *= 2.0
-        accepted = False
-        for _ in range(MAX_HALVINGS + 1):
-            cand1 = w1 - eta * g1
-            cand2 = w2 - eta * g2
-            cand_resid = np.matmul(cand1, cand2, out=spare)
-            cand_resid -= a
-            cand_loss = float(np.sum(np.square(cand_resid, out=sq)))
-            if not np.isfinite(cand_loss):
-                raise DivergenceError(t)
-            if cand_loss <= loss:
-                accepted = True
-                break
-            eta /= 2.0
-            halvings += 1
-        if not accepted:
-            break
-        improvement = (loss - cand_loss) / loss if loss > 0 else 0.0
-        w1, w2, loss = cand1, cand2, cand_loss
-        resid, spare = cand_resid, resid
-        trace.append(loss)
-        if improvement < cfg.rel_tol:
-            break
-    out1, out2 = DenseTensor(w1), DenseTensor(w2)
-    pair = FactorPair(w1=out1, w2=out2, final_loss=frobenius_loss(w, out1, out2),
-                      loss_trace=trace)
-    return pair, halvings
-
-
 @pytest.mark.parametrize(
-    "shape, cfg, halves",
+    "data_seed, shape, cfg",
     [
-        ((48, 40), AnnealConfig(rank=6, seed=21), False),
-        ((16, 8, 3, 3), AnnealConfig(rank=5, seed=22, decay=0.99), False),  # conv, 16 x 72
-        ((30, 25), AnnealConfig(rank=4, seed=23, eta0=0.5, max_iters=300), True),
+        pytest.param(14, (9, 7), AnnealConfig(rank=2, seed=10), id="None"),  # a NaN weight
+        pytest.param(14, (9, 7), AnnealConfig(rank=2, seed=10, eta0=1e200), id="1e+200"),
+        pytest.param(24, (10, 6), AnnealConfig(rank=3, seed=25, eta0=1e200), id="1e+200-10x6"),
     ],
 )
-def test_matches_allocating_loop(shape, cfg, halves):
-    data = np.random.default_rng(cfg.seed).standard_normal(shape)
-    w = DenseTensor(data.reshape(shape[0], -1))
-    want, halvings = _allocating_anneal(w, cfg)
-    assert (halvings > 0) == halves
-    assert len(want.loss_trace) > 10
-    _assert_bit_identical(anneal_factorize(w, cfg), want)
-
-
-def test_divergence_matches_allocating_loop():
-    w = DenseTensor(np.random.default_rng(24).standard_normal((10, 6)))
-    cfg = AnnealConfig(rank=3, seed=25, eta0=1e200)
+def test_divergence_iteration_matches_oracle(data_seed, shape, cfg):
+    data = np.random.default_rng(data_seed).standard_normal(shape)
+    if cfg.eta0 is None:
+        data[4, 2] = np.nan
+    w = DenseTensor(data)
     with np.errstate(over="ignore"), pytest.raises(DivergenceError) as want:
-        _allocating_anneal(w, cfg)
+        _anneal_oracle(w, cfg)
     with np.errstate(over="ignore"), pytest.raises(DivergenceError) as got:
         anneal_factorize(w, cfg)
     assert got.value.iteration == want.value.iteration
