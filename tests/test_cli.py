@@ -409,6 +409,33 @@ def test_verify_unknown_kind_exit_4(workdir, capsys):
     assert "bogus" in err
 
 
+@pytest.mark.parametrize("layer, key, value", [("dec", "mask_bits", False),
+                                               ("one", "params_after", True)],
+                         ids=["mask_bits_false", "params_after_true"])
+def test_verify_bool_for_count_exit_4(workdir, capsys, layer, key, value):
+    """JSON false and true are not the counts 0 and 1, though Python's == takes them so."""
+    path = workdir / "in.qtns"
+    save_archive(TensorArchive(entries=[
+        ("one", DenseTensor(np.array([[1.0, 2.0]]))),
+        ("dec", DenseTensor(np.random.default_rng(0).standard_normal((8, 8)))),
+    ]), path)
+    cfg = workdir / "cfg.json"
+    cfg.write_text(json.dumps({"layers": {
+        "one": {"stage_list": ["prune"], "prune": {"alpha": 0.5}},
+        "dec": {"stage_list": ["decompose"], "rank_svd": 2},
+    }}))
+    out, report = workdir / "out.qtns", workdir / "out.qtns.report.json"
+    assert run(["compress", path, cfg, out]) == 0
+    doc = json.loads(report.read_text())
+    row = next(r for r in doc["per_layer"] if r["layer_name"] == layer)
+    assert row[key] == value and row[key] is not value
+    row[key] = value
+    report.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["verify", path, out, report]) == 4
+    assert f"{layer}.{key}: report {value}, recomputed {int(value)}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("tamper, message", [
     ({"replace": {"fc2": lambda data: 2 * data}}, "fc2: pass-through entry differs"),
     ({"drop_entry": "fc2"}, "extra [], missing ['fc2']"),

@@ -115,23 +115,45 @@ class TestCompressLayer:
         assert isinstance(stored_mask, BitTensor) and np.array_equal(stored_mask.data, layer.mask)
 
     @pytest.mark.parametrize("shape", [(12, 9), (4, 3, 3, 3)])
-    @pytest.mark.parametrize("stored", ["kept", "moved"])
-    def test_masked_recon_error_equals_dense_error(self, shape, stored):
-        # compress stores the kept weights; verify rebuilds whatever the
-        # archive holds, so the stored values may differ from the original
+    @pytest.mark.parametrize("case", ["kept", "moved", "svd", "svd-masked",
+                                      "factored", "factored-masked"])
+    def test_masked_recon_error_equals_dense_error(self, shape, case):
+        # every kind's row is ||w - E|| / ||w||, with E built here from the
+        # stored tensors; compress stores a masked layer's kept weights, but
+        # verify rebuilds whatever the archive holds, so "moved" values differ
         rng = np.random.default_rng(len(shape))
         data = rng.standard_normal(shape).astype(np.float32)
         data.flat[::5] = -0.0
         w = DenseTensor(data)
+        a = w.data.reshape(shape[0], -1).astype(np.float64)
+        m, n = a.shape
+        kind = "masked" if case in ("kept", "moved") else case.removesuffix("-masked")
         for seed in range(5):
-            mask = (np.random.default_rng(seed).random(shape) < 0.6).astype(np.uint8)
-            values = data[mask == 1]
-            if stored == "moved":
-                values = values + np.random.default_rng(seed).standard_normal(values.size)
-                values[::3] = -0.0
-            layer = pipeline.CompressedLayer("L", "masked", (DenseTensor(values),), mask)
-            a = w.data.reshape(shape[0], -1).astype(np.float64)
-            want = float(np.linalg.norm(a - layer.effective_matrix()) / np.linalg.norm(a))
+            r = np.random.default_rng(seed)
+            mask = (r.random(shape) < 0.6).astype(np.uint8)
+            if kind == "masked":
+                values = data[mask == 1]
+                if case == "moved":
+                    values = values + r.standard_normal(values.size)
+                    values[::3] = -0.0
+                tensors = (DenseTensor(values),)
+                e = np.zeros(shape)
+                e[mask == 1] = tensors[0].data
+            elif kind == "svd":
+                tensors = tuple(DenseTensor(r.standard_normal(s)) for s in ((m, 3), (3,), (n, 3)))
+                u, sigma, v = (t.data.astype(np.float64) for t in tensors)
+                e = ((u * sigma) @ v.T).astype(np.float32)
+            else:
+                tensors = tuple(DenseTensor(r.standard_normal(s)) for s in ((m, 3), (3, n)))
+                w1, w2 = (t.data.astype(np.float64) for t in tensors)
+                e = w1 @ w2
+            if kind != "masked" and not case.endswith("-masked"):
+                mask = None
+            e = e.reshape(m, n).astype(np.float64)
+            if mask is not None:
+                e = e * mask.reshape(m, n)
+            layer = pipeline.CompressedLayer("L", kind, tensors, mask)
+            want = float(np.linalg.norm(a - e) / np.linalg.norm(a))
             assert pipeline.relative_recon_error(w, layer) == want
 
     def test_conv_tensor_flattened(self):
