@@ -29,25 +29,44 @@ LAYER_KEYS = ("seed", "stage_list", "prune", "rank_svd", "anneal")
 # the config each object resolves to, whose fields are the object's keys
 BLOCK_CONFIGS = {"prune": pr.PruneConfig, "anneal": fac.AnnealConfig}
 
-# Entry names of each artifact kind (layer name + suffix), in entries() order;
-# a pruned layer adds name + MASK_SUFFIX, bit-packed, which a "masked" layer
-# always has. The kind is the one its stage list's last stage stores.
-ENTRY_SUFFIXES = {"masked": ("",), "svd": (".u", ".sigma", ".v"), "factored": (".w1", ".w2")}
+# One record per artifact kind: the stage that stores it (as a layer's last
+# stage); the suffixes of its f32 entries (layer name + suffix), in entries()
+# order; shapes(m, n, r, kept), their shapes against the m x n original, with r
+# the last axis of the first entry and kept the mask's ones (0 without a mask);
+# stored(result), their tensors from the stage's result; product(tensors, mask),
+# the matrix they stand for at inference. A pruned layer also stores its retain
+# mask, bit-packed in the original shape, as name + MASK_SUFFIX. Records look up
+# module functions as they run, so a probe replacing one sees the call.
+Kind = collections.namedtuple("Kind", "stage suffixes shapes stored product")
+KINDS = {
+    "masked": Kind(  # the kept weights alone, in C flat order of the mask
+        "prune", ("",), lambda m, n, r, kept: [(kept,)],
+        lambda res: (DenseTensor(res.pruned_weights.data.ravel().take(_kept(res.mask))),),
+        lambda t, mask: as_matrix(_scatter(t[0].data, mask))),
+    "svd": Kind(  # sigma stored as f32; the product is reconstruct's, rounded to f32
+        "decompose", (".u", ".sigma", ".v"), lambda m, n, r, kept: [(m, r), (r,), (n, r)],
+        lambda f: (f.u, DenseTensor(f.sigma), f.v),
+        lambda t, mask: _mask_in_place(dec.reconstruct(
+            dec.SvdFactors(t[0], t[1].data, t[2])).data.astype(np.float64), mask)),
+    "factored": Kind(  # the product is w1 @ w2 in float64
+        "factorize", (".w1", ".w2"), lambda m, n, r, kept: [(m, r), (r, n)],
+        lambda pair: (pair.w1, pair.w2),
+        lambda t, mask: _mask_in_place(np.matmul(*(x.data.astype(np.float64) for x in t)), mask)),
+}
+STAGE_KIND = {rec.stage: kind for kind, rec in KINDS.items()}
 MASK_SUFFIX = ".mask"
-LAST_STAGE_KIND = {"prune": "masked", "decompose": "svd", "factorize": "factored"}
 
 
 def _entry_names(name: str, kind: str, pruned: bool) -> list[str]:
     """The archive entries of a layer's artifact, in entries() order."""
-    return [name + s for s in ENTRY_SUFFIXES[kind]] + [name + MASK_SUFFIX] * pruned
+    return [name + s for s in KINDS[kind].suffixes] + [name + MASK_SUFFIX] * pruned
 
 
 def _output_names(original: TensorArchive,
                   kinds: dict[str, tuple[str, bool]]) -> dict[str, list[str]]:
     """The entry names compress writes for each original entry, in order: a
-    compressed layer's _entry_names(name, *kinds[name]), with kinds[name] its
-    (kind, pruned), else the entry's own name. compress checks these names
-    for collisions, and verify requires exactly them."""
+    compressed layer's _entry_names(name, *kinds[name]), kinds[name] being its
+    (kind, pruned), else the entry's own name. verify requires exactly them."""
     return {name: _entry_names(name, *kinds[name]) if name in kinds else [name]
             for name, _ in original.entries}
 
@@ -78,37 +97,27 @@ class LayerConfig:
 
 @dataclass(frozen=True)
 class CompressedLayer:
-    """One compressed layer as the archive stores it: the kind's f32 tensors in
-    ENTRY_SUFFIXES order, (values,), (u, sigma, v) or (w1, w2), and the retain
-    mask of a prune stage, in the original shape, if one ran. A masked layer's
-    values are its kept weights alone, in C flat order of the mask."""
+    """One compressed layer as the archive stores it: its kind's f32 tensors in
+    KINDS suffix order, and the bool retain mask in the original shape if a prune
+    stage ran. The masked, svd_factors and factors views remain only for
+    perfbench's forwards, until the program has a forward of its own."""
 
     layer_name: str
-    kind: str  # "masked" | "svd" | "factored"
+    kind: str  # a key of KINDS
     tensors: tuple[DenseTensor, ...]
     mask: pr.RetainMask | None
 
     @property
     def masked(self) -> DenseTensor:
-        """A masked layer's weights in the original shape: its values where
-        the mask is 1, 0 elsewhere."""
-        (values,) = self.tensors
-        weights = np.zeros(self.mask.size, dtype=np.float32)
-        weights[_kept(self.mask)] = values.data
-        return DenseTensor(weights.reshape(self.mask.shape))
+        return DenseTensor(_scatter(self.tensors[0].data, self.mask))
 
     @property
     def svd_factors(self) -> dec.SvdFactors:
-        u, sigma, v = self.tensors
-        return dec.SvdFactors(u=u, sigma=sigma.data, v=v)
+        return dec.SvdFactors(self.tensors[0], self.tensors[1].data, self.tensors[2])
 
     @property
     def factors(self) -> fac.FactorPair:
-        w1, w2 = self.tensors
-        return fac.FactorPair(w1, w2, final_loss=0.0)
-
-    def param_count(self) -> int:
-        return sum(t.size for t in self.tensors)
+        return fac.FactorPair(*self.tensors, final_loss=0.0)
 
     def entries(self) -> list[tuple[str, Tensor]]:
         """Archive entries representing this layer's stored artifact."""
@@ -116,24 +125,24 @@ class CompressedLayer:
         return list(zip(_entry_names(self.layer_name, self.kind, bool(mask)), self.tensors + mask))
 
     def effective_matrix(self) -> np.ndarray:
-        """The matrix the artifact stands for at inference: mask applied
-        multiplicatively to the factor product / reconstruction."""
-        if self.kind == "masked":
-            return as_matrix(self.masked.data)
-        if self.kind == "svd":
-            eff = dec.reconstruct(self.svd_factors).data.astype(np.float64)
-        else:
-            w1, w2 = (t.data.astype(np.float64) for t in self.tensors)
-            eff = w1 @ w2
-        if self.mask is not None:
-            eff *= as_matrix(self.mask)
-        return eff
+        """The matrix the artifact stands for at inference (KINDS product)."""
+        return KINDS[self.kind].product(self.tensors, self.mask)
 
 
 def _kept(mask: np.ndarray) -> np.ndarray:
-    """The flat indices of the mask's ones, in C order: where a masked layer's
-    stored values go."""
+    """The flat indices of the mask's ones in C order, where a masked layer's values go."""
     return np.flatnonzero(mask)
+
+
+def _scatter(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """f32 weights in the mask's shape: the values where it is 1, 0 elsewhere."""
+    weights = np.zeros(mask.size, dtype=np.float32)
+    weights[_kept(mask)] = values
+    return weights.reshape(mask.shape)
+
+
+def _mask_in_place(eff: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
+    return eff if mask is None else np.multiply(eff, as_matrix(mask), out=eff)
 
 
 def relative_recon_error(original: DenseTensor, layer: CompressedLayer) -> float:
@@ -149,17 +158,18 @@ def relative_recon_error(original: DenseTensor, layer: CompressedLayer) -> float
 def layer_row(w: DenseTensor, layer: CompressedLayer) -> dict:
     """The report row of one layer: its bookkeeping against the original w.
     Bytes are archive payload, headers excluded."""
-    params_after = layer.param_count()
+    params_after = sum(t.size for t in layer.tensors)
+    mask_bits = 0 if layer.mask is None else layer.mask.size
     return {
         "layer_name": layer.layer_name,
         "kind": layer.kind,
         "params_before": w.size,
         "params_after": params_after,
         "bytes_before": w.nbytes,
-        "bytes_after": sum(t.nbytes for _, t in layer.entries()),
+        "bytes_after": sum(t.nbytes for t in layer.tensors) + (mask_bits + 7) // 8,
         "ratio": w.size / params_after,
         "recon_error_rel": relative_recon_error(w, layer),
-        "mask_bits": w.size if layer.mask is not None else 0,
+        "mask_bits": mask_bits,
     }
 
 
@@ -204,26 +214,22 @@ def compress_layer(w: DenseTensor, cfg: LayerConfig, *,
                         f"leaves none of its {w.size} weights "
                         f"(alpha {cfg.prune.alpha}, entangle_prob {cfg.prune.entangle_prob})"
                     )
-                kept = res.pruned_weights.data.ravel().take(_kept(mask))
-                tensors = (DenseTensor(kept),)
                 current = DenseTensor(as_matrix(res.pruned_weights.data))
             elif stage == "decompose":
                 full = dec.svd(current)
-                svd_f = dec.truncate(full, min(cfg.rank_svd, full.rank))
-                # the archive stores sigma as f32; a next stage takes the f64 product
-                tensors = (svd_f.u, DenseTensor(svd_f.sigma), svd_f.v)
+                res = dec.truncate(full, min(cfg.rank_svd, full.rank))
                 if more:
-                    current = dec.reconstruct(svd_f)
+                    current = dec.reconstruct(res)
             else:
-                pair = fac.anneal_factorize(current, cfg.anneal)
-                tensors = (pair.w1, pair.w2)
+                res = fac.anneal_factorize(current, cfg.anneal)
                 if more:
-                    current = fac.compressed_matrix(pair)
+                    current = fac.compressed_matrix(res)
     except Exception as exc:
         exc.args = (f"layer {cfg.layer_name!r} ({stage}): {exc}",)
         raise
 
-    layer = CompressedLayer(cfg.layer_name, LAST_STAGE_KIND[cfg.stage_list[-1]], tensors, mask)
+    kind = STAGE_KIND[cfg.stage_list[-1]]
+    layer = CompressedLayer(cfg.layer_name, kind, KINDS[kind].stored(res), mask)
     row = layer_row(w, layer)
     row["wall_time"] = time.perf_counter() - t0
     return layer, row
@@ -501,8 +507,9 @@ def compress_archive(
         raise ConfigError(f"config names layers missing from archive: {missing}")
     configured = [(name, tensor) for name, tensor in archive.entries if name in config.layers]
     configs = [config.resolved(name, seed_override) for name, _ in configured]
-    kinds = {c.layer_name: (LAST_STAGE_KIND[c.stage_list[-1]], "prune" in c.stage_list)
-             for c in configs}
+    # every configured layer reserves its mask's name, pruned or not, since
+    # rebuild_layer reads an entry of that name as the layer's mask
+    kinds = {c.layer_name: (STAGE_KIND[c.stage_list[-1]], True) for c in configs}
     planned = _output_names(archive, kinds)
     counts = collections.Counter(n for names in planned.values() for n in names)
     for name in kinds:
@@ -525,38 +532,33 @@ def compress_archive(
     return TensorArchive(entries=entries), report
 
 
-def rebuild_layer(
-    original: DenseTensor, compressed: TensorArchive, name: str, kind: str
-) -> CompressedLayer:
+def rebuild_layer(original: DenseTensor, compressed: TensorArchive, name: str,
+                  kind: str) -> CompressedLayer:
     """Read back the CompressedLayer that entries() stored in the archive. Every
-    stored tensor must have the type and shape its kind gives it against the
-    original: u m x r, sigma r, v n x r, w1 m x r, w2 r x n, all f32; the mask a
-    bit tensor of the original shape that keeps a weight; a masked layer's
-    values f32, one per weight its mask keeps."""
-    if kind not in ENTRY_SUFFIXES:
-        raise VerificationError(f"layer {name!r}: unknown artifact kind {kind!r}")
+    stored tensor must be f32 of the shape KINDS[kind].shapes gives it against
+    the original, and the mask a bit tensor of the original shape that keeps a weight."""
+    if kind not in KINDS:
+        raise VerificationError(
+            f"layer {name!r}: unknown artifact kind {kind!r}; known kinds are {list(KINDS)}")
     if not isinstance(original, DenseTensor) or len(original.shape) not in (2, 4):
         raise VerificationError(
-            f"layer {name!r}: original is not an f32 tensor of 2 or 4 axes, which compress takes"
-        )
-    names = _entry_names(name, kind, kind == "masked" or name + MASK_SUFFIX in compressed)
+            f"layer {name!r}: original is not an f32 tensor of 2 or 4 axes, which compress takes")
+    record = KINDS[kind]
+    # the kind prune stores always has the mask that placed its values
+    names = _entry_names(name, kind, record.stage == "prune" or name + MASK_SUFFIX in compressed)
     missing = [n for n in names if n not in compressed]
     if missing:
         raise VerificationError(f"layer {name!r} ({kind}): archive has no {missing}")
     tensors = [compressed.get(n) for n in names]
-    k = len(ENTRY_SUFFIXES[kind])
-    mask = None
+    k = len(record.suffixes)
+    mask, kept = None, 0
     if len(tensors) > k:
         _check_entry(name, kind, names[k], tensors[k], original.shape, BitTensor)
         mask = tensors[k].data
-        if not mask.any():
+        kept = int(np.count_nonzero(mask))
+        if not kept:
             raise VerificationError(f"layer {name!r}: stored mask keeps no weight")
-    if kind == "masked":
-        shapes = [(int(np.count_nonzero(mask)),)]
-    else:
-        m, n = as_matrix(original.data).shape
-        r = tensors[0].shape[-1]  # u and w1 are m x r
-        shapes = {"svd": [(m, r), (r,), (n, r)], "factored": [(m, r), (r, n)]}[kind]
+    shapes = record.shapes(*as_matrix(original.data).shape, tensors[0].shape[-1], kept)
     for entry, t, shape in zip(names, tensors, shapes):
         _check_entry(name, kind, entry, t, shape, DenseTensor)
     return CompressedLayer(name, kind, tuple(tensors[:k]), mask)
@@ -567,19 +569,17 @@ def _check_entry(name: str, kind: str, entry: str, t: Tensor, shape: tuple, cls:
         raise VerificationError(f"layer {name!r} ({kind}): {entry} is {t.shape}, not {shape}")
     if not isinstance(t, cls):
         # an f32 mask is what compress wrote before masks were bit-packed
-        raise VerificationError(
-            f"layer {name!r} ({kind}): {entry} is "
-            + ("f32, not bit-packed" if cls is BitTensor else "bit-packed, not f32")
-        )
+        got = "f32, not bit-packed" if cls is BitTensor else "bit-packed, not f32"
+        raise VerificationError(f"layer {name!r} ({kind}): {entry} is {got}")
 
 
 def _agrees(got, expected) -> bool:
-    """Names and counts must match exactly; floats (ratios, errors) within 1e-9 relative."""
-    if isinstance(got, bool) is not isinstance(expected, bool):
-        return False  # JSON true and false are not the counts 1 and 0
-    if not isinstance(expected, float) or not isinstance(got, (int, float)):
-        return got == expected
-    return abs(got - expected) <= 1e-9 * max(abs(expected), 1.0)
+    """Names and counts must match exactly, in type too: JSON true and 68.0 are
+    not the counts 1 and 68. Floats (ratios, errors) agree within 1e-9 relative."""
+    if not isinstance(expected, float):
+        return type(got) is type(expected) and got == expected
+    return (isinstance(got, (int, float)) and not isinstance(got, bool)
+            and abs(got - expected) <= 1e-9 * max(abs(expected), 1.0))
 
 
 def verify_report(

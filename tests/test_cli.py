@@ -406,14 +406,18 @@ def test_verify_unknown_kind_exit_4(workdir, capsys):
         doc["per_layer"][0]["kind"] = "bogus"
     code, err = verify_tampered(workdir, capsys, edit_report=edit)
     assert code == 4
-    assert "bogus" in err
+    assert "unknown artifact kind 'bogus'; known kinds are ['masked', 'svd', 'factored']" in err
 
 
 @pytest.mark.parametrize("layer, key, value", [("dec", "mask_bits", False),
-                                               ("one", "params_after", True)],
-                         ids=["mask_bits_false", "params_after_true"])
+                                               ("one", "params_after", True),
+                                               ("dec", "mask_bits", 0.0),
+                                               ("one", "params_after", 1.0)],
+                         ids=["mask_bits_false", "params_after_true",
+                              "mask_bits_float", "params_after_float"])
 def test_verify_bool_for_count_exit_4(workdir, capsys, layer, key, value):
-    """JSON false and true are not the counts 0 and 1, though Python's == takes them so."""
+    """JSON false, true, 0.0 and 1.0 are not the counts 0 and 1, though Python's
+    == takes them so."""
     path = workdir / "in.qtns"
     save_archive(TensorArchive(entries=[
         ("one", DenseTensor(np.array([[1.0, 2.0]]))),
@@ -784,7 +788,11 @@ def test_compress_bad_config_exit_2_before_any_layer(workdir, capsys, monkeypatc
     # two configured layers: a's factor pair and the masked a.w1
     (["a=8x8", "a.w1=8x8"], {"a": {}, "a.w1": {"stage_list": ["prune"]}},
      r"layer 'a': entry names \['a.w1'\] collide"),
-], ids=["pass_through", "two_configured"])
+    # verify would read a pass-through fc.mask as the mask of fc, which no
+    # prune stage runs on, so every configured layer reserves its mask's name
+    (["fc=8x8", "fc.mask=8x8"], {"fc": {"stage_list": ["decompose"], "rank_svd": 2}},
+     r"layer 'fc': entry names \['fc.mask'\] collide"),
+], ids=["pass_through", "two_configured", "mask_of_unpruned"])
 def test_compress_entry_name_collision_exit_2_before_any_layer(workdir, capsys, monkeypatch,
                                                                layers, config, message):
     gen = ["gen", workdir / "in.qtns"]
@@ -800,6 +808,22 @@ def test_compress_entry_name_collision_exit_2_before_any_layer(workdir, capsys, 
     assert calls == []
     assert not (workdir / "out.qtns").exists()
     assert not (workdir / "out.qtns.report.json").exists()
+
+
+def test_compress_reserves_bit_mask_name_of_unpruned_layer_exit_2(workdir, capsys, monkeypatch):
+    # as mask_of_unpruned above, with the pass-through fc.mask bit-coded as a mask is
+    w = DenseTensor(np.random.default_rng(0).standard_normal((8, 8)))
+    mask = BitTensor(np.ones((8, 8)))
+    save_archive(TensorArchive(entries=[("fc", w), ("fc.mask", mask)]), workdir / "in.qtns")
+    cfg = workdir / "cfg.json"
+    cfg.write_text(json.dumps({"layers": {"fc": {"stage_list": ["decompose"], "rank_svd": 2}}}))
+    calls = []
+    monkeypatch.setattr(pipeline, "compress_layer", lambda *a, **k: calls.append(a))
+    capsys.readouterr()
+    assert run(["compress", workdir / "in.qtns", cfg, workdir / "out.qtns"]) == 2
+    assert "layer 'fc': entry names ['fc.mask'] collide" in capsys.readouterr().err
+    assert calls == []
+    assert not (workdir / "out.qtns").exists()
 
 
 # with warnings as errors: an overflow warning on the way to inf would exit 1;

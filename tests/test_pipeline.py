@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import struct
 import sys
 import threading
 import time
@@ -460,10 +461,11 @@ def test_report_rows_equal_stored_layer_rows(stage_list):
 
 @pytest.mark.parametrize("stage_list", STAGE_LISTS, ids="-".join)
 def test_written_names_are_the_plan(stage_list):
-    # the names the pre-pass checks and verify expects are the ones written
+    # the names verify expects are the ones written
     archive, config = mixed_archive_and_config(stage_list)
     out, _ = compress_archive(archive, config)
-    kind = (pipeline.LAST_STAGE_KIND[stage_list[-1]], "prune" in stage_list)
+    (last,) = [k for k, rec in pipeline.KINDS.items() if rec.stage == stage_list[-1]]
+    kind = (last, "prune" in stage_list)
     planned = pipeline._output_names(archive, {"fc": kind, "conv": kind})
     assert out.names() == [n for names in planned.values() for n in names]
 
@@ -525,3 +527,64 @@ def test_prune_only_archive_bytes_pinned():
     assert [r["params_after"] for r in report.per_layer] == [419, 464, 474]
     digest = hashlib.sha256(write_archive(out)).hexdigest()
     assert digest == "b1ab5157ac2d7f4e72b0db119f3e65a059bdcbc59ec297c92dfe8c7b7ced785f"
+
+
+def _layout(raw: bytes) -> list[tuple[str, tuple[int, ...], int]]:
+    """(name, dims, dtype code) of each entry of a serialized archive, read
+    from its headers as the format defines them."""
+    (count,), pos, out = struct.unpack_from("<I", raw, 8), 12, []
+    for _ in range(count):
+        (size,) = struct.unpack_from("<I", raw, pos)
+        name = raw[pos + 4:pos + 4 + size].decode()
+        (axes,) = struct.unpack_from("<I", raw, pos + 4 + size)
+        dims = struct.unpack_from(f"<{axes}Q", raw, pos + 8 + size)
+        pos += 8 + size + 8 * axes
+        (code,) = struct.unpack_from("<I", raw, pos)
+        n = int(np.prod(dims))
+        pos += 4 + (4 * n if code == 0 else (n + 7) // 8)
+        out.append((name, dims, code))
+    assert pos == len(raw)
+    return out
+
+
+# Each stored form on a 12x10 fc and a 6x2x3x3 conv (6x18 as a matrix), around
+# a pass-through bias; rank 3, and prune keeps 55 and 52 weights. Dtype code 0
+# is f32, 1 is bits. Written out by hand so that it cannot follow the code.
+STORED_LAYOUTS = {
+    ("prune",): [
+        ("fc", (55,), 0), ("fc.mask", (12, 10), 1), ("bias", (10,), 0),
+        ("conv", (52,), 0), ("conv.mask", (6, 2, 3, 3), 1)],
+    ("decompose",): [
+        ("fc.u", (12, 3), 0), ("fc.sigma", (3,), 0), ("fc.v", (10, 3), 0), ("bias", (10,), 0),
+        ("conv.u", (6, 3), 0), ("conv.sigma", (3,), 0), ("conv.v", (18, 3), 0)],
+    ("prune", "decompose"): [
+        ("fc.u", (12, 3), 0), ("fc.sigma", (3,), 0), ("fc.v", (10, 3), 0),
+        ("fc.mask", (12, 10), 1), ("bias", (10,), 0), ("conv.u", (6, 3), 0),
+        ("conv.sigma", (3,), 0), ("conv.v", (18, 3), 0), ("conv.mask", (6, 2, 3, 3), 1)],
+    ("factorize",): [
+        ("fc.w1", (12, 3), 0), ("fc.w2", (3, 10), 0), ("bias", (10,), 0),
+        ("conv.w1", (6, 3), 0), ("conv.w2", (3, 18), 0)],
+    ("prune", "decompose", "factorize"): [
+        ("fc.w1", (12, 3), 0), ("fc.w2", (3, 10), 0), ("fc.mask", (12, 10), 1),
+        ("bias", (10,), 0), ("conv.w1", (6, 3), 0), ("conv.w2", (3, 18), 0),
+        ("conv.mask", (6, 2, 3, 3), 1)],
+}
+
+
+@pytest.mark.parametrize("stage_list", STORED_LAYOUTS, ids="-".join)
+def test_stored_layout_pinned(stage_list):
+    # names, shapes and dtype codes only: SVD and anneal payloads follow the BLAS build
+    archive = TensorArchive(entries=[
+        ("fc", _formula_tensor((12, 10), 1)),
+        ("bias", _formula_tensor((10,), 2)),
+        ("conv", _formula_tensor((6, 2, 3, 3), 3)),
+    ])
+    config = PipelineConfig(defaults={
+        "seed": 13, "stage_list": list(stage_list),
+        "prune": {"alpha": 0.45, "stages": 2, "entangle_prob": 0.1},
+        "rank_svd": 3, "anneal": {"rank": 3, "max_iters": 20},
+    }, layers={"fc": {}, "conv": {}})
+    out, report = compress_archive(archive, config)
+    raw = write_archive(out)
+    assert _layout(raw) == STORED_LAYOUTS[stage_list]
+    verify_report(archive, read_archive(raw), report)
