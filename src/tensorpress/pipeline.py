@@ -24,9 +24,7 @@ from .errors import ArchiveError, ConfigError, VerificationError, check_int
 from .tensors import BitTensor, DenseTensor, Tensor, TensorArchive, as_matrix
 
 STAGES = ("prune", "decompose", "factorize")
-# keys of "defaults" and of each layer's overrides; prune and anneal are objects
-LAYER_KEYS = ("seed", "stage_list", "prune", "rank_svd", "anneal")
-# the config each object resolves to, whose fields are the object's keys
+# the config each object block resolves to, whose fields are the block's keys
 BLOCK_CONFIGS = {"prune": pr.PruneConfig, "anneal": fac.AnnealConfig}
 
 # One record per artifact kind: the stage that stores it (as a layer's last
@@ -55,6 +53,7 @@ KINDS = {
 }
 STAGE_KIND = {rec.stage: kind for kind, rec in KINDS.items()}
 MASK_SUFFIX = ".mask"
+OVERFLOW = "its result overflows f32"  # a stage's fault where its f32 result is not finite
 
 
 def _entry_names(name: str, kind: str, pruned: bool) -> list[str]:
@@ -201,36 +200,42 @@ def compress_layer(w: DenseTensor, cfg: LayerConfig, *,
     t0 = time.perf_counter()
     current = DenseTensor(as_matrix(w.data))
     mask = None
-    try:
-        for i, stage in enumerate(cfg.stage_list):
-            # the matrix a next stage takes; the last stage's is never read
-            more = i + 1 < len(cfg.stage_list)
-            if stage == "prune":
-                # prune in the original layout so conv adjacency applies
-                res = pr.iterative_prune(current.reshape(w.shape), cfg.prune)
-                mask = res.mask
-                if not mask.any():
-                    raise ConfigError(
-                        f"leaves none of its {w.size} weights "
-                        f"(alpha {cfg.prune.alpha}, entangle_prob {cfg.prune.entangle_prob})"
-                    )
-                current = DenseTensor(as_matrix(res.pruned_weights.data))
-            elif stage == "decompose":
-                full = dec.svd(current)
-                res = dec.truncate(full, min(cfg.rank_svd, full.rank))
-                if more:
-                    current = dec.reconstruct(res)
-            else:
-                res = fac.anneal_factorize(current, cfg.anneal)
-                if more:
-                    current = fac.compressed_matrix(res)
-    except Exception as exc:
-        exc.args = (f"layer {cfg.layer_name!r} ({stage}): {exc}",)
-        raise
-
-    kind = STAGE_KIND[cfg.stage_list[-1]]
-    layer = CompressedLayer(cfg.layer_name, kind, KINDS[kind].stored(res), mask)
-    row = layer_row(w, layer)
+    # w is finite, so only an overflow makes a result not finite: checked, not warned of
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            for i, stage in enumerate(cfg.stage_list):
+                # the matrix a next stage takes; the last stage's is never read
+                more = i + 1 < len(cfg.stage_list)
+                if stage == "prune":
+                    # prune in the original layout so conv adjacency applies
+                    res = pr.iterative_prune(current.reshape(w.shape), cfg.prune)
+                    mask = res.mask
+                    if not mask.any():
+                        raise ConfigError(
+                            f"leaves none of its {w.size} weights "
+                            f"(alpha {cfg.prune.alpha}, entangle_prob {cfg.prune.entangle_prob})"
+                        )
+                    current = DenseTensor(as_matrix(res.pruned_weights.data))
+                elif stage == "decompose":
+                    full = dec.svd(current)
+                    res = dec.truncate(full, min(cfg.rank_svd, full.rank))
+                    if more:
+                        current = dec.reconstruct(res)
+                else:
+                    res = fac.anneal_factorize(current, cfg.anneal)
+                    if more:
+                        current = fac.compressed_matrix(res)
+                if more and not np.isfinite(current.data).all():
+                    raise ConfigError(OVERFLOW)
+            kind = STAGE_KIND[stage]
+            layer = CompressedLayer(cfg.layer_name, kind, KINDS[kind].stored(res), mask)
+            row = layer_row(w, layer)
+            # finite unless the matrix the stored layer stands for is not
+            if not np.isfinite(row["recon_error_rel"]):
+                raise ConfigError(OVERFLOW)
+        except Exception as exc:
+            exc.args = (f"layer {cfg.layer_name!r} ({stage}): {exc}",)
+            raise
     row["wall_time"] = time.perf_counter() - t0
     return layer, row
 
@@ -288,13 +293,10 @@ class CompressionReport:
         return "\n".join(lines)
 
 
-def _stable_hash64(text: str) -> int:
-    return int.from_bytes(hashlib.sha256(text.encode("utf-8")).digest()[:8], "little")
-
-
 def derive_seed(base_seed: int, layer_name: str, role: str) -> int:
     """Per-(layer, role) seed stream: base xor a stable hash of layer and role."""
-    return (base_seed ^ _stable_hash64(f"{role}:{layer_name}")) & 0x7FFFFFFFFFFFFFFF
+    digest = hashlib.sha256(f"{role}:{layer_name}".encode("utf-8")).digest()
+    return (base_seed ^ int.from_bytes(digest[:8], "little")) & 0x7FFFFFFFFFFFFFFF
 
 
 def _deep_merge(base: dict, override: dict) -> dict:
@@ -320,8 +322,10 @@ class PipelineConfig:
             raise ConfigError("layers: must be a JSON object")
         blocks = {"defaults": self.defaults,
                   **{f"layer {name!r}": overrides for name, overrides in self.layers.items()}}
+        # a layer's keys: its base seed and LayerConfig's fields but the name
+        layer_keys = ["seed", *(f.name for f in fields(LayerConfig)[1:])]
         for where, block in blocks.items():
-            _check_keys(where, block, LAYER_KEYS)
+            _check_keys(where, block, layer_keys)
             for key in BLOCK_CONFIGS:
                 if not isinstance(block.get(key, {}), dict):
                     raise ConfigError(f"{where}: {key} must be a JSON object")
@@ -331,44 +335,39 @@ class PipelineConfig:
         doc = json.loads(text)
         if not isinstance(doc, dict):
             raise ConfigError("config must be a JSON object")
-        unknown = set(doc) - {"defaults", "layers"}
+        unknown = set(doc) - {f.name for f in fields(PipelineConfig)}
         if unknown:
             raise ConfigError(f"unknown top-level config keys: {sorted(unknown)}")
-        return PipelineConfig(defaults=doc.get("defaults", {}), layers=doc.get("layers", {}))
+        return PipelineConfig(**doc)
 
     def resolved(self, layer_name: str, seed_override: int | None = None) -> LayerConfig:
         """The layer's checked config: defaults deep-merged with its overrides,
-        and each prune or anneal seed not given derived from the base seed."""
+        and each prune or anneal seed not given derived from the base seed. The
+        anneal block is resolved, and its values checked, only for factorize."""
         try:
             merged = _deep_merge(self.defaults, self.layers.get(layer_name, {}))
             for key, cls in BLOCK_CONFIGS.items():
                 _check_keys(key, merged.get(key, {}), [f.name for f in fields(cls)])
-            base_seed = seed_override if seed_override is not None else merged.get("seed", 0)
+            seed = merged.pop("seed", 0)
+            base_seed = seed if seed_override is None else seed_override
             check_int("seed", base_seed)
-            prune_d = dict(merged.get("prune", {}))
-            if seed_override is not None or "seed" not in prune_d:
-                prune_d["seed"] = derive_seed(base_seed, layer_name, "prune")
-            anneal_d = dict(merged.get("anneal", {}))
             stage_list = merged.get("stage_list", STAGES)
             if not isinstance(stage_list, (list, tuple)):
                 raise ConfigError(f"stage_list must be a list, got {stage_list!r}")
-            anneal = None
-            if "factorize" in stage_list:
-                if seed_override is not None or "seed" not in anneal_d:
-                    anneal_d["seed"] = derive_seed(base_seed, layer_name, "anneal")
-                anneal = fac.AnnealConfig(**anneal_d)
-            return LayerConfig(
-                layer_name=layer_name,
-                stage_list=tuple(stage_list),
-                prune=pr.PruneConfig(**prune_d),
-                rank_svd=merged.get("rank_svd"),
-                anneal=anneal,
-            )
+            merged["stage_list"] = tuple(stage_list)
+            for key in ("anneal", "prune"):  # anneal's value faults surface first
+                block = dict(merged.get(key, {}))
+                if seed_override is not None or "seed" not in block:
+                    block["seed"] = derive_seed(base_seed, layer_name, key)
+                # anneal values are checked only where factorize reads them
+                wanted = key == "prune" or "factorize" in stage_list
+                merged[key] = BLOCK_CONFIGS[key](**block) if wanted else None
+            return LayerConfig(layer_name, **merged)
         except (ConfigError, TypeError) as exc:
             raise ConfigError(f"layer {layer_name!r}: {exc}") from exc
 
     def echo(self) -> dict:
-        return {"defaults": self.defaults, "layers": self.layers}
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def _check_keys(where: str, block, known) -> None:

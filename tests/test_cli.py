@@ -447,8 +447,13 @@ def test_verify_bool_for_count_exit_4(workdir, capsys, layer, key, value):
     ({"append": lambda orig: [("fc1", orig.get("fc1"))]}, "extra ['fc1']"),
     ({"edit_report": lambda doc: doc["per_layer"].append(doc["per_layer"][0])},
      "report row 1 repeats layer 'fc1'"),
+    ({"edit_report": lambda doc: doc["per_layer"][0].update(layer_name="ghost")},
+     "report row 0: 'ghost' is not in the original archive"),
+    # t is 4 x 4 x 4, an axis count compress does not take
+    ({"edit_report": lambda doc: doc["per_layer"][0].update(layer_name="t")},
+     "layer 't': original is not an f32 tensor of 2 or 4 axes"),
 ], ids=["passthrough_doubled", "passthrough_dropped", "extra_entry", "original_kept",
-        "row_repeated"])
+        "row_repeated", "row_not_in_original", "row_on_3_axes"])
 def test_verify_whole_archive_exit_4(workdir, capsys, tamper, message):
     code, err = verify_tampered(workdir, capsys, **tamper)
     assert code == 4
@@ -762,6 +767,20 @@ def with_edits(block, edits):
                  id="prune_alpha_string"),
     pytest.param({"defaults.anneal.decay": "x"}, [], "layer 'fc1': decay must be a number",
                  id="decay_string"),
+    pytest.param({"bogus": 1}, [], r"unknown top-level config keys: \['bogus'\]",
+                 id="top_level_unknown_key"),
+    # with two faults, the first in the order resolved() checks them is reported:
+    # block keys, seed, stage_list's type, anneal values, prune values, the rest
+    pytest.param({"defaults.seed": "x", "defaults.anneal.bogus": 1}, [],
+                 r"layer 'fc1': anneal: unknown keys \['bogus'\]", id="keys_before_seed"),
+    pytest.param({"defaults.seed": "x", "defaults.stage_list": 5}, [],
+                 "layer 'fc1': seed must be an integer", id="seed_before_stage_list"),
+    pytest.param({"defaults.stage_list": 5, "defaults.anneal.decay": 5}, [],
+                 "layer 'fc1': stage_list must be a list, got 5", id="stage_list_before_anneal"),
+    pytest.param({"defaults.prune.alpha": 2.0, "defaults.anneal.decay": 5}, [],
+                 r"layer 'fc1': decay must be a number in \(0, 1\]", id="anneal_before_prune"),
+    pytest.param({"defaults.prune.alpha": 2.0, "defaults.rank_svd": 0}, [],
+                 r"layer 'fc1': alpha must be a number in \[0, 1\)", id="prune_before_rank_svd"),
     # faults that the layer's shape decides: fc1 is 16 x 16
     pytest.param({"defaults.anneal.rank": 100}, [],
                  r"layer 'fc1' \(factorize\): rank 100 exceeds min\(m, n\) = 16",
@@ -841,6 +860,109 @@ def test_compress_divergence_exit_2(workdir, capsys, key, value):
     assert not (workdir / "out.qtns").exists()
 
 
+# a finite f32 layer whose rank-1 fit has a 3.5e38 entry, past the f32 range
+OVERFLOW_FC = [[3e38, 3e38], [3e38, 0.0]]
+# the stage lists that run decompose with no factorize before it, and the rest
+# of those with decompose, whose anneal fit of the original stays in range
+DECOMPOSE_FIRST = [["decompose"], ["prune", "decompose"], ["decompose", "prune"],
+                   ["decompose", "prune", "factorize"], ["prune", "decompose", "factorize"],
+                   ["decompose", "factorize"], ["decompose", "factorize", "prune"]]
+FACTORIZE_FIRST = [["factorize", "decompose"], ["factorize", "decompose", "prune"],
+                   ["factorize", "prune", "decompose"], ["prune", "factorize", "decompose"]]
+WARNINGS = [pytest.param(action, marks=pytest.mark.filterwarnings(action))
+            for action in ("default", "error")]
+
+
+def compress_overflow_fc(workdir, stage_list):
+    save_archive(TensorArchive(entries=[("fc", DenseTensor(np.array(OVERFLOW_FC)))]),
+                 workdir / "in.qtns")
+    cfg = workdir / "cfg.json"
+    cfg.write_text(json.dumps({"defaults": {"stage_list": stage_list, "rank_svd": 1,
+                                            "anneal": {"rank": 1, "max_iters": 20}},
+                               "layers": {"fc": {}}}))
+    return run(["compress", workdir / "in.qtns", cfg, workdir / "out.qtns"])
+
+
+@pytest.mark.parametrize("warnings", WARNINGS)
+@pytest.mark.parametrize("stage_list", DECOMPOSE_FIRST, ids="-".join)
+def test_compress_fit_overflowing_f32_exit_2(workdir, capsys, stage_list, warnings):
+    """The rank-1 fit rounds to inf in f32, whether decompose hands it on or
+    stores it: exit 2 naming the stage, with nothing written."""
+    capsys.readouterr()
+    assert compress_overflow_fc(workdir, stage_list) == 2
+    assert "layer 'fc' (decompose): its result overflows f32" in capsys.readouterr().err
+    assert list(workdir.glob("out*")) == []
+
+
+@pytest.mark.parametrize("warnings", WARNINGS)
+@pytest.mark.parametrize("stage_list", FACTORIZE_FIRST, ids="-".join)
+def test_compress_factorize_first_on_overflow_layer_verifies(workdir, stage_list, warnings):
+    assert compress_overflow_fc(workdir, stage_list) == 0
+    assert run(["verify", workdir / "in.qtns", workdir / "out.qtns",
+                workdir / "out.qtns.report.json"]) == 0
+
+
+def test_compress_config_not_object_exit_2(workdir, capsys):
+    archive, cfg = write_fixture(workdir)
+    cfg.write_text(json.dumps([CONFIG]))
+    capsys.readouterr()
+    assert run(["compress", archive, cfg, workdir / "out.qtns"]) == 2
+    assert "config error: config must be a JSON object" in capsys.readouterr().err
+    assert not (workdir / "out.qtns").exists()
+
+
+def test_prune_only_layer_leaves_anneal_values_unchecked(workdir):
+    """Anneal values are checked only where factorize runs, and a layer
+    without it resolves to no anneal config, whatever its block holds."""
+    archive, cfg = write_fixture(workdir)
+    cfg.write_text(json.dumps({"defaults": {"stage_list": ["prune"], "prune": {"alpha": 0.25},
+                                            "anneal": {"decay": 5}},
+                               "layers": {"fc1": {}}}))
+    out = workdir / "out.qtns"
+    assert run(["compress", archive, cfg, out]) == 0
+    assert run(["verify", archive, out, f"{out}.report.json"]) == 0
+    assert pipeline.PipelineConfig.from_json(cfg.read_text()).resolved("fc1").anneal is None
+
+
+def test_verify_row_on_bit_original_exit_4(workdir, capsys):
+    """A report row may name only an original entry compress takes, which a bit tensor is not."""
+    rng = np.random.default_rng(0)
+    save_archive(TensorArchive(entries=[("fc", DenseTensor(rng.standard_normal((8, 8)))),
+                                        ("bits", BitTensor(rng.random((8, 8)) < 0.5))]),
+                 workdir / "in.qtns")
+    cfg = workdir / "cfg.json"
+    cfg.write_text(json.dumps({"layers": {"fc": {"stage_list": ["decompose"], "rank_svd": 2}}}))
+    out, report = workdir / "out.qtns", workdir / "out.qtns.report.json"
+    assert run(["compress", workdir / "in.qtns", cfg, out]) == 0
+    doc = json.loads(report.read_text())
+    doc["per_layer"][0]["layer_name"] = "bits"
+    report.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["verify", workdir / "in.qtns", out, report]) == 4
+    assert "layer 'bits': original is not an f32 tensor of 2 or 4 axes" in capsys.readouterr().err
+
+
+def strict_json(text):
+    """text parsed as JSON, failing on NaN and Infinity, which strict JSON lacks."""
+    def reject(constant):
+        raise ValueError(f"not strict JSON: {constant}")
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("command", ["gen", "compress"])
+def test_json_stdout_is_strict_json(workdir, capsys, command):
+    archive, cfg = write_fixture(workdir)
+    args = {"gen": ["gen", workdir / "g.qtns", "--layer", "x=4x4"],
+            "compress": ["compress", archive, cfg, workdir / "out.qtns"]}[command]
+    capsys.readouterr()
+    assert run(["--json", *args]) == 0
+    doc = strict_json(capsys.readouterr().out)
+    if command == "gen":
+        assert doc == {"output": str(workdir / "g.qtns"), "entries": ["x"]}
+    else:
+        assert doc == strict_json((workdir / "out.qtns.report.json").read_text())
+
+
 @pytest.mark.parametrize("args, message", [
     (["bench", "--size", "2x2xq"], "bad --size '2x2xq'"),
     (["bench", "--size", "8x8x0"], "bad --size '8x8x0'"),
@@ -855,11 +977,14 @@ def test_compress_divergence_exit_2(workdir, capsys, key, value):
     (["gen", "--layer", "a\udcff=4x4"], "layer name 'a\\udcff' is not valid UTF-8"),
     (["gen", "--layer", "a=2x2", "--layer", "fc1=4x4", "--layer", "a=2x2"],
      "layer name 'a' is given by more than one --layer"),
+    (["gen", "--layer", "fc1"], "bad --layer 'fc1', expected NAME=SHAPE"),
+    (["gen", "--layer", "fc1=4xq"], "bad shape in --layer 'fc1=4xq'"),
+    (["gen", "--layer", "fc1=4x0"], "dimensions must be >= 1 in --layer 'fc1=4x0'"),
     *[(["bench", "--size", "8x8x2", "--density", d], "density must be a number in (0, 1]")
       for d in ["0", "-1", "1.5", "nan"]],
 ], ids=["size_not_int", "size_0", "reps_5", "warmup_2", "variant_unknown", "bench_seed_negative",
         "gen_rank_0", "gen_seed_negative", "gen_rank_past_shape", "gen_name_not_utf8",
-        "gen_name_repeated", "density_0", "density_negative", "density_1.5", "density_nan"])
+        "gen_name_repeated", "gen_no_shape", "gen_dim_not_int", "gen_dim_0", "density_0", "density_negative", "density_1.5", "density_nan"])
 def test_bench_gen_bad_args_exit_2(workdir, capsys, args, message):
     out = workdir / "out"
     args = [*args, "--out", out] if args[0] == "bench" else [args[0], out, *args[1:]]
