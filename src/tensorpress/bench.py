@@ -110,44 +110,40 @@ def run_bench(
     rng = np.random.default_rng(seed)
     results: list[BenchResult] = []
     for m, n, r in sizes:
-        w = DenseTensor(rng.standard_normal((m, n)))
-        x = rng.standard_normal(n).astype(np.float32)
-        dense_samples = _time_loop(lambda: dense_matvec(w, x), reps, warmup)
-        dense_median = float(np.median(dense_samples))
+        try:
+            w = DenseTensor(rng.standard_normal((m, n)))
+            x = rng.standard_normal(n).astype(np.float32)
+            dense_samples = _time_loop(lambda: dense_matvec(w, x), reps, warmup)
+            dense_median = float(np.median(dense_samples))
 
-        def emit(variant, samples, flops, setup_ns=0.0):
-            results.append(
-                BenchResult(
-                    variant=variant, m=m, n=n, r=r, flops_model=flops,
-                    median_ns=float(np.median(samples)),
+            def emit(variant, samples, flops, setup_ns=0.0):
+                median = float(np.median(samples))
+                results.append(BenchResult(
+                    variant=variant, m=m, n=n, r=r, flops_model=flops, median_ns=median,
                     p10_ns=float(np.percentile(samples, 10)),
                     p90_ns=float(np.percentile(samples, 90)),
-                    speedup_vs_dense=dense_median / float(np.median(samples)),
-                    setup_ns=setup_ns,
-                )
-            )
+                    speedup_vs_dense=dense_median / median, setup_ns=setup_ns))
 
-        if "dense" in variants:
-            emit("dense", dense_samples, flops_dense(m, n))
-        if "masked" in variants:
-            mask = rng.random((m, n)) < density
-            t0 = time.perf_counter_ns()
-            csr = build_csr(w, mask)
-            setup = float(time.perf_counter_ns() - t0)
-            ref = dense_matvec(DenseTensor(w.data * mask), x)
-            _check_agreement("masked", csr_matvec(csr, x), ref)
-            emit("masked", _time_loop(lambda: csr_matvec(csr, x), reps, warmup),
-                 flops_masked(int(csr.nnz)), setup)
-        if "factored" in variants:
-            pair = FactorPair(
-                w1=DenseTensor(rng.standard_normal((m, r))),
-                w2=DenseTensor(rng.standard_normal((r, n))),
-                final_loss=0.0,
-            )
-            wc = DenseTensor(pair.w1.data.astype(np.float64) @ pair.w2.data.astype(np.float64))
-            _check_agreement("factored", factored_matvec(pair, x), dense_matvec(wc, x))
-            emit("factored", _time_loop(lambda: factored_matvec(pair, x), reps, warmup),
-                 flops_factored(m, n, r))
+            if "dense" in variants:
+                emit("dense", dense_samples, flops_dense(m, n))
+            if "masked" in variants:
+                mask = rng.random((m, n)) < density
+                t0 = time.perf_counter_ns()
+                csr = build_csr(w, mask)
+                setup = float(time.perf_counter_ns() - t0)
+                ref = dense_matvec(DenseTensor(w.data * mask), x)
+                _check_agreement("masked", csr_matvec(csr, x), ref)
+                emit("masked", _time_loop(lambda: csr_matvec(csr, x), reps, warmup),
+                     flops_masked(int(csr.nnz)), setup)
+            if "factored" in variants:
+                pair = FactorPair(w1=DenseTensor(rng.standard_normal((m, r))),
+                                  w2=DenseTensor(rng.standard_normal((r, n))), final_loss=0.0)
+                wc = DenseTensor(pair.w1.data.astype(np.float64) @ pair.w2.data.astype(np.float64))
+                _check_agreement("factored", factored_matvec(pair, x), dense_matvec(wc, x))
+                emit("factored", _time_loop(lambda: factored_matvec(pair, x), reps, warmup),
+                     flops_factored(m, n, r))
+        except (MemoryError, ValueError) as exc:  # numpy cannot allocate an array that big
+            raise ConfigError(f"--size {m}x{n}x{r}: {exc}") from None
     return results
 
 

@@ -124,9 +124,8 @@ def cmd_inspect(args) -> int:
             "frobenius_norm": float(np.linalg.norm(t.data.astype(np.float64))),
             "sparsity": float(np.mean(t.data == 0)),
         } for name, t in load_archive(args.archive).entries]
-    if args.json:  # strict JSON has no NaN or Infinity: a non-finite norm is null
-        print(json.dumps([r if math.isfinite(r["frobenius_norm"]) else {**r, "frobenius_norm": None}
-                          for r in rows], indent=2))
+    if args.json:  # a non-finite norm is null
+        print(pl.dumps_strict(rows, indent=2))
         return EXIT_OK
     header = (f"{'name':<24} {'dtype':<5} {'shape':<18} {'params':>10} {'fro norm':>12} "
               f"{'sparsity':>9}")
@@ -201,14 +200,17 @@ def gen_archive(layer_specs: list[str], seed: int) -> TensorArchive:
         name, shape, rank = _parse_layer_spec(spec)
         if any(n == name for n, _ in entries):
             raise ConfigError(f"layer name {name!r} is given by more than one --layer")
-        if rank is not None:
-            m, n = shape[0], int(np.prod(shape[1:]))
-            check_rank(rank, m, n, f"layer {name!r}: ")
-            data = (rng.standard_normal((m, rank)) @ rng.standard_normal((rank, n)))
-            data = data.reshape(shape)
-        else:
-            data = rng.standard_normal(shape)
-        entries.append((name, DenseTensor(data)))
+        try:
+            if rank is not None:
+                m, n = shape[0], math.prod(shape[1:])
+                check_rank(rank, m, n, f"layer {name!r}: ")
+                data = (rng.standard_normal((m, rank)) @ rng.standard_normal((rank, n)))
+                data = data.reshape(shape)
+            else:
+                data = rng.standard_normal(shape)
+            entries.append((name, DenseTensor(data)))
+        except (MemoryError, ValueError) as exc:  # numpy cannot allocate an array that big
+            raise ConfigError(f"layer {name!r}: {exc}") from None
     return TensorArchive(entries=entries)
 
 

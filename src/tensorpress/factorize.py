@@ -29,7 +29,7 @@ MAX_HALVINGS = 20
 
 @dataclass(frozen=True)
 class AnnealConfig:
-    rank: int
+    rank: int | None = None          # checked only when given; factorize needs it
     init_scale: float | None = None  # default 1/sqrt(max(m, n)) at run time
     eta0: float | None = None        # default 0.5 / ||W||_F at run time
     decay: float = 0.999
@@ -38,7 +38,8 @@ class AnnealConfig:
     seed: int = 0
 
     def __post_init__(self):
-        check_int("rank", self.rank, 1)
+        if self.rank is not None:
+            check_int("rank", self.rank, 1)
         if self.init_scale is not None:
             check_real("init_scale", self.init_scale, "(0, inf)")
         if self.eta0 is not None:
@@ -88,8 +89,9 @@ def _gradients(resid, w1, w2) -> tuple[np.ndarray, np.ndarray]:
 
 
 def check_rank(rank: int, m: int, n: int, where: str = "") -> None:
-    """Raise ConfigError, its message led by where, unless a rank-`rank` factor
-    pair fits an m x n matrix."""
+    """Raise ConfigError, its message led by where, unless rank is an integer
+    >= 1 and a rank-`rank` factor pair fits an m x n matrix."""
+    check_int(f"{where}rank", rank, 1)
     if rank > min(m, n):
         raise ConfigError(f"{where}rank {reprlib.repr(rank)} exceeds min(m, n) = {min(m, n)}")
 

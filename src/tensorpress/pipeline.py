@@ -13,7 +13,7 @@ import os
 import reprlib
 import threading
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -76,7 +76,7 @@ class LayerConfig:
     stage_list: tuple[str, ...] = STAGES
     prune: pr.PruneConfig = pr.PruneConfig()
     rank_svd: int | None = None
-    anneal: fac.AnnealConfig | None = None
+    anneal: fac.AnnealConfig = fac.AnnealConfig()
 
     def __post_init__(self):
         if not self.stage_list:
@@ -90,8 +90,8 @@ class LayerConfig:
             check_int("rank_svd", self.rank_svd, 1)
         if "decompose" in self.stage_list and self.rank_svd is None:
             raise ConfigError("decompose stage needs rank_svd")
-        if "factorize" in self.stage_list and self.anneal is None:
-            raise ConfigError("factorize stage needs anneal config")
+        if "factorize" in self.stage_list and self.anneal.rank is None:
+            raise ConfigError("factorize stage needs anneal.rank")
 
 
 @dataclass(frozen=True)
@@ -240,6 +240,13 @@ def compress_layer(w: DenseTensor, cfg: LayerConfig, *,
     return layer, row
 
 
+def dumps_strict(doc, **options) -> str:
+    """json.dumps(doc, **options) as strict JSON, which has no NaN or Infinity:
+    each non-finite number in doc is written as null."""
+    finite = json.loads(json.dumps(doc), parse_constant=lambda constant: None)
+    return json.dumps(finite, allow_nan=False, **options)
+
+
 @dataclass
 class CompressionReport:
     per_layer: list[dict]
@@ -257,7 +264,7 @@ class CompressionReport:
             "total_bytes_ratio": self.total_bytes_ratio,
             "config_echo": self.config_echo,
         }
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        return dumps_strict(doc, indent=2, sort_keys=True) + "\n"
 
     @staticmethod
     def from_json(text: str) -> "CompressionReport":
@@ -342,13 +349,14 @@ class PipelineConfig:
 
     def resolved(self, layer_name: str, seed_override: int | None = None) -> LayerConfig:
         """The layer's checked config: defaults deep-merged with its overrides,
-        and each prune or anneal seed not given derived from the base seed. The
-        anneal block is resolved, and its values checked, only for factorize."""
+        and each prune or anneal seed not given derived from the base seed. Every
+        value is checked as written, a seed that seed_override replaces too."""
         try:
             merged = _deep_merge(self.defaults, self.layers.get(layer_name, {}))
             for key, cls in BLOCK_CONFIGS.items():
                 _check_keys(key, merged.get(key, {}), [f.name for f in fields(cls)])
             seed = merged.pop("seed", 0)
+            check_int("seed", seed)  # checked even where seed_override replaces it
             base_seed = seed if seed_override is None else seed_override
             check_int("seed", base_seed)
             stage_list = merged.get("stage_list", STAGES)
@@ -356,12 +364,10 @@ class PipelineConfig:
                 raise ConfigError(f"stage_list must be a list, got {stage_list!r}")
             merged["stage_list"] = tuple(stage_list)
             for key in ("anneal", "prune"):  # anneal's value faults surface first
-                block = dict(merged.get(key, {}))
-                if seed_override is not None or "seed" not in block:
-                    block["seed"] = derive_seed(base_seed, layer_name, key)
-                # anneal values are checked only where factorize reads them
-                wanted = key == "prune" or "factorize" in stage_list
-                merged[key] = BLOCK_CONFIGS[key](**block) if wanted else None
+                seed = derive_seed(base_seed, layer_name, key)
+                block = BLOCK_CONFIGS[key](**{"seed": seed, **merged.get(key, {})})
+                # seed_override replaces a block's own seed once it is checked
+                merged[key] = block if seed_override is None else replace(block, seed=seed)
             return LayerConfig(layer_name, **merged)
         except (ConfigError, TypeError) as exc:
             raise ConfigError(f"layer {layer_name!r}: {exc}") from exc

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +16,9 @@ import hypothesis.strategies as st
 import tensorpress
 from tensorpress import cli, pipeline
 from tensorpress.cli import main
+from tensorpress.errors import ConfigError
+from tensorpress.factorize import AnnealConfig
+from tensorpress.pipeline import derive_seed
 from tensorpress.tensors import (
     BitTensor,
     DenseTensor,
@@ -781,6 +785,13 @@ def with_edits(block, edits):
                  r"layer 'fc1': decay must be a number in \(0, 1\]", id="anneal_before_prune"),
     pytest.param({"defaults.prune.alpha": 2.0, "defaults.rank_svd": 0}, [],
                  r"layer 'fc1': alpha must be a number in \[0, 1\)", id="prune_before_rank_svd"),
+    # --seed replaces every config seed, each checked as written first
+    pytest.param({"defaults.seed": "x"}, ["--seed", 3], "layer 'fc1': seed must be an integer",
+                 id="seed_string_overridden"),
+    pytest.param({"defaults.prune.seed": "x"}, ["--seed", 3],
+                 "layer 'fc1': seed must be an integer, got 'x'", id="prune_seed_overridden"),
+    pytest.param({"defaults.anneal.seed": -1}, ["--seed", 3], "layer 'fc1': seed must be >= 0",
+                 id="anneal_seed_negative_overridden"),
     # faults that the layer's shape decides: fc1 is 16 x 16
     pytest.param({"defaults.anneal.rank": 100}, [],
                  r"layer 'fc1' \(factorize\): rank 100 exceeds min\(m, n\) = 16",
@@ -911,17 +922,25 @@ def test_compress_config_not_object_exit_2(workdir, capsys):
     assert not (workdir / "out.qtns").exists()
 
 
-def test_prune_only_layer_leaves_anneal_values_unchecked(workdir):
-    """Anneal values are checked only where factorize runs, and a layer
-    without it resolves to no anneal config, whatever its block holds."""
+def test_prune_only_layer_leaves_anneal_values_checked(workdir, capsys):
+    """Anneal values are checked on every layer they reach, factorize or not;
+    a prune-only layer with no anneal block resolves to one with no rank."""
     archive, cfg = write_fixture(workdir)
-    cfg.write_text(json.dumps({"defaults": {"stage_list": ["prune"], "prune": {"alpha": 0.25},
-                                            "anneal": {"decay": 5}},
-                               "layers": {"fc1": {}}}))
+    config = {"defaults": {"stage_list": ["prune"], "prune": {"alpha": 0.25},
+                           "anneal": {"decay": 5}},
+              "layers": {"fc1": {}}}
+    cfg.write_text(json.dumps(config))
     out = workdir / "out.qtns"
+    capsys.readouterr()
+    assert run(["compress", archive, cfg, out]) == 2
+    assert "layer 'fc1': decay must be a number in (0, 1], got 5" in capsys.readouterr().err
+    assert list(workdir.glob("out*")) == []
+    del config["defaults"]["anneal"]
+    cfg.write_text(json.dumps(config))
     assert run(["compress", archive, cfg, out]) == 0
     assert run(["verify", archive, out, f"{out}.report.json"]) == 0
-    assert pipeline.PipelineConfig.from_json(cfg.read_text()).resolved("fc1").anneal is None
+    anneal = pipeline.PipelineConfig.from_json(cfg.read_text()).resolved("fc1").anneal
+    assert isinstance(anneal, AnnealConfig) and anneal.rank is None
 
 
 def test_verify_row_on_bit_original_exit_4(workdir, capsys):
@@ -949,9 +968,17 @@ def strict_json(text):
     return json.loads(text, parse_constant=reject)
 
 
-@pytest.mark.parametrize("command", ["gen", "compress"])
-def test_json_stdout_is_strict_json(workdir, capsys, command):
+# rel_tol: the config's anneal.rel_tol as JSON text; 1e999 is a JSON number
+# past the float range, which Python reads as inf, as it does Infinity
+@pytest.mark.parametrize("command, rel_tol", [("gen", None), ("compress", None),
+                                              ("compress", "Infinity"), ("compress", "1e999")],
+                         ids=["gen", "compress", "compress_rel_tol_Infinity",
+                              "compress_rel_tol_1e999"])
+def test_json_stdout_is_strict_json(workdir, capsys, command, rel_tol):
     archive, cfg = write_fixture(workdir)
+    if rel_tol:
+        text = json.dumps(with_edits(CONFIG, [("defaults.anneal.rel_tol", "REL_TOL")]))
+        cfg.write_text(text.replace('"REL_TOL"', rel_tol))
     args = {"gen": ["gen", workdir / "g.qtns", "--layer", "x=4x4"],
             "compress": ["compress", archive, cfg, workdir / "out.qtns"]}[command]
     capsys.readouterr()
@@ -961,6 +988,8 @@ def test_json_stdout_is_strict_json(workdir, capsys, command):
         assert doc == {"output": str(workdir / "g.qtns"), "entries": ["x"]}
     else:
         assert doc == strict_json((workdir / "out.qtns.report.json").read_text())
+        if rel_tol:  # a non-finite config number is written as null
+            assert doc["config_echo"]["defaults"]["anneal"]["rel_tol"] is None
 
 
 @pytest.mark.parametrize("args, message", [
@@ -982,9 +1011,18 @@ def test_json_stdout_is_strict_json(workdir, capsys, command):
     (["gen", "--layer", "fc1=4x0"], "dimensions must be >= 1 in --layer 'fc1=4x0'"),
     *[(["bench", "--size", "8x8x2", "--density", d], "density must be a number in (0, 1]")
       for d in ["0", "-1", "1.5", "nan"]],
+    # sizes numpy fails to allocate at once: past memory, and past its address space
+    (["gen", "--layer", "a=100000000x100000000"], "layer 'a': Unable to allocate 71.1 PiB"),
+    (["bench", "--size", "100000000x100000000x1"],
+     "--size 100000000x100000000x1: Unable to allocate 71.1 PiB"),
+    (["gen", "--layer", "a=3000000000x3000000000"], "layer 'a': array is too big"),
+    (["gen", "--layer", "a=2x100000000000000000000:rank=1"],
+     "layer 'a': Maximum allowed dimension exceeded"),
 ], ids=["size_not_int", "size_0", "reps_5", "warmup_2", "variant_unknown", "bench_seed_negative",
         "gen_rank_0", "gen_seed_negative", "gen_rank_past_shape", "gen_name_not_utf8",
-        "gen_name_repeated", "gen_no_shape", "gen_dim_not_int", "gen_dim_0", "density_0", "density_negative", "density_1.5", "density_nan"])
+        "gen_name_repeated", "gen_no_shape", "gen_dim_not_int", "gen_dim_0", "density_0",
+        "density_negative", "density_1.5", "density_nan", "gen_past_memory",
+        "bench_past_memory", "gen_past_address_space", "gen_rank_factor_past_address_space"])
 def test_bench_gen_bad_args_exit_2(workdir, capsys, args, message):
     out = workdir / "out"
     args = [*args, "--out", out] if args[0] == "bench" else [args[0], out, *args[1:]]
@@ -1055,6 +1093,34 @@ def test_config_fuzz_exits_documented(config_fuzz_base, defaults, default_faults
     assert code in (0, 2)
     if code == 0:
         assert run(["verify", workdir / "in.qtns", out, f"{out}.report.json"]) == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(good_config(), faults(), faults())
+def test_seed_override_checks_config_seeds(defaults, default_faults, conv1_faults):
+    """An override seed changes no fault and nothing but the seeds: per layer,
+    resolved(name) and resolved(name, 7) both succeed or raise the same message,
+    and the latter's block seeds are derive_seed(7, name, block)."""
+    layers = {"fc1": {}, "conv1": with_edits({}, conv1_faults)}
+    try:
+        config = pipeline.PipelineConfig(with_edits(defaults, default_faults), layers)
+    except ConfigError:
+        return  # a fault of the structure, which no seed reaches
+    for name in layers:
+        outcomes = []
+        for seed_override in (None, 7):
+            try:
+                outcomes.append(config.resolved(name, seed_override))
+            except ConfigError as exc:
+                outcomes.append(str(exc))
+        plain, seeded = outcomes
+        event("resolved" if isinstance(seeded, pipeline.LayerConfig) else "config error")
+        if isinstance(plain, str) or isinstance(seeded, str):
+            assert plain == seeded
+            continue
+        derived = {block: replace(getattr(plain, block), seed=derive_seed(7, name, block))
+                   for block in pipeline.BLOCK_CONFIGS}
+        assert seeded == replace(plain, **derived)
 
 
 @pytest.fixture(scope="module")

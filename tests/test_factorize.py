@@ -142,6 +142,12 @@ def test_rank_out_of_range():
         anneal_factorize(w, AnnealConfig(rank=4, seed=0))
 
 
+def test_factorize_needs_rank():
+    # a config may leave rank out; the fit it would run may not
+    with pytest.raises(ConfigError, match="rank must be an integer, got None"):
+        anneal_factorize(DenseTensor(np.ones((4, 3))), AnnealConfig())
+
+
 def test_config_validation():
     with pytest.raises(ConfigError):
         AnnealConfig(rank=0)

@@ -64,7 +64,7 @@ class TestLayerConfig:
         with pytest.raises(ConfigError):
             full_config(stage_list=("decompose",), rank_svd=None)
         with pytest.raises(ConfigError):
-            full_config(stage_list=("factorize",), anneal=None)
+            full_config(stage_list=("factorize",), anneal=AnnealConfig())
 
 
 class TestCompressLayer:
