@@ -17,7 +17,7 @@ from .tensors import (
 )
 from .prune import PruneConfig, PruneResult, iterative_prune
 from .decompose import SvdFactors, svd, truncate, reconstruct
-from .factorize import AnnealConfig, FactorPair, anneal_factorize, compressed_matrix
+from .factorize import AnnealConfig, FactorPair, anneal_factorize
 from .pipeline import (
     CompressionReport,
     LayerConfig,
@@ -45,7 +45,6 @@ __all__ = [
     "AnnealConfig",
     "FactorPair",
     "anneal_factorize",
-    "compressed_matrix",
     "LayerConfig",
     "PipelineConfig",
     "CompressionReport",

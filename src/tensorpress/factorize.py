@@ -96,11 +96,6 @@ def check_rank(rank: int, m: int, n: int, where: str = "") -> None:
         raise ConfigError(f"{where}rank {reprlib.repr(rank)} exceeds min(m, n) = {min(m, n)}")
 
 
-def compressed_matrix(f: FactorPair) -> DenseTensor:
-    """The replacement matrix W_c = W1 @ W2."""
-    return DenseTensor(f.w1.data.astype(np.float64) @ f.w2.data.astype(np.float64))
-
-
 def anneal_factorize(w: DenseTensor, cfg: AnnealConfig) -> FactorPair:
     """Fit W ~ W1 @ W2 by decaying-step gradient descent. Deterministic given seed."""
     if len(w.shape) != 2:

@@ -32,24 +32,28 @@ BLOCK_CONFIGS = {"prune": pr.PruneConfig, "anneal": fac.AnnealConfig}
 # order; shapes(m, n, r, kept), their shapes against the m x n original, with r
 # the last axis of the first entry and kept the mask's ones (0 without a mask);
 # stored(result), their tensors from the stage's result; product(tensors, mask),
-# the matrix they stand for at inference. A pruned layer also stores its retain
+# the matrix they stand for at inference; handed(result), the m x n f32 matrix
+# the result hands on to a next stage. A pruned layer also stores its retain
 # mask, bit-packed in the original shape, as name + MASK_SUFFIX. Records look up
 # module functions as they run, so a probe replacing one sees the call.
-Kind = collections.namedtuple("Kind", "stage suffixes shapes stored product")
+Kind = collections.namedtuple("Kind", "stage suffixes shapes stored product handed")
 KINDS = {
     "masked": Kind(  # the kept weights alone, in C flat order of the mask
         "prune", ("",), lambda m, n, r, kept: [(kept,)],
         lambda res: (DenseTensor(res.pruned_weights.data.ravel().take(_kept(res.mask))),),
-        lambda t, mask: as_matrix(_scatter(t[0].data, mask))),
+        lambda t, mask: as_matrix(_scatter(t[0].data, mask)),
+        lambda res: DenseTensor(as_matrix(res.pruned_weights.data))),  # w * mask: may hold -0.0
     "svd": Kind(  # sigma stored as f32; the product is reconstruct's, rounded to f32
         "decompose", (".u", ".sigma", ".v"), lambda m, n, r, kept: [(m, r), (r,), (n, r)],
         lambda f: (f.u, DenseTensor(f.sigma), f.v),
         lambda t, mask: _mask_in_place(dec.reconstruct(
-            dec.SvdFactors(t[0], t[1].data, t[2])).data.astype(np.float64), mask)),
-    "factored": Kind(  # the product is w1 @ w2 in float64
+            dec.SvdFactors(t[0], t[1].data, t[2])).data.astype(np.float64), mask),
+        lambda f: dec.reconstruct(f)),  # from the f64 sigma
+    "factored": Kind(  # w1 @ w2 in float64 is the product and, rounded to f32, the hand-on
         "factorize", (".w1", ".w2"), lambda m, n, r, kept: [(m, r), (r, n)],
         lambda pair: (pair.w1, pair.w2),
-        lambda t, mask: _mask_in_place(np.matmul(*(x.data.astype(np.float64) for x in t)), mask)),
+        lambda t, mask: _mask_in_place(np.matmul(*(x.data.astype(np.float64) for x in t)), mask),
+        lambda pair: DenseTensor(KINDS["factored"].product((pair.w1, pair.w2), None))),
 }
 STAGE_KIND = {rec.stage: kind for kind, rec in KINDS.items()}
 MASK_SUFFIX = ".mask"
@@ -79,6 +83,10 @@ class LayerConfig:
     anneal: fac.AnnealConfig = fac.AnnealConfig()
 
     def __post_init__(self):
+        for key, cls in BLOCK_CONFIGS.items():
+            if not isinstance(getattr(self, key), cls):
+                got = reprlib.repr(getattr(self, key))
+                raise ConfigError(f"{key}: expected {cls.__name__}, got {got}")
         if not self.stage_list:
             raise ConfigError("stage_list is empty")
         for s in self.stage_list:
@@ -199,13 +207,18 @@ def compress_layer(w: DenseTensor, cfg: LayerConfig, *,
         check_layer_input(w, cfg)
     t0 = time.perf_counter()
     current = DenseTensor(as_matrix(w.data))
-    mask = None
+    stage = res = mask = None
     # w is finite, so only an overflow makes a result not finite: checked, not warned of
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            for i, stage in enumerate(cfg.stage_list):
-                # the matrix a next stage takes; the last stage's is never read
-                more = i + 1 < len(cfg.stage_list)
+            for next_stage in cfg.stage_list:
+                # the matrix next_stage takes: w's, or the one the previous result
+                # hands on, checked under the name of the stage that produced it
+                if res is not None:
+                    current = KINDS[STAGE_KIND[stage]].handed(res)
+                    if not np.isfinite(current.data).all():
+                        raise ConfigError(OVERFLOW)
+                stage = next_stage
                 if stage == "prune":
                     # prune in the original layout so conv adjacency applies
                     res = pr.iterative_prune(current.reshape(w.shape), cfg.prune)
@@ -215,18 +228,11 @@ def compress_layer(w: DenseTensor, cfg: LayerConfig, *,
                             f"leaves none of its {w.size} weights "
                             f"(alpha {cfg.prune.alpha}, entangle_prob {cfg.prune.entangle_prob})"
                         )
-                    current = DenseTensor(as_matrix(res.pruned_weights.data))
                 elif stage == "decompose":
                     full = dec.svd(current)
                     res = dec.truncate(full, min(cfg.rank_svd, full.rank))
-                    if more:
-                        current = dec.reconstruct(res)
                 else:
                     res = fac.anneal_factorize(current, cfg.anneal)
-                    if more:
-                        current = fac.compressed_matrix(res)
-                if more and not np.isfinite(current.data).all():
-                    raise ConfigError(OVERFLOW)
             kind = STAGE_KIND[stage]
             layer = CompressedLayer(cfg.layer_name, kind, KINDS[kind].stored(res), mask)
             row = layer_row(w, layer)

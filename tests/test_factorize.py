@@ -8,9 +8,9 @@ from tensorpress.factorize import (
     FactorPair,
     _gradients,
     anneal_factorize,
-    compressed_matrix,
     frobenius_loss,
 )
+from tensorpress.pipeline import KINDS
 from tensorpress.tensors import DenseTensor
 
 
@@ -159,30 +159,34 @@ def test_config_validation():
         AnnealConfig(rank=2, max_iters=0)
 
 
-def test_compressed_matrix_outer_product():
+# the matrix a factorize stage hands on to a next stage: w1 @ w2, rounded to f32
+hand_on = KINDS["factored"].handed
+
+
+def test_factored_hand_on_outer_product():
     pair = FactorPair(
         w1=DenseTensor(np.array([[1.0], [2.0]])),
         w2=DenseTensor(np.array([[3.0, 4.0]])),
         final_loss=0.0,
     )
-    assert compressed_matrix(pair).data.tolist() == [[3.0, 4.0], [6.0, 8.0]]
+    assert hand_on(pair).data.tolist() == [[3.0, 4.0], [6.0, 8.0]]
 
 
-def test_compressed_matrix_identity_left_factor():
+def test_factored_hand_on_identity_left_factor():
     w2 = np.random.default_rng(9).standard_normal((2, 4)).astype(np.float32)
     pair = FactorPair(
         w1=DenseTensor(np.eye(2, dtype=np.float32)),
         w2=DenseTensor(w2),
         final_loss=0.0,
     )
-    assert np.allclose(compressed_matrix(pair).data, w2)
+    assert np.allclose(hand_on(pair).data, w2)
 
 
-def test_compressed_matrix_round_trip_loss():
+def test_factored_hand_on_round_trip_loss():
     rng = np.random.default_rng(10)
     w = DenseTensor(rng.standard_normal((8, 8)))
     pair = anneal_factorize(w, AnnealConfig(rank=2, seed=4))
-    wc = compressed_matrix(pair)
+    wc = hand_on(pair)
     assert float(np.sum((w.data.astype(np.float64) - wc.data.astype(np.float64)) ** 2)) == (
         pytest.approx(pair.final_loss, rel=1e-5)
     )

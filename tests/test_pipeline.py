@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 from tensorpress import pipeline
-from tensorpress.decompose import SvdFactors, reconstruct
+from tensorpress.decompose import SvdFactors, reconstruct, svd, truncate
 from tensorpress.errors import ConfigError, DivergenceError, VerificationError
-from tensorpress.factorize import AnnealConfig
+from tensorpress.factorize import AnnealConfig, anneal_factorize
 from tensorpress.pipeline import (
     STAGES,
     CompressionReport,
@@ -30,6 +30,7 @@ from tensorpress.tensors import (
     BitTensor,
     DenseTensor,
     TensorArchive,
+    as_matrix,
     read_archive,
     write_archive,
 )
@@ -65,6 +66,14 @@ class TestLayerConfig:
             full_config(stage_list=("decompose",), rank_svd=None)
         with pytest.raises(ConfigError):
             full_config(stage_list=("factorize",), anneal=AnnealConfig())
+
+    def test_rejects_anneal_block_of_another_type(self):
+        with pytest.raises(ConfigError, match="anneal: expected AnnealConfig, got None"):
+            LayerConfig("L", stage_list=("prune", "factorize"), anneal=None)
+
+    def test_rejects_prune_block_of_another_type(self):
+        with pytest.raises(ConfigError, match="prune: expected PruneConfig, got None"):
+            LayerConfig("L", stage_list=("prune",), prune=None)
 
 
 class TestCompressLayer:
@@ -422,9 +431,8 @@ class TestCompressArchive:
             verify_report(archive, out, report)
 
 
-# every non-empty stage list in pipeline order, and one out of it
-STAGE_LISTS = [list(c) for k in (1, 2, 3) for c in itertools.combinations(STAGES, k)]
-STAGE_LISTS.append(["factorize", "prune"])
+# every non-empty ordered list of distinct stages: 3 + 6 + 6 = 15
+STAGE_LISTS = [list(p) for k in (1, 2, 3) for p in itertools.permutations(STAGES, k)]
 
 
 def mixed_archive_and_config(stage_list):
@@ -468,6 +476,66 @@ def test_written_names_are_the_plan(stage_list):
     kind = (last, "prune" in stage_list)
     planned = pipeline._output_names(archive, {"fc": kind, "conv": kind})
     assert out.names() == [n for names in planned.values() for n in names]
+
+
+def _compress_layer_oracle(w, cfg, *, checked=False):
+    """compress_layer as it was when each stage branch built the dense matrix
+    the next stage takes, behind a flag saying whether one runs, with the
+    factored product written out as w1 @ w2 in float64. Kept as the reference
+    that compress_layer must match byte for byte."""
+    if not checked:
+        pipeline.check_layer_input(w, cfg)
+    t0 = time.perf_counter()
+    current = DenseTensor(as_matrix(w.data))
+    mask = None
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            for i, stage in enumerate(cfg.stage_list):
+                more = i + 1 < len(cfg.stage_list)
+                if stage == "prune":
+                    res = iterative_prune(current.reshape(w.shape), cfg.prune)
+                    mask = res.mask
+                    if not mask.any():
+                        raise ConfigError(
+                            f"leaves none of its {w.size} weights "
+                            f"(alpha {cfg.prune.alpha}, entangle_prob {cfg.prune.entangle_prob})"
+                        )
+                    current = DenseTensor(as_matrix(res.pruned_weights.data))
+                elif stage == "decompose":
+                    full = svd(current)
+                    res = truncate(full, min(cfg.rank_svd, full.rank))
+                    if more:
+                        current = reconstruct(res)
+                else:
+                    res = anneal_factorize(current, cfg.anneal)
+                    if more:
+                        current = DenseTensor(res.w1.data.astype(np.float64)
+                                              @ res.w2.data.astype(np.float64))
+                if more and not np.isfinite(current.data).all():
+                    raise ConfigError(pipeline.OVERFLOW)
+            kind = pipeline.STAGE_KIND[stage]
+            layer = pipeline.CompressedLayer(cfg.layer_name, kind,
+                                             pipeline.KINDS[kind].stored(res), mask)
+            row = layer_row(w, layer)
+            if not np.isfinite(row["recon_error_rel"]):
+                raise ConfigError(pipeline.OVERFLOW)
+        except Exception as exc:
+            exc.args = (f"layer {cfg.layer_name!r} ({stage}): {exc}",)
+            raise
+    row["wall_time"] = time.perf_counter() - t0
+    return layer, row
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("stage_list", STAGE_LISTS, ids="-".join)
+def test_archive_and_report_bytes_equal_oracle(monkeypatch, stage_list, jobs):
+    # an oracle, not pinned digests: SVD and anneal payloads follow the BLAS build
+    archive, config = mixed_archive_and_config(stage_list)
+    out, report = compress_archive(archive, config, jobs=jobs)
+    monkeypatch.setattr(pipeline, "compress_layer", _compress_layer_oracle)
+    want_out, want_report = compress_archive(archive, config, jobs=jobs)
+    assert write_archive(out) == write_archive(want_out)
+    assert report.to_json() == want_report.to_json()
 
 
 class TestConfigResolution:
