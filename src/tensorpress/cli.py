@@ -22,7 +22,7 @@ import numpy as np
 from . import pipeline as pl
 from .errors import ConfigError, check_int, exit_status
 from .factorize import check_rank
-from .tensors import BitTensor, DenseTensor, TensorArchive, load_archive, save_archive
+from .tensors import DenseTensor, TensorArchive, load_archive, save_archive
 
 EXIT_OK = 0
 
@@ -118,7 +118,7 @@ def cmd_inspect(args) -> int:
     with np.errstate(invalid="ignore"):  # numpy warns as it casts a signaling NaN
         rows = [{
             "name": name,
-            "dtype": "bits" if isinstance(t, BitTensor) else "f32",
+            "dtype": t.label,
             "shape": list(t.shape),
             "params": t.size,
             "frobenius_norm": float(np.linalg.norm(t.data.astype(np.float64))),

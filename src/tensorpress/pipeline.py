@@ -173,7 +173,7 @@ def layer_row(w: DenseTensor, layer: CompressedLayer) -> dict:
         "params_before": w.size,
         "params_after": params_after,
         "bytes_before": w.nbytes,
-        "bytes_after": sum(t.nbytes for t in layer.tensors) + (mask_bits + 7) // 8,
+        "bytes_after": sum(t.nbytes for t in layer.tensors) + BitTensor.payload_bytes(mask_bits),
         "ratio": w.size / params_after,
         "recon_error_rel": relative_recon_error(w, layer),
         "mask_bits": mask_bits,
@@ -302,7 +302,8 @@ class CompressionReport:
                 f"{r['params_after']:>10} {r['ratio']:>8.2f} {r['recon_error_rel']:>10.3e} {wt:>8}"
             )
         lines.append(f"total ratio: {self.total_ratio:.2f}x")
-        lines.append(f"total bytes ratio: {self.total_bytes_ratio:.2f}x")
+        total = "-" if self.total_bytes_ratio is None else f"{self.total_bytes_ratio:.2f}x"
+        lines.append(f"total bytes ratio: {total}")
         return "\n".join(lines)
 
 

@@ -1,25 +1,27 @@
 """Tensor containers and the QTNS binary archive format.
 
-An archive entry is a DenseTensor (32-bit floats) or a BitTensor (bits, held
-as bool), in row-major (C) order. The archive layout is:
+An archive entry is a Tensor, in row-major (C) order. The archive layout is:
 
     magic "QTNS" | version u32 | entry count u32
     per entry: name length u32 | UTF-8 name | axis count u32 |
                dims u64 each | dtype code u32 | payload
 
-The dtype code says how the n elements that the dims give are stored:
+The dtype code says how the n elements that the dims give are stored. Each
+code is one Tensor subclass, which holds the code, the first format version
+that has it, the payload size and the codec; DTYPES maps code to class:
 
-    0 = f32   4n bytes, little-endian IEEE 754 floats
-    1 = bits  ceil(n/8) bytes, np.packbits(..., bitorder="little"): element i
-              is bit i % 8 of byte i // 8; the padding bits of the last byte
-              must be 0, so a bit tensor has exactly one encoding
+    0 = f32   DenseTensor, from version 1: 4n bytes, little-endian IEEE 754
+    1 = bits  BitTensor, from version 2: ceil(n/8) bytes,
+              np.packbits(..., bitorder="little"): element i is bit i % 8 of
+              byte i // 8; the padding bits of the last byte must be 0, so a
+              bit tensor has exactly one encoding
 
-Version 2 adds code 1; version 1 has only code 0. write_archive writes
-version 1 whenever no entry is bit-coded, so an archive of f32 tensors has the
-bytes it had before version 2. read_archive reads both, and rejects a
-bit-coded entry in a version-1 file and a version-2 file with no bit-coded
-entry, so every archive has one encoding. Everything on disk is
-little-endian, and nothing may follow the last entry.
+An archive's version is the highest first version among its entries, or 1
+when it has none, so an archive of f32 tensors has the bytes it had before
+version 2. read_archive reads every version up to FORMAT_VERSION, and rejects
+an entry whose code is newer than the file and a file newer than its entries,
+so every archive has one encoding. Everything on disk is little-endian, and
+nothing may follow the last entry.
 """
 
 from __future__ import annotations
@@ -41,16 +43,53 @@ from .errors import (
 )
 
 MAGIC = b"QTNS"
-FORMAT_VERSION = 2
-DTYPE_F32 = 0
-DTYPE_BITS = 1  # from version 2
 
 
-@dataclass(frozen=True)
-class DenseTensor:
-    """Immutable dense tensor of 32-bit reals with shape metadata."""
+@dataclass(frozen=True, eq=False)
+class Tensor:
+    """An immutable array stored under one dtype code. Each subclass is one
+    code, and holds:
+
+        code                          the dtype code
+        first_version                 the first format version that has it
+        label                         its dtype in inspect's listing
+        coded                         what reader messages call its entries
+        payload_bytes(n)              the payload bytes of n elements
+        encode()                      the payload
+        decode(payload, shape, name)  the tensor back; ArchiveError naming the
+                                      entry on a payload nothing encodes to
+    """
 
     data: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.data.shape
+
+    @property
+    def size(self) -> int:
+        return self.data.size
+
+    @property
+    def nbytes(self) -> int:
+        """Payload bytes in an archive."""
+        return self.payload_bytes(self.size)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.shape == other.shape and np.array_equal(self.data, other.data)
+
+
+@dataclass(frozen=True, eq=False)
+class DenseTensor(Tensor):
+    """Immutable dense tensor of 32-bit reals with shape metadata.
+
+    A C-contiguous float32 array is kept as it is, without a copy, and frozen:
+    the caller's array becomes read-only. Any other input is copied to one,
+    and the caller's array stays writable."""
+
+    code, first_version, label, coded = 0, 1, "f32", "f32"
 
     def __post_init__(self):
         if np.ndim(self.data) == 0:  # ascontiguousarray would make it shape (1,)
@@ -61,36 +100,31 @@ class DenseTensor:
         arr.flags.writeable = False
         object.__setattr__(self, "data", arr)
 
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
-
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def reshape(self, shape) -> "DenseTensor":
         if int(np.prod(shape)) != self.size:
             raise ShapeError(f"cannot reshape {self.shape} to {tuple(shape)}")
         return DenseTensor(self.data.reshape(shape))
 
-    def __eq__(self, other):
-        if not isinstance(other, DenseTensor):
-            return NotImplemented
-        return self.shape == other.shape and np.array_equal(self.data, other.data)
+    @staticmethod
+    def payload_bytes(n: int) -> int:
+        return 4 * n
 
-    @property
-    def nbytes(self) -> int:
-        """Payload bytes in an archive."""
-        return 4 * self.size
+    def encode(self) -> np.ndarray:
+        # the C-contiguous array itself where f32 is already little-endian
+        return self.data.astype("<f4", copy=False)
+
+    @classmethod
+    def decode(cls, payload: bytes, shape: tuple[int, ...], name: str) -> "DenseTensor":
+        return cls(np.frombuffer(payload, dtype="<f4").reshape(shape))
 
 
 @dataclass(frozen=True, eq=False)
-class BitTensor:
+class BitTensor(Tensor):
     """Immutable tensor of bits, held as bool; an archive stores it bit-packed.
-    A non-bool input must hold only 0 and 1."""
+    A non-bool input must hold only 0 and 1. The input is always copied, so
+    the caller's array stays writable."""
 
-    data: np.ndarray
+    code, first_version, label, coded = 1, 2, "bits", "bit-coded"
 
     def __post_init__(self):
         arr = np.asarray(self.data)
@@ -102,26 +136,24 @@ class BitTensor:
         arr.flags.writeable = False
         object.__setattr__(self, "data", arr)
 
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
+    @staticmethod
+    def payload_bytes(n: int) -> int:
+        return (n + 7) // 8
 
-    @property
-    def size(self) -> int:
-        return self.data.size
+    def encode(self) -> np.ndarray:
+        return np.packbits(self.data, axis=None, bitorder="little")
 
-    @property
-    def nbytes(self) -> int:
-        """Payload bytes in an archive."""
-        return (self.size + 7) // 8
-
-    def __eq__(self, other):
-        if not isinstance(other, BitTensor):
-            return NotImplemented
-        return self.shape == other.shape and np.array_equal(self.data, other.data)
+    @classmethod
+    def decode(cls, payload: bytes, shape: tuple[int, ...], name: str) -> "BitTensor":
+        n = math.prod(shape)
+        packed = np.frombuffer(payload, dtype=np.uint8)
+        if n % 8 and int(packed[-1]) >> n % 8:
+            raise ArchiveError(f"entry {name!r} has nonzero padding bits")
+        return cls(np.unpackbits(packed, count=n, bitorder="little").view(bool).reshape(shape))
 
 
-Tensor = DenseTensor | BitTensor
+DTYPES = {cls.code: cls for cls in (DenseTensor, BitTensor)}
+FORMAT_VERSION = max(cls.first_version for cls in DTYPES.values())
 
 
 def as_matrix(a: np.ndarray) -> np.ndarray:
@@ -159,9 +191,9 @@ class TensorArchive:
 
 
 def _version(entries: list[tuple[str, Tensor]]) -> int:
-    """The one version an archive of these entries has: 2 if an entry is a
-    BitTensor, else 1."""
-    return FORMAT_VERSION if any(isinstance(t, BitTensor) for _, t in entries) else 1
+    """The one version an archive of these entries has: the highest first
+    version among their dtypes, or 1 when there are none."""
+    return max((t.first_version for _, t in entries), default=1)
 
 
 def _write(archive: TensorArchive, f) -> None:
@@ -176,13 +208,8 @@ def _write(archive: TensorArchive, f) -> None:
         f.write(struct.pack("<I", len(tensor.shape)))
         for dim in tensor.shape:
             f.write(struct.pack("<Q", dim))
-        if isinstance(tensor, BitTensor):
-            f.write(struct.pack("<I", DTYPE_BITS))
-            f.write(np.packbits(tensor.data, axis=None, bitorder="little"))
-        else:
-            f.write(struct.pack("<I", DTYPE_F32))
-            # the C-contiguous array itself where f32 is already little-endian
-            f.write(tensor.data.astype("<f4", copy=False))
+        f.write(struct.pack("<I", tensor.code))
+        f.write(tensor.encode())
 
 
 def write_archive(archive: TensorArchive) -> bytes:
@@ -231,28 +258,22 @@ def read_archive(raw: bytes) -> TensorArchive:
         shape = tuple(r.u64() for _ in range(ndim))
         if not shape or min(shape) < 1:
             raise ArchiveError(f"entry {name!r} has no axes or a dimension < 1: {shape}")
-        dtype = r.u32()
+        code = r.u32()
+        if code not in DTYPES:
+            raise ArchiveError(f"entry {name!r} has unknown dtype code {code}")
+        cls = DTYPES[code]
+        if cls.first_version > version:
+            raise ArchiveError(f"entry {name!r} is {cls.coded} in a version-{version} file")
         # Python ints: a dims product past 2**63 must not wrap before take checks it
-        n_elems = math.prod(shape)
-        if dtype == DTYPE_F32:
-            data = np.frombuffer(r.take(4 * n_elems), dtype="<f4").reshape(shape)
-            entries.append((name, DenseTensor(data)))
-        elif dtype == DTYPE_BITS and version >= 2:
-            packed = np.frombuffer(r.take((n_elems + 7) // 8), dtype=np.uint8)
-            if n_elems % 8 and int(packed[-1]) >> n_elems % 8:
-                raise ArchiveError(f"entry {name!r} has nonzero padding bits")
-            data = np.unpackbits(packed, count=n_elems, bitorder="little").view(bool)
-            entries.append((name, BitTensor(data.reshape(shape))))
-        elif dtype == DTYPE_BITS:
-            raise ArchiveError(f"entry {name!r} is bit-coded in a version-{version} file")
-        else:
-            raise ArchiveError(f"entry {name!r} has unknown dtype code {dtype}")
+        payload = r.take(cls.payload_bytes(math.prod(shape)))
+        entries.append((name, cls.decode(payload, shape, name)))
     if r.pos != len(raw):
         raise ArchiveError(f"{len(raw) - r.pos} bytes after the last entry")
-    if version != _version(entries):  # a bit entry in version 1 failed above
+    need = _version(entries)
+    if version != need:  # an entry newer than the file failed above
+        newest = " or ".join(c.coded for c in DTYPES.values() if c.first_version == version)
         raise ArchiveError(
-            f"version-{version} file has no bit-coded entry; it must be version {_version(entries)}"
-        )
+            f"version-{version} file has no {newest} entry; it must be version {need}")
     return TensorArchive(entries=entries)  # raises DuplicateNameError
 
 

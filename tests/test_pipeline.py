@@ -567,6 +567,10 @@ def test_report_json_round_trip_and_excludes_wall_time():
     back = CompressionReport.from_json(report.to_json())
     assert back.total_ratio == report.total_ratio
     assert back.to_json() == report.to_json()
+    # a report from before masks were bit-packed has no total_bytes_ratio
+    old = CompressionReport.from_json('{"per_layer": [], "total_ratio": 1.0}')
+    assert old.total_bytes_ratio is None
+    assert old.table().endswith("total ratio: 1.00x\ntotal bytes ratio: -")
 
 
 def _formula_tensor(shape, offset):
