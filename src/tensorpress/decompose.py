@@ -13,7 +13,7 @@ from .tensors import DenseTensor
 @dataclass(frozen=True)
 class SvdFactors:
     u: DenseTensor      # m x r
-    sigma: np.ndarray   # r, non-increasing, >= 0: f64 from svd, f32 as an archive stores it
+    sigma: np.ndarray   # r, non-increasing, >= 0: f64 from svd
     v: DenseTensor      # n x r
 
     @property

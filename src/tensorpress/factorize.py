@@ -104,8 +104,11 @@ def anneal_factorize(w: DenseTensor, cfg: AnnealConfig) -> FactorPair:
     check_rank(cfg.rank, m, n)
     a = w.data.astype(np.float64)
     norm = float(np.linalg.norm(a))
+    if norm == 0:  # W = 0 is its own fit, which no descent from random factors reaches
+        w1, w2 = DenseTensor(np.zeros((m, cfg.rank))), DenseTensor(np.zeros((cfg.rank, n)))
+        return FactorPair(w1=w1, w2=w2, final_loss=0.0, loss_trace=[0.0])
     init_scale = cfg.init_scale if cfg.init_scale is not None else 1.0 / np.sqrt(max(m, n))
-    eta0 = cfg.eta0 if cfg.eta0 is not None else (0.5 / norm if norm > 0 else 0.5)
+    eta0 = cfg.eta0 if cfg.eta0 is not None else 0.5 / norm
     if np.isinf(2.0 * init_scale):  # the initial draw's range overflows, as the loss would
         raise DivergenceError(0)
 

@@ -23,39 +23,41 @@ from . import prune as pr
 from .errors import ArchiveError, ConfigError, VerificationError, check_int
 from .tensors import BitTensor, DenseTensor, Tensor, TensorArchive, as_matrix
 
-STAGES = ("prune", "decompose", "factorize")
 # the config each object block resolves to, whose fields are the block's keys
 BLOCK_CONFIGS = {"prune": pr.PruneConfig, "anneal": fac.AnnealConfig}
 
-# One record per artifact kind: the stage that stores it (as a layer's last
-# stage); the suffixes of its f32 entries (layer name + suffix), in entries()
-# order; shapes(m, n, r, kept), their shapes against the m x n original, with r
-# the last axis of the first entry and kept the mask's ones (0 without a mask);
-# stored(result), their tensors from the stage's result; product(tensors, mask),
-# the matrix they stand for at inference; handed(result), the m x n f32 matrix
-# the result hands on to a next stage. A pruned layer also stores its retain
-# mask, bit-packed in the original shape, as name + MASK_SUFFIX. Records look up
-# module functions as they run, so a probe replacing one sees the call.
-Kind = collections.namedtuple("Kind", "stage suffixes shapes stored product handed")
+# One record per artifact kind: the suffixes of its f32 entries (layer name +
+# suffix), in entries() order; shapes(m, n, r, kept), their shapes against the
+# m x n original, with r the last axis of the first entry and kept the mask's
+# ones (0 without a mask); product(tensors, mask), the matrix they stand for at
+# inference. A pruned layer also stores its retain mask, bit-packed in the
+# original shape, as name + MASK_SUFFIX.
+Kind = collections.namedtuple("Kind", "suffixes shapes product")
 KINDS = {
     "masked": Kind(  # the kept weights alone, in C flat order of the mask
-        "prune", ("",), lambda m, n, r, kept: [(kept,)],
-        lambda res: (DenseTensor(res.pruned_weights.data.ravel().take(_kept(res.mask))),),
-        lambda t, mask: as_matrix(_scatter(t[0].data, mask)),
+        ("",), lambda m, n, r, kept: [(kept,)],
+        lambda t, mask: as_matrix(_scatter(t[0].data, mask))),
+    "factored": Kind(
+        (".w1", ".w2"), lambda m, n, r, kept: [(m, r), (r, n)],
+        lambda t, mask: _mask_in_place(np.matmul(*(x.data.astype(np.float64) for x in t)), mask)),
+}
+# One record per stage, in the default stage list's order: the kind it stores
+# as a layer's last stage; stored(result), that kind's tensors from the stage's
+# result; handed(result), the m x n f32 matrix the result hands on to a next
+# stage. Records look up module functions as they run, so a probe replacing
+# one sees the call.
+Stage = collections.namedtuple("Stage", "kind stored handed")
+STAGES = {
+    "prune": Stage(
+        "masked", lambda res: (DenseTensor(res.pruned_weights.data.ravel().take(_kept(res.mask))),),
         lambda res: DenseTensor(as_matrix(res.pruned_weights.data))),  # w * mask: may hold -0.0
-    "svd": Kind(  # sigma stored as f32; the product is reconstruct's, rounded to f32
-        "decompose", (".u", ".sigma", ".v"), lambda m, n, r, kept: [(m, r), (r,), (n, r)],
-        lambda f: (f.u, DenseTensor(f.sigma), f.v),
-        lambda t, mask: _mask_in_place(dec.reconstruct(
-            dec.SvdFactors(t[0], t[1].data, t[2])).data.astype(np.float64), mask),
-        lambda f: dec.reconstruct(f)),  # from the f64 sigma
-    "factored": Kind(  # w1 @ w2 in float64 is the product and, rounded to f32, the hand-on
-        "factorize", (".w1", ".w2"), lambda m, n, r, kept: [(m, r), (r, n)],
-        lambda pair: (pair.w1, pair.w2),
-        lambda t, mask: _mask_in_place(np.matmul(*(x.data.astype(np.float64) for x in t)), mask),
+    "decompose": Stage(  # stores (u diag(sigma), v^T) in f32; hands on from the f64 sigma
+        "factored", lambda f: (DenseTensor(f.u.data * f.sigma), DenseTensor(f.v.data.T)),
+        lambda f: dec.reconstruct(f)),
+    "factorize": Stage(  # hands on the product, rounded to f32
+        "factored", lambda pair: (pair.w1, pair.w2),
         lambda pair: DenseTensor(KINDS["factored"].product((pair.w1, pair.w2), None))),
 }
-STAGE_KIND = {rec.stage: kind for kind, rec in KINDS.items()}
 MASK_SUFFIX = ".mask"
 OVERFLOW = "its result overflows f32"  # a stage's fault where its f32 result is not finite
 
@@ -77,7 +79,7 @@ def _output_names(original: TensorArchive,
 @dataclass(frozen=True)
 class LayerConfig:
     layer_name: str
-    stage_list: tuple[str, ...] = STAGES
+    stage_list: tuple[str, ...] = tuple(STAGES)
     prune: pr.PruneConfig = pr.PruneConfig()
     rank_svd: int | None = None
     anneal: fac.AnnealConfig = fac.AnnealConfig()
@@ -106,8 +108,8 @@ class LayerConfig:
 class CompressedLayer:
     """One compressed layer as the archive stores it: its kind's f32 tensors in
     KINDS suffix order, and the bool retain mask in the original shape if a prune
-    stage ran. The masked, svd_factors and factors views remain only for
-    perfbench's forwards, until the program has a forward of its own."""
+    stage ran. The masked and factors views remain only for perfbench's
+    forwards, until the program has a forward of its own."""
 
     layer_name: str
     kind: str  # a key of KINDS
@@ -117,10 +119,6 @@ class CompressedLayer:
     @property
     def masked(self) -> DenseTensor:
         return DenseTensor(_scatter(self.tensors[0].data, self.mask))
-
-    @property
-    def svd_factors(self) -> dec.SvdFactors:
-        return dec.SvdFactors(self.tensors[0], self.tensors[1].data, self.tensors[2])
 
     @property
     def factors(self) -> fac.FactorPair:
@@ -153,13 +151,13 @@ def _mask_in_place(eff: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
 
 
 def relative_recon_error(original: DenseTensor, layer: CompressedLayer) -> float:
-    """||w - layer.effective_matrix()|| / ||w||, 0 for an all-zero w."""
+    """||w - layer.effective_matrix()|| / ||w||; for an all-zero w, 0 if the
+    artifact stands for zero too and inf otherwise."""
     w = as_matrix(original.data.astype(np.float64))
     norm = np.linalg.norm(w)
-    if norm == 0:
-        return 0.0
     w -= layer.effective_matrix()  # in w, a float64 copy of the original
-    return float(np.linalg.norm(w) / norm)
+    err = np.linalg.norm(w)
+    return float(err / norm) if norm else (np.inf if err else 0.0)
 
 
 def layer_row(w: DenseTensor, layer: CompressedLayer) -> dict:
@@ -215,7 +213,7 @@ def compress_layer(w: DenseTensor, cfg: LayerConfig, *,
                 # the matrix next_stage takes: w's, or the one the previous result
                 # hands on, checked under the name of the stage that produced it
                 if res is not None:
-                    current = KINDS[STAGE_KIND[stage]].handed(res)
+                    current = STAGES[stage].handed(res)
                     if not np.isfinite(current.data).all():
                         raise ConfigError(OVERFLOW)
                 stage = next_stage
@@ -233,8 +231,8 @@ def compress_layer(w: DenseTensor, cfg: LayerConfig, *,
                     res = dec.truncate(full, min(cfg.rank_svd, full.rank))
                 else:
                     res = fac.anneal_factorize(current, cfg.anneal)
-            kind = STAGE_KIND[stage]
-            layer = CompressedLayer(cfg.layer_name, kind, KINDS[kind].stored(res), mask)
+            record = STAGES[stage]
+            layer = CompressedLayer(cfg.layer_name, record.kind, record.stored(res), mask)
             row = layer_row(w, layer)
             # finite unless the matrix the stored layer stands for is not
             if not np.isfinite(row["recon_error_rel"]):
@@ -366,7 +364,7 @@ class PipelineConfig:
             check_int("seed", seed)  # checked even where seed_override replaces it
             base_seed = seed if seed_override is None else seed_override
             check_int("seed", base_seed)
-            stage_list = merged.get("stage_list", STAGES)
+            stage_list = merged.get("stage_list", tuple(STAGES))
             if not isinstance(stage_list, (list, tuple)):
                 raise ConfigError(f"stage_list must be a list, got {stage_list!r}")
             merged["stage_list"] = tuple(stage_list)
@@ -521,7 +519,7 @@ def compress_archive(
     configs = [config.resolved(name, seed_override) for name, _ in configured]
     # every configured layer reserves its mask's name, pruned or not, since
     # rebuild_layer reads an entry of that name as the layer's mask
-    kinds = {c.layer_name: (STAGE_KIND[c.stage_list[-1]], True) for c in configs}
+    kinds = {c.layer_name: (STAGES[c.stage_list[-1]].kind, True) for c in configs}
     planned = _output_names(archive, kinds)
     counts = collections.Counter(n for names in planned.values() for n in names)
     for name in kinds:
@@ -557,7 +555,8 @@ def rebuild_layer(original: DenseTensor, compressed: TensorArchive, name: str,
             f"layer {name!r}: original is not an f32 tensor of 2 or 4 axes, which compress takes")
     record = KINDS[kind]
     # the kind prune stores always has the mask that placed its values
-    names = _entry_names(name, kind, record.stage == "prune" or name + MASK_SUFFIX in compressed)
+    pruned = kind == STAGES["prune"].kind or name + MASK_SUFFIX in compressed
+    names = _entry_names(name, kind, pruned)
     missing = [n for n in names if n not in compressed]
     if missing:
         raise VerificationError(f"layer {name!r} ({kind}): archive has no {missing}")
@@ -587,10 +586,11 @@ def _check_entry(name: str, kind: str, entry: str, t: Tensor, shape: tuple, cls:
 
 def _agrees(got, expected) -> bool:
     """Names and counts must match exactly, in type too: JSON true and 68.0 are
-    not the counts 1 and 68. Floats (ratios, errors) agree within 1e-9 relative."""
+    not the counts 1 and 68. Floats (ratios, errors) agree within 1e-9 relative;
+    a recomputed inf or NaN, which compress never reports, agrees with nothing."""
     if not isinstance(expected, float):
         return type(got) is type(expected) and got == expected
-    return (isinstance(got, (int, float)) and not isinstance(got, bool)
+    return (isinstance(got, (int, float)) and not isinstance(got, bool) and np.isfinite(expected)
             and abs(got - expected) <= 1e-9 * max(abs(expected), 1.0))
 
 

@@ -170,6 +170,70 @@ def test_verify_signaling_nan_in_stored_factor_exit_4(workdir, capsys):
     assert re.search(r"fc1\.recon_error_rel: report \S+, recomputed nan", err)
 
 
+def compress_one_layer(workdir, weights, stage_list):
+    """Compress an archive of the one layer fc1 under stage_list, at rank 3 and
+    prune alpha 0.3; return the original and compressed paths."""
+    original, out = workdir / "in.qtns", workdir / "out.qtns"
+    save_archive(TensorArchive(entries=[("fc1", DenseTensor(weights))]), original)
+    cfg = workdir / "cfg.json"
+    cfg.write_text(json.dumps({
+        "defaults": {"stage_list": stage_list, "prune": {"alpha": 0.3}, "rank_svd": 3,
+                     "anneal": {"rank": 3}},
+        "layers": {"fc1": {}}}))
+    assert run(["compress", original, cfg, out]) == 0
+    return original, out
+
+
+def verify_with_edits(original, out, capsys, edits):
+    """verify the honest report against out with edits[name](values) applied in
+    place to a copy of each named entry's f32 values."""
+    entries = []
+    for name, t in load_archive(out).entries:
+        if name in edits:
+            data = t.data.copy()
+            edits[name](data)
+            t = DenseTensor(data)
+        entries.append((name, t))
+    save_archive(TensorArchive(entries=entries), out)
+    capsys.readouterr()
+    code = run(["verify", original, out, f"{out}.report.json"])
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("stage_list, entry", [
+    (["factorize"], "fc1.w1"), (["decompose"], "fc1.w1"), (["prune"], "fc1")])
+def test_verify_inf_in_stored_tensor_exit_4(workdir, capsys, stage_list, entry):
+    # |report - inf| <= 1e-9 * inf holds for any finite report value, so a
+    # recomputed inf must agree with nothing
+    assert run(["gen", workdir / "gen.qtns", "--seed", 1, "--layer", "fc1=16x12"]) == 0
+    weights = load_archive(workdir / "gen.qtns").get("fc1").data
+    original, out = compress_one_layer(workdir, weights, stage_list)
+
+    def first_to_inf(data):
+        data.flat[0] = np.inf
+
+    code, err = verify_with_edits(original, out, capsys, {entry: first_to_inf})
+    assert code == 4
+    assert re.search(r"fc1\.recon_error_rel: report \S+, recomputed inf", err)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("stage_list", [["factorize"], ["decompose"], ["prune", "factorize"]])
+def test_verify_nonzero_artifact_of_zero_layer_exit_4(workdir, capsys, stage_list):
+    # a zero layer's error is 0 only for an artifact that stands for zero too
+    original, out = compress_one_layer(workdir, np.zeros((8, 8)), stage_list)
+    (row,) = json.loads((workdir / "out.qtns.report.json").read_text())["per_layer"]
+    assert row["recon_error_rel"] == 0.0
+
+    def ones(data):
+        data[...] = 1.0
+
+    code, err = verify_with_edits(original, out, capsys, {"fc1.w1": ones, "fc1.w2": ones})
+    assert code == 4
+    assert "fc1.recon_error_rel: report 0.0, recomputed inf" in err
+
+
 def test_inspect_empty_archive(workdir, capsys):
     save_archive(TensorArchive(), workdir / "empty.qtns")
     assert run(["--json", "inspect", workdir / "empty.qtns"]) == 0
@@ -191,7 +255,7 @@ def test_inspect_non_utf8_name_exit_3(workdir, capsys):
 
 
 def test_verify_decompose_only(workdir):
-    # the report's error must come from the f32 sigma the archive stores
+    # the report's error must come from the f32 factors the archive stores
     cfg = workdir / "svd.json"
     cfg.write_text(json.dumps({
         "defaults": {"stage_list": ["decompose"], "rank_svd": 4},
@@ -239,6 +303,24 @@ def test_bench_json_output(workdir, capsys):
     assert {r["variant"] for r in rows} == {"dense", "masked", "factored"}
     stdout_rows = json.loads(capsys.readouterr().out)
     assert len(stdout_rows) == len(rows)
+
+
+def test_bench_table_output(capsys):
+    assert run(["bench", "--size", "32x32x4", "--reps", 30, "--warmup", 5]) == 0
+    header, rule, *rows = capsys.readouterr().out.splitlines()
+    assert header.split() == ["variant", "m", "n", "r", "flops", "median", "p90", "speedup"]
+    assert set(rule) == {"-"}
+    assert [row.split()[:4] for row in rows] == [[v, "32", "32", "4"]
+                                                 for v in ("dense", "masked", "factored")]
+
+
+def test_command_bug_exit_1(workdir, capsys, monkeypatch):
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli.COMMANDS, "inspect", broken)
+    assert run(["inspect", workdir / "any.qtns"]) == 1
+    assert capsys.readouterr().err == "internal error (a bug; please report it): boom\n"
 
 
 def test_cli_import_leaves_scipy_unloaded():
@@ -385,10 +467,10 @@ def test_verify_archive_missing_entry_exit_4(workdir, capsys):
 
 def test_verify_kind_changed_exit_4(workdir, capsys):
     def edit(doc):
-        doc["per_layer"][0]["kind"] = "svd"
+        doc["per_layer"][0]["kind"] = "masked"
     code, err = verify_tampered(workdir, capsys, edit_report=edit)
     assert code == 4
-    assert "fc1.u" in err
+    assert "archive has no ['fc1']" in err
 
 
 def test_verify_row_without_kind_exit_4(workdir, capsys):
@@ -406,11 +488,13 @@ def test_verify_report_without_per_layer_exit_4(workdir, capsys):
 
 
 def test_verify_unknown_kind_exit_4(workdir, capsys):
-    def edit(doc):
-        doc["per_layer"][0]["kind"] = "bogus"
-    code, err = verify_tampered(workdir, capsys, edit_report=edit)
-    assert code == 4
-    assert "unknown artifact kind 'bogus'; known kinds are ['masked', 'svd', 'factored']" in err
+    # svd stands for a 0.1 report, whose decompose-last layers stored u, sigma and v
+    for kind in ("bogus", "svd"):
+        def edit(doc):
+            doc["per_layer"][0]["kind"] = kind
+        code, err = verify_tampered(workdir, capsys, edit_report=edit)
+        assert code == 4
+        assert f"unknown artifact kind {kind!r}; known kinds are ['masked', 'factored']" in err
 
 
 @pytest.mark.parametrize("layer, key, value", [("dec", "mask_bits", False),
@@ -567,9 +651,9 @@ def test_verify_mask_keeps_nothing_or_not_binary_exit_4(workdir, capsys, edit, m
     (None, "fc1.w1", (16, 3)),
     (None, "fc1.w2", (1, 16)),
     (None, "fc1.mask", (16, 8)),
-    (["decompose"], "fc1.u", (15, 4)),
-    (["decompose"], "fc1.sigma", (3,)),
-    (["decompose"], "fc1.v", (16, 3)),
+    (["decompose"], "fc1.w1", (15, 4)),
+    (["decompose"], "fc1.w2", (4, 15)),
+    (["decompose"], "fc1.w2", (3, 16)),  # a rank other than w1's
     (["prune"], "fc1", (16, 8)),
 ])
 def test_verify_wrong_shape_exit_4(workdir, capsys, stage_list, entry, shape):

@@ -10,7 +10,7 @@ from tensorpress.factorize import (
     anneal_factorize,
     frobenius_loss,
 )
-from tensorpress.pipeline import KINDS
+from tensorpress.pipeline import STAGES
 from tensorpress.tensors import DenseTensor
 
 
@@ -93,6 +93,15 @@ def test_exact_rank_reaches_near_zero():
     assert pair.final_loss < 1e-6 * np.linalg.norm(w.data) ** 2
 
 
+@pytest.mark.parametrize("max_iters", [5, 2000])
+def test_zero_matrix_fits_as_zero_factors(max_iters):
+    cfg = AnnealConfig(rank=2, max_iters=max_iters)
+    pair = anneal_factorize(DenseTensor(np.zeros((6, 4))), cfg)
+    assert pair.w1.shape == (6, 2) and pair.w2.shape == (2, 4)
+    assert not pair.w1.data.any() and not pair.w2.data.any()
+    assert pair.final_loss == 0.0 and pair.loss_trace == [0.0]
+
+
 def test_rank1_of_diag_matches_eckart_young():
     w = DenseTensor(np.diag([3.0, 2.0]))
     pair = anneal_factorize(w, AnnealConfig(rank=1, seed=0))
@@ -160,7 +169,7 @@ def test_config_validation():
 
 
 # the matrix a factorize stage hands on to a next stage: w1 @ w2, rounded to f32
-hand_on = KINDS["factored"].handed
+hand_on = STAGES["factorize"].handed
 
 
 def test_factored_hand_on_outer_product():

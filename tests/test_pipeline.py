@@ -9,8 +9,8 @@ import time
 import numpy as np
 import pytest
 
-from tensorpress import pipeline
-from tensorpress.decompose import SvdFactors, reconstruct, svd, truncate
+from tensorpress import decompose, pipeline
+from tensorpress.decompose import reconstruct, svd, truncate
 from tensorpress.errors import ConfigError, DivergenceError, VerificationError
 from tensorpress.factorize import AnnealConfig, anneal_factorize
 from tensorpress.pipeline import (
@@ -125,8 +125,7 @@ class TestCompressLayer:
         assert isinstance(stored_mask, BitTensor) and np.array_equal(stored_mask.data, layer.mask)
 
     @pytest.mark.parametrize("shape", [(12, 9), (4, 3, 3, 3)])
-    @pytest.mark.parametrize("case", ["kept", "moved", "svd", "svd-masked",
-                                      "factored", "factored-masked"])
+    @pytest.mark.parametrize("case", ["kept", "moved", "factored", "factored-masked"])
     def test_masked_recon_error_equals_dense_error(self, shape, case):
         # every kind's row is ||w - E|| / ||w||, with E built here from the
         # stored tensors; compress stores a masked layer's kept weights, but
@@ -149,10 +148,6 @@ class TestCompressLayer:
                 tensors = (DenseTensor(values),)
                 e = np.zeros(shape)
                 e[mask == 1] = tensors[0].data
-            elif kind == "svd":
-                tensors = tuple(DenseTensor(r.standard_normal(s)) for s in ((m, 3), (3,), (n, 3)))
-                u, sigma, v = (t.data.astype(np.float64) for t in tensors)
-                e = ((u * sigma) @ v.T).astype(np.float32)
             else:
                 tensors = tuple(DenseTensor(r.standard_normal(s)) for s in ((m, 3), (3, n)))
                 w1, w2 = (t.data.astype(np.float64) for t in tensors)
@@ -175,15 +170,24 @@ class TestCompressLayer:
 
     @pytest.mark.parametrize("stage_list", [("decompose",), ("prune", "decompose"),
                                             ("factorize", "decompose")])
-    def test_stored_sigma_reconstructs_as_the_python_floats_did(self, stage_list):
-        # the f32 sigma array promotes to f64 exactly, so the product has the
-        # bytes of the tuple of Python floats the layer used to hand over
-        w = random_tensor((6, 2, 3, 3), 4)
-        layer, _ = compress_layer(w, full_config(stage_list=stage_list, rank_svd=3))
-        u, sigma, v = layer.tensors
-        as_floats = SvdFactors(u=u, sigma=tuple(float(x) for x in sigma.data), v=v)
-        assert layer.svd_factors.sigma.dtype == np.float32
-        assert reconstruct(layer.svd_factors).data.tobytes() == reconstruct(as_floats).data.tobytes()
+    def test_decompose_last_stores_u_sigma_and_v_transposed(self, monkeypatch, stage_list):
+        # w1 = u diag(sigma) from the f32 u and the f64 sigma, and w2 = v^T, each
+        # rounded to f32, of the truncated SVD of the matrix decompose takes
+        taken = []
+        real_svd = decompose.svd
+        monkeypatch.setattr(decompose, "svd", lambda w: taken.append(w) or real_svd(w))
+        archive = TensorArchive(entries=[("L", random_tensor((6, 2, 3, 3), 4))])
+        config = PipelineConfig(defaults={
+            "stage_list": list(stage_list), "prune": {"alpha": 0.2, "stages": 2},
+            "rank_svd": 3, "anneal": {"rank": 4}}, layers={"L": {}})
+        out, report = compress_archive(archive, config)
+        (matrix,) = taken
+        f = truncate(real_svd(matrix), 3)
+        assert report.per_layer[0]["kind"] == "factored"
+        assert report.per_layer[0]["params_after"] == 3 * (6 + 18)
+        assert out.get("L.w1").data.tobytes() == DenseTensor(f.u.data * f.sigma).data.tobytes()
+        assert out.get("L.w2").data.tobytes() == DenseTensor(f.v.data.T).data.tobytes()
+        verify_report(archive, read_archive(write_archive(out)), report)
 
     @pytest.mark.parametrize("shape", [(13, 11), (6, 5, 3, 3)])
     def test_kept_indices_same_for_pruned_and_stored_mask(self, shape):
@@ -276,7 +280,7 @@ class TestCompressArchive:
         archive.entries.append(("d", random_tensor((9, 6), 7)))
         archive = TensorArchive(entries=archive.entries)
         out, report = compress_archive(archive, config)
-        assert [r["kind"] for r in report.per_layer] == ["factored", "factored", "masked", "svd"]
+        assert [r["kind"] for r in report.per_layer] == ["factored", "factored", "masked", "factored"]
 
         def payload(arc):
             headers = 12 + sum(4 + len(n.encode()) + 4 + 8 * len(t.shape) + 4
@@ -344,6 +348,25 @@ class TestCompressArchive:
         archive, config = build_archive_and_config()
         compress_archive(archive, config, jobs=1)
         assert threads == [threading.get_ident()] * 2
+
+    def test_no_blas_thread_setter_runs_every_layer_on_the_calling_thread(self, monkeypatch):
+        # without a setter (MKL, Accelerate) the default is one job: parallel
+        # layers on a threaded BLAS would oversubscribe the cores
+        archive, config = build_archive_and_config()
+        want = write_archive(compress_archive(archive, config, jobs=1)[0])
+        monkeypatch.setattr(pipeline, "_blas_thread_setter", lambda: None)
+        threads = []
+        run_before_each_layer(monkeypatch, lambda cfg: threads.append(threading.get_ident()))
+        out, _ = compress_archive(archive, config)
+        assert threads == [threading.get_ident()] * 2
+        assert write_archive(out) == want
+
+    @pytest.mark.parametrize("cpus, jobs", [(3, 3), (None, 1)])
+    def test_default_jobs_without_affinity_counts_cpus(self, monkeypatch, cpus, jobs):
+        monkeypatch.setattr(pipeline, "_blas_thread_setter", lambda: lambda count: 1)
+        monkeypatch.delattr(pipeline.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(pipeline.os, "cpu_count", lambda: cpus)
+        assert pipeline._default_jobs() == jobs
 
     def test_jobs_2_is_the_caller_and_one_more_thread(self, monkeypatch):
         threads = []
@@ -472,8 +495,7 @@ def test_written_names_are_the_plan(stage_list):
     # the names verify expects are the ones written
     archive, config = mixed_archive_and_config(stage_list)
     out, _ = compress_archive(archive, config)
-    (last,) = [k for k, rec in pipeline.KINDS.items() if rec.stage == stage_list[-1]]
-    kind = (last, "prune" in stage_list)
+    kind = (pipeline.STAGES[stage_list[-1]].kind, "prune" in stage_list)
     planned = pipeline._output_names(archive, {"fc": kind, "conv": kind})
     assert out.names() == [n for names in planned.values() for n in names]
 
@@ -513,9 +535,9 @@ def _compress_layer_oracle(w, cfg, *, checked=False):
                                               @ res.w2.data.astype(np.float64))
                 if more and not np.isfinite(current.data).all():
                     raise ConfigError(pipeline.OVERFLOW)
-            kind = pipeline.STAGE_KIND[stage]
-            layer = pipeline.CompressedLayer(cfg.layer_name, kind,
-                                             pipeline.KINDS[kind].stored(res), mask)
+            record = pipeline.STAGES[stage]
+            layer = pipeline.CompressedLayer(cfg.layer_name, record.kind,
+                                             record.stored(res), mask)
             row = layer_row(w, layer)
             if not np.isfinite(row["recon_error_rel"]):
                 raise ConfigError(pipeline.OVERFLOW)
@@ -524,6 +546,24 @@ def _compress_layer_oracle(w, cfg, *, checked=False):
             raise
     row["wall_time"] = time.perf_counter() - t0
     return layer, row
+
+
+@pytest.mark.parametrize("stage_list", STAGE_LISTS, ids="-".join)
+def test_all_zero_layers_store_zero_and_verify(stage_list):
+    # an anneal from random factors would store a small nonzero product
+    # that an error of 0 for an all-zero layer hid
+    archive = TensorArchive(entries=[("fc", DenseTensor(np.zeros((8, 8)))),
+                                     ("conv", DenseTensor(np.zeros((4, 2, 3, 3))))])
+    config = PipelineConfig(defaults={
+        "stage_list": stage_list, "prune": {"alpha": 0.3, "stages": 2},
+        "rank_svd": 3, "anneal": {"rank": 3}}, layers={"fc": {}, "conv": {}})
+    out, report = compress_archive(archive, config)
+    out = read_archive(write_archive(out))
+    for row in report.per_layer:
+        name = row["layer_name"]
+        assert not rebuild_layer(archive.get(name), out, name, row["kind"]).effective_matrix().any()
+        assert row["recon_error_rel"] == 0.0
+    verify_report(archive, out, report)
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -627,12 +667,12 @@ STORED_LAYOUTS = {
         ("fc", (55,), 0), ("fc.mask", (12, 10), 1), ("bias", (10,), 0),
         ("conv", (52,), 0), ("conv.mask", (6, 2, 3, 3), 1)],
     ("decompose",): [
-        ("fc.u", (12, 3), 0), ("fc.sigma", (3,), 0), ("fc.v", (10, 3), 0), ("bias", (10,), 0),
-        ("conv.u", (6, 3), 0), ("conv.sigma", (3,), 0), ("conv.v", (18, 3), 0)],
+        ("fc.w1", (12, 3), 0), ("fc.w2", (3, 10), 0), ("bias", (10,), 0),
+        ("conv.w1", (6, 3), 0), ("conv.w2", (3, 18), 0)],
     ("prune", "decompose"): [
-        ("fc.u", (12, 3), 0), ("fc.sigma", (3,), 0), ("fc.v", (10, 3), 0),
-        ("fc.mask", (12, 10), 1), ("bias", (10,), 0), ("conv.u", (6, 3), 0),
-        ("conv.sigma", (3,), 0), ("conv.v", (18, 3), 0), ("conv.mask", (6, 2, 3, 3), 1)],
+        ("fc.w1", (12, 3), 0), ("fc.w2", (3, 10), 0), ("fc.mask", (12, 10), 1),
+        ("bias", (10,), 0), ("conv.w1", (6, 3), 0), ("conv.w2", (3, 18), 0),
+        ("conv.mask", (6, 2, 3, 3), 1)],
     ("factorize",): [
         ("fc.w1", (12, 3), 0), ("fc.w2", (3, 10), 0), ("bias", (10,), 0),
         ("conv.w1", (6, 3), 0), ("conv.w2", (3, 18), 0)],
