@@ -16,7 +16,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import ConfigError, ShapeError, check_int, check_real
-from .factorize import FactorPair
+from .factorize import FactorPair, check_rank
 from .tensors import DenseTensor
 
 VARIANTS = ("dense", "masked", "factored")
@@ -104,9 +104,13 @@ def run_bench(
     check_int("warmup", warmup, 5)
     check_int("seed", seed, 0)
     check_real("density", density, "(0, 1]")
+    if not variants:
+        raise ConfigError(f"no variant given; known variants are {list(VARIANTS)}")
     for v in variants:
         if v not in VARIANTS:
             raise ConfigError(f"unknown variant {v!r}; known variants are {list(VARIANTS)}")
+    for m, n, r in sizes:
+        check_rank(r, m, n, f"--size {m}x{n}x{r}: ")
     rng = np.random.default_rng(seed)
     results: list[BenchResult] = []
     for m, n, r in sizes:

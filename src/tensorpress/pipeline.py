@@ -30,8 +30,9 @@ BLOCK_CONFIGS = {"prune": pr.PruneConfig, "anneal": fac.AnnealConfig}
 # suffix), in entries() order; shapes(m, n, r, kept), their shapes against the
 # m x n original, with r the last axis of the first entry and kept the mask's
 # ones (0 without a mask); product(tensors, mask), the matrix they stand for at
-# inference. A pruned layer also stores its retain mask, bit-packed in the
-# original shape, as name + MASK_SUFFIX.
+# inference. A masked layer also stores its retain mask, bit-packed in the
+# original shape, as name + MASK_SUFFIX; a factored layer stores none, so it
+# runs as its two factors even when a prune stage shaped them.
 Kind = collections.namedtuple("Kind", "suffixes shapes product")
 KINDS = {
     "masked": Kind(  # the kept weights alone, in C flat order of the mask
@@ -39,7 +40,7 @@ KINDS = {
         lambda t, mask: as_matrix(_scatter(t[0].data, mask))),
     "factored": Kind(
         (".w1", ".w2"), lambda m, n, r, kept: [(m, r), (r, n)],
-        lambda t, mask: _mask_in_place(np.matmul(*(x.data.astype(np.float64) for x in t)), mask)),
+        lambda t, mask: np.matmul(*(x.data.astype(np.float64) for x in t))),
 }
 # One record per stage, in the default stage list's order: the kind it stores
 # as a layer's last stage; stored(result), that kind's tensors from the stage's
@@ -62,17 +63,16 @@ MASK_SUFFIX = ".mask"
 OVERFLOW = "its result overflows f32"  # a stage's fault where its f32 result is not finite
 
 
-def _entry_names(name: str, kind: str, pruned: bool) -> list[str]:
+def _entry_names(name: str, kind: str) -> list[str]:
     """The archive entries of a layer's artifact, in entries() order."""
-    return [name + s for s in KINDS[kind].suffixes] + [name + MASK_SUFFIX] * pruned
+    return [name + s for s in KINDS[kind].suffixes] + [name + MASK_SUFFIX] * (kind == "masked")
 
 
-def _output_names(original: TensorArchive,
-                  kinds: dict[str, tuple[str, bool]]) -> dict[str, list[str]]:
+def _output_names(original: TensorArchive, kinds: dict[str, str]) -> dict[str, list[str]]:
     """The entry names compress writes for each original entry, in order: a
-    compressed layer's _entry_names(name, *kinds[name]), kinds[name] being its
-    (kind, pruned), else the entry's own name. verify requires exactly them."""
-    return {name: _entry_names(name, *kinds[name]) if name in kinds else [name]
+    compressed layer's _entry_names(name, kinds[name]), else the entry's own
+    name. verify requires exactly them."""
+    return {name: _entry_names(name, kinds[name]) if name in kinds else [name]
             for name, _ in original.entries}
 
 
@@ -107,8 +107,8 @@ class LayerConfig:
 @dataclass(frozen=True)
 class CompressedLayer:
     """One compressed layer as the archive stores it: its kind's f32 tensors in
-    KINDS suffix order, and the bool retain mask in the original shape if a prune
-    stage ran. The masked and factors views remain only for perfbench's
+    KINDS suffix order, and the bool retain mask in the original shape if the
+    kind is masked. The masked and factors views remain only for perfbench's
     forwards, until the program has a forward of its own."""
 
     layer_name: str
@@ -127,7 +127,7 @@ class CompressedLayer:
     def entries(self) -> list[tuple[str, Tensor]]:
         """Archive entries representing this layer's stored artifact."""
         mask = () if self.mask is None else (BitTensor(self.mask),)
-        return list(zip(_entry_names(self.layer_name, self.kind, bool(mask)), self.tensors + mask))
+        return list(zip(_entry_names(self.layer_name, self.kind), self.tensors + mask))
 
     def effective_matrix(self) -> np.ndarray:
         """The matrix the artifact stands for at inference (KINDS product)."""
@@ -144,10 +144,6 @@ def _scatter(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
     weights = np.zeros(mask.size, dtype=np.float32)
     weights[_kept(mask)] = values
     return weights.reshape(mask.shape)
-
-
-def _mask_in_place(eff: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
-    return eff if mask is None else np.multiply(eff, as_matrix(mask), out=eff)
 
 
 def relative_recon_error(original: DenseTensor, layer: CompressedLayer) -> float:
@@ -205,7 +201,7 @@ def compress_layer(w: DenseTensor, cfg: LayerConfig, *,
         check_layer_input(w, cfg)
     t0 = time.perf_counter()
     current = DenseTensor(as_matrix(w.data))
-    stage = res = mask = None
+    stage = res = None
     # w is finite, so only an overflow makes a result not finite: checked, not warned of
     with np.errstate(over="ignore", invalid="ignore"):
         try:
@@ -220,8 +216,7 @@ def compress_layer(w: DenseTensor, cfg: LayerConfig, *,
                 if stage == "prune":
                     # prune in the original layout so conv adjacency applies
                     res = pr.iterative_prune(current.reshape(w.shape), cfg.prune)
-                    mask = res.mask
-                    if not mask.any():
+                    if not res.mask.any():
                         raise ConfigError(
                             f"leaves none of its {w.size} weights "
                             f"(alpha {cfg.prune.alpha}, entangle_prob {cfg.prune.entangle_prob})"
@@ -231,7 +226,10 @@ def compress_layer(w: DenseTensor, cfg: LayerConfig, *,
                     res = dec.truncate(full, min(cfg.rank_svd, full.rank))
                 else:
                     res = fac.anneal_factorize(current, cfg.anneal)
+            # prune's mask is stored only where prune is last; before decompose
+            # or factorize it only shapes the factors
             record = STAGES[stage]
+            mask = res.mask if stage == "prune" else None
             layer = CompressedLayer(cfg.layer_name, record.kind, record.stored(res), mask)
             row = layer_row(w, layer)
             # finite unless the matrix the stored layer stands for is not
@@ -517,9 +515,7 @@ def compress_archive(
         raise ConfigError(f"config names layers missing from archive: {missing}")
     configured = [(name, tensor) for name, tensor in archive.entries if name in config.layers]
     configs = [config.resolved(name, seed_override) for name, _ in configured]
-    # every configured layer reserves its mask's name, pruned or not, since
-    # rebuild_layer reads an entry of that name as the layer's mask
-    kinds = {c.layer_name: (STAGES[c.stage_list[-1]].kind, True) for c in configs}
+    kinds = {c.layer_name: STAGES[c.stage_list[-1]].kind for c in configs}
     planned = _output_names(archive, kinds)
     counts = collections.Counter(n for names in planned.values() for n in names)
     for name in kinds:
@@ -546,7 +542,8 @@ def rebuild_layer(original: DenseTensor, compressed: TensorArchive, name: str,
                   kind: str) -> CompressedLayer:
     """Read back the CompressedLayer that entries() stored in the archive. Every
     stored tensor must be f32 of the shape KINDS[kind].shapes gives it against
-    the original, and the mask a bit tensor of the original shape that keeps a weight."""
+    the original, and a masked layer's mask a bit tensor of the original shape
+    that keeps a weight."""
     if kind not in KINDS:
         raise VerificationError(
             f"layer {name!r}: unknown artifact kind {kind!r}; known kinds are {list(KINDS)}")
@@ -554,9 +551,7 @@ def rebuild_layer(original: DenseTensor, compressed: TensorArchive, name: str,
         raise VerificationError(
             f"layer {name!r}: original is not an f32 tensor of 2 or 4 axes, which compress takes")
     record = KINDS[kind]
-    # the kind prune stores always has the mask that placed its values
-    pruned = kind == STAGES["prune"].kind or name + MASK_SUFFIX in compressed
-    names = _entry_names(name, kind, pruned)
+    names = _entry_names(name, kind)
     missing = [n for n in names if n not in compressed]
     if missing:
         raise VerificationError(f"layer {name!r} ({kind}): archive has no {missing}")
@@ -624,7 +619,7 @@ def verify_report(
         if not _agrees(got, want):
             raise VerificationError(f"{key}: report {got}, recomputed {want}")
 
-    kinds = {name: (layer.kind, layer.mask is not None) for name, layer in layers.items()}
+    kinds = {name: layer.kind for name, layer in layers.items()}
     expected = [n for names in _output_names(original, kinds).values() for n in names]
     if compressed.names() != expected:
         counts = collections.Counter(expected)

@@ -19,6 +19,7 @@ from tensorpress.cli import main
 from tensorpress.errors import ConfigError
 from tensorpress.factorize import AnnealConfig
 from tensorpress.pipeline import derive_seed
+from tensorpress.prune import iterative_prune
 from tensorpress.tensors import (
     BitTensor,
     DenseTensor,
@@ -470,7 +471,8 @@ def test_verify_kind_changed_exit_4(workdir, capsys):
         doc["per_layer"][0]["kind"] = "masked"
     code, err = verify_tampered(workdir, capsys, edit_report=edit)
     assert code == 4
-    assert "archive has no ['fc1']" in err
+    # a masked layer's values and mask; the factored fc1 stored neither
+    assert "archive has no ['fc1', 'fc1.mask']" in err
 
 
 def test_verify_row_without_kind_exit_4(workdir, capsys):
@@ -650,7 +652,7 @@ def test_verify_mask_keeps_nothing_or_not_binary_exit_4(workdir, capsys, edit, m
 @pytest.mark.parametrize("stage_list, entry, shape", [
     (None, "fc1.w1", (16, 3)),
     (None, "fc1.w2", (1, 16)),
-    (None, "fc1.mask", (16, 8)),
+    (["prune"], "fc1.mask", (16, 8)),
     (["decompose"], "fc1.w1", (15, 4)),
     (["decompose"], "fc1.w2", (4, 15)),
     (["decompose"], "fc1.w2", (3, 16)),  # a rank other than w1's
@@ -715,6 +717,40 @@ def test_verify_pre_bit_packed_archive_exit_4(workdir, capsys):
     assert "layer 'fc1' (masked): fc1.mask is f32, not bit-packed" in err
 
 
+def test_verify_0_2_pruned_low_rank_layout_exit_4(workdir, capsys):
+    """An archive and report as 0.2 wrote them for the default stage list: the
+    retain mask of the prune stage stored beside the factored pair, its bits
+    counted in the row and multiplied into the product. Since 0.3 only a masked
+    layer has a mask, so the old row's bytes no longer match the archive."""
+    archive, cfg = write_fixture(workdir)
+    out = workdir / "out.qtns"
+    assert run(["compress", archive, cfg, out]) == 0
+    original = load_archive(archive)
+    w = original.get("fc1")
+    mask = iterative_prune(w, pipeline.PipelineConfig(**CONFIG).resolved("fc1").prune).mask
+    entries = []
+    for name, t in load_archive(out).entries:
+        entries.append((name, t))
+        if name == "fc1.w2":
+            entries.append(("fc1.mask", BitTensor(mask)))
+    save_archive(TensorArchive(entries=entries), out)
+    stored = load_archive(out)
+    w1, w2 = (stored.get(n).data.astype(np.float64) for n in ("fc1.w1", "fc1.w2"))
+    a = w.data.astype(np.float64)
+    report = workdir / "out.qtns.report.json"
+    doc = json.loads(report.read_text())
+    row = doc["per_layer"][0]
+    row["bytes_after"] += BitTensor.payload_bytes(mask.size)
+    row["mask_bits"] = mask.size
+    row["recon_error_rel"] = float(np.linalg.norm(a - w1 @ w2 * mask) / np.linalg.norm(a))
+    doc["total_bytes_ratio"] = pipeline.total_ratio(original, doc["per_layer"], "bytes")
+    report.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["verify", archive, out, report]) == 4
+    got, want = row["bytes_after"], row["bytes_after"] - BitTensor.payload_bytes(mask.size)
+    assert f"fc1.bytes_after: report {got}, recomputed {want}" in capsys.readouterr().err
+
+
 def test_mask_padding_bits_exit_3(workdir, capsys):
     """A mask of 25 bits takes 4 bytes; setting any of the 7 spare bits of the
     last one leaves a second encoding of the same mask, which no reader accepts."""
@@ -739,20 +775,25 @@ def test_mask_padding_bits_exit_3(workdir, capsys):
 
 
 def test_inspect_compressed_archive(workdir, capsys):
+    # fc1 under the default stage list is a factored pair with no mask; the
+    # prune-only fc2 is a masked layer with its bit-coded mask
     archive, cfg = write_fixture(workdir)
+    cfg.write_text(json.dumps(with_edits(CONFIG, [("layers.fc2", {"stage_list": ["prune"]})])))
     assert run(["compress", archive, cfg, workdir / "out.qtns"]) == 0
     capsys.readouterr()
     assert run(["--json", "inspect", workdir / "out.qtns"]) == 0
     rows = {r["name"]: r for r in json.loads(capsys.readouterr().out)}
-    assert list(rows) == ["fc1.w1", "fc1.w2", "fc1.mask", "fc2", "b", "t"]
+    assert list(rows) == ["fc1.w1", "fc1.w2", "fc2", "fc2.mask", "b", "t"]
     assert rows["fc1.w1"]["dtype"] == "f32" and rows["fc1.w1"]["shape"] == [16, 4]
-    mask = rows["fc1.mask"]
-    assert mask["dtype"] == "bits" and mask["shape"] == [16, 16] and mask["params"] == 256
-    kept = int(load_archive(workdir / "out.qtns").get("fc1.mask").data.sum())
-    assert mask["sparsity"] == pytest.approx(1 - kept / 256)
+    mask = rows["fc2.mask"]
+    assert mask["dtype"] == "bits" and mask["shape"] == [8, 8] and mask["params"] == 64
+    kept = int(load_archive(workdir / "out.qtns").get("fc2.mask").data.sum())
+    assert rows["fc2"]["shape"] == [kept]
+    assert mask["sparsity"] == pytest.approx(1 - kept / 64)
     assert mask["frobenius_norm"] == pytest.approx(np.sqrt(kept))
     assert run(["inspect", workdir / "out.qtns"]) == 0
-    assert "fc1.mask" in capsys.readouterr().out
+    table = capsys.readouterr().out
+    assert "fc2.mask" in table and "fc1.mask" not in table
 
 
 MISSING = object()  # as a value: the key is left out
@@ -902,11 +943,7 @@ def test_compress_bad_config_exit_2_before_any_layer(workdir, capsys, monkeypatc
     # two configured layers: a's factor pair and the masked a.w1
     (["a=8x8", "a.w1=8x8"], {"a": {}, "a.w1": {"stage_list": ["prune"]}},
      r"layer 'a': entry names \['a.w1'\] collide"),
-    # verify would read a pass-through fc.mask as the mask of fc, which no
-    # prune stage runs on, so every configured layer reserves its mask's name
-    (["fc=8x8", "fc.mask=8x8"], {"fc": {"stage_list": ["decompose"], "rank_svd": 2}},
-     r"layer 'fc': entry names \['fc.mask'\] collide"),
-], ids=["pass_through", "two_configured", "mask_of_unpruned"])
+], ids=["pass_through", "two_configured"])
 def test_compress_entry_name_collision_exit_2_before_any_layer(workdir, capsys, monkeypatch,
                                                                layers, config, message):
     gen = ["gen", workdir / "in.qtns"]
@@ -924,20 +961,24 @@ def test_compress_entry_name_collision_exit_2_before_any_layer(workdir, capsys, 
     assert not (workdir / "out.qtns.report.json").exists()
 
 
-def test_compress_reserves_bit_mask_name_of_unpruned_layer_exit_2(workdir, capsys, monkeypatch):
-    # as mask_of_unpruned above, with the pass-through fc.mask bit-coded as a mask is
+@pytest.mark.parametrize("stage_list", [["decompose"], ["prune", "decompose"],
+                                        ["prune", "decompose", "factorize"]], ids="-".join)
+@pytest.mark.parametrize("dtype", [DenseTensor, BitTensor])
+def test_factored_layer_beside_pass_through_mask_name(workdir, capsys, stage_list, dtype):
+    # only a masked layer writes or reads name.mask, so beside a factored fc a
+    # fc.mask entry, f32 or bit-coded, is an ordinary pass-through
     w = DenseTensor(np.random.default_rng(0).standard_normal((8, 8)))
-    mask = BitTensor(np.ones((8, 8)))
+    mask = dtype(np.ones((8, 8)))
     save_archive(TensorArchive(entries=[("fc", w), ("fc.mask", mask)]), workdir / "in.qtns")
     cfg = workdir / "cfg.json"
-    cfg.write_text(json.dumps({"layers": {"fc": {"stage_list": ["decompose"], "rank_svd": 2}}}))
-    calls = []
-    monkeypatch.setattr(pipeline, "compress_layer", lambda *a, **k: calls.append(a))
-    capsys.readouterr()
-    assert run(["compress", workdir / "in.qtns", cfg, workdir / "out.qtns"]) == 2
-    assert "layer 'fc': entry names ['fc.mask'] collide" in capsys.readouterr().err
-    assert calls == []
-    assert not (workdir / "out.qtns").exists()
+    cfg.write_text(json.dumps({"layers": {"fc": {
+        "stage_list": stage_list, "rank_svd": 2, "anneal": {"rank": 2}}}}))
+    out = workdir / "out.qtns"
+    assert run(["compress", workdir / "in.qtns", cfg, out]) == 0
+    stored = load_archive(out)
+    assert stored.names() == ["fc.w1", "fc.w2", "fc.mask"]
+    assert stored.get("fc.mask") == mask
+    assert run(["verify", workdir / "in.qtns", out, f"{out}.report.json"]) == 0
 
 
 # with warnings as errors: an overflow warning on the way to inf would exit 1;
@@ -1082,6 +1123,9 @@ def test_json_stdout_is_strict_json(workdir, capsys, command, rel_tol):
     (["bench", "--size", "8x8x2", "--reps", 5], "reps must be >= 30, got 5"),
     (["bench", "--size", "8x8x2", "--warmup", 2], "warmup must be >= 5, got 2"),
     (["bench", "--size", "8x8x2", "--variants", "foo"], "unknown variant 'foo'"),
+    (["bench", "--size", "8x8x2", "--variants", ","], "no variant given"),
+    (["bench", "--size", "8x8x20", "--variants", "factored"],
+     "--size 8x8x20: rank 20 exceeds min(m, n) = 8"),
     (["bench", "--size", "8x8x2", "--seed", -1], "seed must be >= 0, got -1"),
     (["gen", "--layer", "fc1=4x4:rank=0"], "bad layer option 'rank=0'"),
     (["gen", "--seed", -1, "--layer", "fc1=4x4"], "seed must be >= 0, got -1"),
@@ -1102,7 +1146,8 @@ def test_json_stdout_is_strict_json(workdir, capsys, command, rel_tol):
     (["gen", "--layer", "a=3000000000x3000000000"], "layer 'a': array is too big"),
     (["gen", "--layer", "a=2x100000000000000000000:rank=1"],
      "layer 'a': Maximum allowed dimension exceeded"),
-], ids=["size_not_int", "size_0", "reps_5", "warmup_2", "variant_unknown", "bench_seed_negative",
+], ids=["size_not_int", "size_0", "reps_5", "warmup_2", "variant_unknown", "variants_empty",
+        "rank_past_size", "bench_seed_negative",
         "gen_rank_0", "gen_seed_negative", "gen_rank_past_shape", "gen_name_not_utf8",
         "gen_name_repeated", "gen_no_shape", "gen_dim_not_int", "gen_dim_0", "density_0",
         "density_negative", "density_1.5", "density_nan", "gen_past_memory",

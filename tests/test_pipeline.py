@@ -125,7 +125,7 @@ class TestCompressLayer:
         assert isinstance(stored_mask, BitTensor) and np.array_equal(stored_mask.data, layer.mask)
 
     @pytest.mark.parametrize("shape", [(12, 9), (4, 3, 3, 3)])
-    @pytest.mark.parametrize("case", ["kept", "moved", "factored", "factored-masked"])
+    @pytest.mark.parametrize("case", ["kept", "moved", "factored"])
     def test_masked_recon_error_equals_dense_error(self, shape, case):
         # every kind's row is ||w - E|| / ||w||, with E built here from the
         # stored tensors; compress stores a masked layer's kept weights, but
@@ -136,7 +136,7 @@ class TestCompressLayer:
         w = DenseTensor(data)
         a = w.data.reshape(shape[0], -1).astype(np.float64)
         m, n = a.shape
-        kind = "masked" if case in ("kept", "moved") else case.removesuffix("-masked")
+        kind = "masked" if case in ("kept", "moved") else case
         for seed in range(5):
             r = np.random.default_rng(seed)
             mask = (r.random(shape) < 0.6).astype(np.uint8)
@@ -152,11 +152,8 @@ class TestCompressLayer:
                 tensors = tuple(DenseTensor(r.standard_normal(s)) for s in ((m, 3), (3, n)))
                 w1, w2 = (t.data.astype(np.float64) for t in tensors)
                 e = w1 @ w2
-            if kind != "masked" and not case.endswith("-masked"):
                 mask = None
             e = e.reshape(m, n).astype(np.float64)
-            if mask is not None:
-                e = e * mask.reshape(m, n)
             layer = pipeline.CompressedLayer("L", kind, tensors, mask)
             want = float(np.linalg.norm(a - e) / np.linalg.norm(a))
             assert pipeline.relative_recon_error(w, layer) == want
@@ -166,7 +163,7 @@ class TestCompressLayer:
         layer, row = compress_layer(w, full_config(rank_svd=3, anneal=AnnealConfig(rank=3, seed=0)))
         assert layer.factors.w1.shape == (6, 3)
         assert layer.factors.w2.shape == (3, 18)
-        assert layer.mask.shape == (6, 2, 3, 3)
+        assert layer.mask is None  # the prune stage before decompose stores no mask
 
     @pytest.mark.parametrize("stage_list", [("decompose",), ("prune", "decompose"),
                                             ("factorize", "decompose")])
@@ -495,16 +492,36 @@ def test_written_names_are_the_plan(stage_list):
     # the names verify expects are the ones written
     archive, config = mixed_archive_and_config(stage_list)
     out, _ = compress_archive(archive, config)
-    kind = (pipeline.STAGES[stage_list[-1]].kind, "prune" in stage_list)
+    kind = pipeline.STAGES[stage_list[-1]].kind
     planned = pipeline._output_names(archive, {"fc": kind, "conv": kind})
     assert out.names() == [n for names in planned.values() for n in names]
+
+
+@pytest.mark.parametrize("stage_list", STAGE_LISTS, ids="-".join)
+def test_mask_stored_only_where_prune_is_last(stage_list):
+    # prune before decompose or factorize only shapes the factors: the layer
+    # is then the plain factored pair, whose product is w1 @ w2 in float64
+    archive, config = mixed_archive_and_config(stage_list)
+    out, report = compress_archive(archive, config)
+    out = read_archive(write_archive(out))
+    masked = stage_list[-1] == "prune"
+    for row in report.per_layer:
+        name = row["layer_name"]
+        assert (name + pipeline.MASK_SUFFIX in out) == masked
+        if not masked:
+            layer = rebuild_layer(archive.get(name), out, name, row["kind"])
+            w1, w2 = (out.get(name + s).data.astype(np.float64) for s in (".w1", ".w2"))
+            assert row["mask_bits"] == 0 and layer.mask is None
+            assert layer.effective_matrix().tobytes() == (w1 @ w2).tobytes()
+    verify_report(archive, out, report)
 
 
 def _compress_layer_oracle(w, cfg, *, checked=False):
     """compress_layer as it was when each stage branch built the dense matrix
     the next stage takes, behind a flag saying whether one runs, with the
-    factored product written out as w1 @ w2 in float64. Kept as the reference
-    that compress_layer must match byte for byte."""
+    factored product written out as w1 @ w2 in float64, and the mask stored
+    only where prune is last. Kept as the reference that compress_layer must
+    match byte for byte."""
     if not checked:
         pipeline.check_layer_input(w, cfg)
     t0 = time.perf_counter()
@@ -536,8 +553,8 @@ def _compress_layer_oracle(w, cfg, *, checked=False):
                 if more and not np.isfinite(current.data).all():
                     raise ConfigError(pipeline.OVERFLOW)
             record = pipeline.STAGES[stage]
-            layer = pipeline.CompressedLayer(cfg.layer_name, record.kind,
-                                             record.stored(res), mask)
+            layer = pipeline.CompressedLayer(cfg.layer_name, record.kind, record.stored(res),
+                                             mask if stage == "prune" else None)
             row = layer_row(w, layer)
             if not np.isfinite(row["recon_error_rel"]):
                 raise ConfigError(pipeline.OVERFLOW)
@@ -670,16 +687,14 @@ STORED_LAYOUTS = {
         ("fc.w1", (12, 3), 0), ("fc.w2", (3, 10), 0), ("bias", (10,), 0),
         ("conv.w1", (6, 3), 0), ("conv.w2", (3, 18), 0)],
     ("prune", "decompose"): [
-        ("fc.w1", (12, 3), 0), ("fc.w2", (3, 10), 0), ("fc.mask", (12, 10), 1),
-        ("bias", (10,), 0), ("conv.w1", (6, 3), 0), ("conv.w2", (3, 18), 0),
-        ("conv.mask", (6, 2, 3, 3), 1)],
+        ("fc.w1", (12, 3), 0), ("fc.w2", (3, 10), 0), ("bias", (10,), 0),
+        ("conv.w1", (6, 3), 0), ("conv.w2", (3, 18), 0)],
     ("factorize",): [
         ("fc.w1", (12, 3), 0), ("fc.w2", (3, 10), 0), ("bias", (10,), 0),
         ("conv.w1", (6, 3), 0), ("conv.w2", (3, 18), 0)],
     ("prune", "decompose", "factorize"): [
-        ("fc.w1", (12, 3), 0), ("fc.w2", (3, 10), 0), ("fc.mask", (12, 10), 1),
-        ("bias", (10,), 0), ("conv.w1", (6, 3), 0), ("conv.w2", (3, 18), 0),
-        ("conv.mask", (6, 2, 3, 3), 1)],
+        ("fc.w1", (12, 3), 0), ("fc.w2", (3, 10), 0), ("bias", (10,), 0),
+        ("conv.w1", (6, 3), 0), ("conv.w2", (3, 18), 0)],
 }
 
 
