@@ -9,6 +9,7 @@ import ctypes
 import functools
 import hashlib
 import json
+import math
 import os
 import reprlib
 import threading
@@ -26,21 +27,23 @@ from .tensors import BitTensor, DenseTensor, Tensor, TensorArchive, as_matrix
 # the config each object block resolves to, whose fields are the block's keys
 BLOCK_CONFIGS = {"prune": pr.PruneConfig, "anneal": fac.AnnealConfig}
 
-# One record per artifact kind: the suffixes of its f32 entries (layer name +
-# suffix), in entries() order; shapes(m, n, r, kept), their shapes against the
-# m x n original, with r the last axis of the first entry and kept the mask's
-# ones (0 without a mask); product(tensors, mask), the matrix they stand for at
-# inference. A masked layer also stores its retain mask, bit-packed in the
-# original shape, as name + MASK_SUFFIX; a factored layer stores none, so it
+# One record per artifact kind, the only statement of what a layer stores:
+# entries, its (suffix, Tensor class) pairs in entries() order, each stored as
+# layer name + suffix; shapes(shape, tensors), their shapes against the
+# original's shape, read from tensors only once each has its class;
+# product(tensors), the matrix they stand for at inference. A retain mask has
+# the original's shape, never its own; a factored layer stores none, so it
 # runs as its two factors even when a prune stage shaped them.
-Kind = collections.namedtuple("Kind", "suffixes shapes product")
+Kind = collections.namedtuple("Kind", "entries shapes product")
 KINDS = {
-    "masked": Kind(  # the kept weights alone, in C flat order of the mask
-        ("",), lambda m, n, r, kept: [(kept,)],
-        lambda t, mask: as_matrix(_scatter(t[0].data, mask))),
+    "masked": Kind(  # the kept weights alone, in C flat order of the bit mask
+        (("", DenseTensor), (".mask", BitTensor)),
+        lambda shape, t: [(int(np.count_nonzero(t[1].data)),), shape],
+        lambda t: as_matrix(_scatter(t[0].data, t[1].data))),
     "factored": Kind(
-        (".w1", ".w2"), lambda m, n, r, kept: [(m, r), (r, n)],
-        lambda t, mask: np.matmul(*(x.data.astype(np.float64) for x in t))),
+        ((".w1", DenseTensor), (".w2", DenseTensor)),
+        lambda shape, t: [(shape[0], t[0].shape[-1]), (t[0].shape[-1], math.prod(shape[1:]))],
+        lambda t: np.matmul(*(x.data.astype(np.float64) for x in t))),
 }
 # One record per stage, in the default stage list's order: the kind it stores
 # as a layer's last stage; stored(result), that kind's tensors from the stage's
@@ -50,22 +53,22 @@ KINDS = {
 Stage = collections.namedtuple("Stage", "kind stored handed")
 STAGES = {
     "prune": Stage(
-        "masked", lambda res: (DenseTensor(res.pruned_weights.data.ravel().take(_kept(res.mask))),),
+        "masked", lambda res: (DenseTensor(res.pruned_weights.data.ravel().take(_kept(res.mask))),
+                               BitTensor(res.mask)),
         lambda res: DenseTensor(as_matrix(res.pruned_weights.data))),  # w * mask: may hold -0.0
     "decompose": Stage(  # stores (u diag(sigma), v^T) in f32; hands on from the f64 sigma
         "factored", lambda f: (DenseTensor(f.u.data * f.sigma), DenseTensor(f.v.data.T)),
         lambda f: dec.reconstruct(f)),
     "factorize": Stage(  # hands on the product, rounded to f32
         "factored", lambda pair: (pair.w1, pair.w2),
-        lambda pair: DenseTensor(KINDS["factored"].product((pair.w1, pair.w2), None))),
+        lambda pair: DenseTensor(KINDS["factored"].product((pair.w1, pair.w2)))),
 }
-MASK_SUFFIX = ".mask"
 OVERFLOW = "its result overflows f32"  # a stage's fault where its f32 result is not finite
 
 
 def _entry_names(name: str, kind: str) -> list[str]:
     """The archive entries of a layer's artifact, in entries() order."""
-    return [name + s for s in KINDS[kind].suffixes] + [name + MASK_SUFFIX] * (kind == "masked")
+    return [name + suffix for suffix, _ in KINDS[kind].entries]
 
 
 def _output_names(original: TensorArchive, kinds: dict[str, str]) -> dict[str, list[str]]:
@@ -106,15 +109,20 @@ class LayerConfig:
 
 @dataclass(frozen=True)
 class CompressedLayer:
-    """One compressed layer as the archive stores it: its kind's f32 tensors in
-    KINDS suffix order, and the bool retain mask in the original shape if the
-    kind is masked. The masked and factors views remain only for perfbench's
-    forwards, until the program has a forward of its own."""
+    """One compressed layer as the archive stores it: its kind's tensors, of
+    the classes KINDS gives, in its entries order. The masked, factors and mask
+    views remain only for perfbench's forwards, until the program has a
+    forward of its own."""
 
     layer_name: str
     kind: str  # a key of KINDS
-    tensors: tuple[DenseTensor, ...]
-    mask: pr.RetainMask | None
+    tensors: tuple[Tensor, ...]
+
+    def __post_init__(self):
+        # exactly the kind's entries, so entries() and layer_row describe one archive
+        classes = [cls for _, cls in KINDS[self.kind].entries]
+        if len(self.tensors) != len(classes) or not all(map(isinstance, self.tensors, classes)):
+            raise TypeError(f"a {self.kind} layer holds {', '.join(c.__name__ for c in classes)}")
 
     @property
     def masked(self) -> DenseTensor:
@@ -124,14 +132,18 @@ class CompressedLayer:
     def factors(self) -> fac.FactorPair:
         return fac.FactorPair(*self.tensors, final_loss=0.0)
 
+    @property
+    def mask(self) -> np.ndarray | None:
+        """The bool retain mask, or None for a kind that stores none."""
+        return next((t.data for t in self.tensors if isinstance(t, BitTensor)), None)
+
     def entries(self) -> list[tuple[str, Tensor]]:
         """Archive entries representing this layer's stored artifact."""
-        mask = () if self.mask is None else (BitTensor(self.mask),)
-        return list(zip(_entry_names(self.layer_name, self.kind), self.tensors + mask))
+        return list(zip(_entry_names(self.layer_name, self.kind), self.tensors))
 
     def effective_matrix(self) -> np.ndarray:
         """The matrix the artifact stands for at inference (KINDS product)."""
-        return KINDS[self.kind].product(self.tensors, self.mask)
+        return KINDS[self.kind].product(self.tensors)
 
 
 def _kept(mask: np.ndarray) -> np.ndarray:
@@ -159,15 +171,15 @@ def relative_recon_error(original: DenseTensor, layer: CompressedLayer) -> float
 def layer_row(w: DenseTensor, layer: CompressedLayer) -> dict:
     """The report row of one layer: its bookkeeping against the original w.
     Bytes are archive payload, headers excluded."""
-    params_after = sum(t.size for t in layer.tensors)
-    mask_bits = 0 if layer.mask is None else layer.mask.size
+    params_after = sum(t.size for t in layer.tensors if isinstance(t, DenseTensor))
+    mask_bits = sum(t.size for t in layer.tensors if isinstance(t, BitTensor))
     return {
         "layer_name": layer.layer_name,
         "kind": layer.kind,
         "params_before": w.size,
         "params_after": params_after,
         "bytes_before": w.nbytes,
-        "bytes_after": sum(t.nbytes for t in layer.tensors) + BitTensor.payload_bytes(mask_bits),
+        "bytes_after": sum(t.nbytes for t in layer.tensors),
         "ratio": w.size / params_after,
         "recon_error_rel": relative_recon_error(w, layer),
         "mask_bits": mask_bits,
@@ -226,11 +238,8 @@ def compress_layer(w: DenseTensor, cfg: LayerConfig, *,
                     res = dec.truncate(full, min(cfg.rank_svd, full.rank))
                 else:
                     res = fac.anneal_factorize(current, cfg.anneal)
-            # prune's mask is stored only where prune is last; before decompose
-            # or factorize it only shapes the factors
             record = STAGES[stage]
-            mask = res.mask if stage == "prune" else None
-            layer = CompressedLayer(cfg.layer_name, record.kind, record.stored(res), mask)
+            layer = CompressedLayer(cfg.layer_name, record.kind, record.stored(res))
             row = layer_row(w, layer)
             # finite unless the matrix the stored layer stands for is not
             if not np.isfinite(row["recon_error_rel"]):
@@ -541,9 +550,8 @@ def compress_archive(
 def rebuild_layer(original: DenseTensor, compressed: TensorArchive, name: str,
                   kind: str) -> CompressedLayer:
     """Read back the CompressedLayer that entries() stored in the archive. Every
-    stored tensor must be f32 of the shape KINDS[kind].shapes gives it against
-    the original, and a masked layer's mask a bit tensor of the original shape
-    that keeps a weight."""
+    stored tensor must be of the class KINDS[kind] gives it, checked first, then
+    of the shape its shapes give against the original."""
     if kind not in KINDS:
         raise VerificationError(
             f"layer {name!r}: unknown artifact kind {kind!r}; known kinds are {list(KINDS)}")
@@ -555,28 +563,16 @@ def rebuild_layer(original: DenseTensor, compressed: TensorArchive, name: str,
     missing = [n for n in names if n not in compressed]
     if missing:
         raise VerificationError(f"layer {name!r} ({kind}): archive has no {missing}")
-    tensors = [compressed.get(n) for n in names]
-    k = len(record.suffixes)
-    mask, kept = None, 0
-    if len(tensors) > k:
-        _check_entry(name, kind, names[k], tensors[k], original.shape, BitTensor)
-        mask = tensors[k].data
-        kept = int(np.count_nonzero(mask))
-        if not kept:
-            raise VerificationError(f"layer {name!r}: stored mask keeps no weight")
-    shapes = record.shapes(*as_matrix(original.data).shape, tensors[0].shape[-1], kept)
-    for entry, t, shape in zip(names, tensors, shapes):
-        _check_entry(name, kind, entry, t, shape, DenseTensor)
-    return CompressedLayer(name, kind, tuple(tensors[:k]), mask)
-
-
-def _check_entry(name: str, kind: str, entry: str, t: Tensor, shape: tuple, cls: type) -> None:
-    if t.shape != shape:
-        raise VerificationError(f"layer {name!r} ({kind}): {entry} is {t.shape}, not {shape}")
-    if not isinstance(t, cls):
-        # an f32 mask is what compress wrote before masks were bit-packed
-        got = "f32, not bit-packed" if cls is BitTensor else "bit-packed, not f32"
-        raise VerificationError(f"layer {name!r} ({kind}): {entry} is {got}")
+    tensors = tuple(compressed.get(n) for n in names)
+    for entry, t, (_, cls) in zip(names, tensors, record.entries):
+        if not isinstance(t, cls):
+            # an f32 mask is what compress wrote before masks were bit-coded
+            raise VerificationError(
+                f"layer {name!r} ({kind}): {entry} is {t.coded}, not {cls.coded}")
+    for entry, t, shape in zip(names, tensors, record.shapes(original.shape, tensors)):
+        if t.shape != shape:
+            raise VerificationError(f"layer {name!r} ({kind}): {entry} is {t.shape}, not {shape}")
+    return CompressedLayer(name, kind, tensors)
 
 
 def _agrees(got, expected) -> bool:

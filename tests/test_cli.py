@@ -638,9 +638,14 @@ def test_compress_first_fault_in_archive_order_exit_2(workdir, capsys, monkeypat
 
 
 @pytest.mark.parametrize("edit, message", [
-    (np.zeros_like, "keeps no weight"),
+    # a mask that keeps no weight leaves the 192 stored values none to fill
+    pytest.param(np.zeros_like, "layer 'fc1' (masked): fc1 is (192,), not (0,)",
+                 id="zeros_like-keeps no weight"),
     # a mask as compress wrote it before masks were bit-packed
-    (DenseTensor, "layer 'fc1' (masked): fc1.mask is f32, not bit-packed"),
+    (DenseTensor, "layer 'fc1' (masked): fc1.mask is f32, not bit-coded"),
+    # a mask of the right count in another shape: its shape is the original's
+    pytest.param(lambda mask: mask.reshape(8, 32),
+                 "layer 'fc1' (masked): fc1.mask is (8, 32), not (16, 16)", id="reshaped"),
 ])
 def test_verify_mask_keeps_nothing_or_not_binary_exit_4(workdir, capsys, edit, message):
     code, err = verify_tampered(workdir, capsys, stage_list=["prune"],
@@ -697,7 +702,7 @@ def test_verify_masked_values_one_per_kept_weight_exit_4(workdir, capsys, edit):
     assert run(["verify", path, out, f"{out}.report.json"]) == 4
     err = capsys.readouterr().err
     if entries["fc1"].shape == (kept,):
-        assert "layer 'fc1' (masked): fc1 is bit-packed, not f32" in err
+        assert "layer 'fc1' (masked): fc1 is bit-coded, not f32" in err
     else:
         assert f"layer 'fc1' (masked): fc1 is {entries['fc1'].shape}, not ({kept},)" in err
 
@@ -714,7 +719,7 @@ def test_verify_pre_bit_packed_archive_exit_4(workdir, capsys):
                                 replace={"fc1.mask": DenseTensor,
                                          "fc1": lambda _: np.zeros((16, 16))})
     assert code == 4
-    assert "layer 'fc1' (masked): fc1.mask is f32, not bit-packed" in err
+    assert "layer 'fc1' (masked): fc1.mask is f32, not bit-coded" in err
 
 
 def test_verify_0_2_pruned_low_rank_layout_exit_4(workdir, capsys):

@@ -115,7 +115,7 @@ class TestCompressLayer:
         assert row["mask_bits"] == 100
         # stored: the kept weights alone, in C flat order, and the mask as bits
         kept = layer.mask.astype(bool)
-        (values,) = layer.tensors
+        values, _ = layer.tensors
         assert values.data.tobytes() == w.data[kept].tobytes()
         assert np.array_equal(layer.masked.data, np.where(kept, w.data, 0))
         assert row["bytes_before"] == 400
@@ -145,7 +145,7 @@ class TestCompressLayer:
                 if case == "moved":
                     values = values + r.standard_normal(values.size)
                     values[::3] = -0.0
-                tensors = (DenseTensor(values),)
+                tensors = (DenseTensor(values), BitTensor(mask))
                 e = np.zeros(shape)
                 e[mask == 1] = tensors[0].data
             else:
@@ -154,9 +154,21 @@ class TestCompressLayer:
                 e = w1 @ w2
                 mask = None
             e = e.reshape(m, n).astype(np.float64)
-            layer = pipeline.CompressedLayer("L", kind, tensors, mask)
+            layer = pipeline.CompressedLayer("L", kind, tensors)
             want = float(np.linalg.norm(a - e) / np.linalg.norm(a))
             assert pipeline.relative_recon_error(w, layer) == want
+
+    @pytest.mark.parametrize("kind, tensors", [
+        ("factored", lambda w, mask: (w, w, BitTensor(mask))),  # a mask beside the pair
+        ("factored", lambda w, mask: (w,)),
+        ("masked", lambda w, mask: (w, DenseTensor(mask))),  # an f32 mask
+        ("masked", lambda w, mask: (w,)),
+    ])
+    def test_layer_holds_exactly_its_kinds_entries(self, kind, tensors):
+        # else entries() would drop a tensor that layer_row counts
+        w, mask = DenseTensor(np.ones((4, 4))), np.eye(4, dtype=bool)
+        with pytest.raises(TypeError, match=f"a {kind} layer holds"):
+            pipeline.CompressedLayer("L", kind, tensors(w, mask))
 
     def test_conv_tensor_flattened(self):
         w = random_tensor((6, 2, 3, 3), 3)
@@ -507,9 +519,15 @@ def test_mask_stored_only_where_prune_is_last(stage_list):
     masked = stage_list[-1] == "prune"
     for row in report.per_layer:
         name = row["layer_name"]
-        assert (name + pipeline.MASK_SUFFIX in out) == masked
+        assert (name + ".mask" in out) == masked
+        # the row describes the archive for every kind: its bytes and bits are
+        # the compressed layer's entries', which the layer read back holds
+        entries = compress_layer(archive.get(name), config.resolved(name))[0].entries()
+        assert row["bytes_after"] == sum(t.nbytes for _, t in entries)
+        assert row["mask_bits"] == sum(t.size for _, t in entries if isinstance(t, BitTensor))
+        layer = rebuild_layer(archive.get(name), out, name, row["kind"])
+        assert layer.entries() == entries
         if not masked:
-            layer = rebuild_layer(archive.get(name), out, name, row["kind"])
             w1, w2 = (out.get(name + s).data.astype(np.float64) for s in (".w1", ".w2"))
             assert row["mask_bits"] == 0 and layer.mask is None
             assert layer.effective_matrix().tobytes() == (w1 @ w2).tobytes()
@@ -553,8 +571,7 @@ def _compress_layer_oracle(w, cfg, *, checked=False):
                 if more and not np.isfinite(current.data).all():
                     raise ConfigError(pipeline.OVERFLOW)
             record = pipeline.STAGES[stage]
-            layer = pipeline.CompressedLayer(cfg.layer_name, record.kind, record.stored(res),
-                                             mask if stage == "prune" else None)
+            layer = pipeline.CompressedLayer(cfg.layer_name, record.kind, record.stored(res))
             row = layer_row(w, layer)
             if not np.isfinite(row["recon_error_rel"]):
                 raise ConfigError(pipeline.OVERFLOW)
