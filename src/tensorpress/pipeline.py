@@ -45,22 +45,43 @@ KINDS = {
         lambda shape, t: [(shape[0], t[0].shape[-1]), (t[0].shape[-1], math.prod(shape[1:]))],
         lambda t: np.matmul(*(x.data.astype(np.float64) for x in t))),
 }
+
+
+def _prune(current: DenseTensor, w: DenseTensor, cfg: LayerConfig) -> pr.PruneResult:
+    """prune's run, in the original layout so conv adjacency applies; a result
+    that keeps none of the layer's weights is a fault."""
+    res = pr.iterative_prune(current.reshape(w.shape), cfg.prune)
+    if not res.mask.any():
+        raise ConfigError(f"leaves none of its {w.size} weights "
+                          f"(alpha {cfg.prune.alpha}, entangle_prob {cfg.prune.entangle_prob})")
+    return res
+
+
 # One record per stage, in the default stage list's order: the kind it stores
-# as a layer's last stage; stored(result), that kind's tensors from the stage's
-# result; handed(result), the m x n f32 matrix the result hands on to a next
-# stage. Records look up module functions as they run, so a probe replacing
-# one sees the call.
-Stage = collections.namedtuple("Stage", "kind stored handed")
+# as a layer's last stage; needs, the LayerConfig key (dotted into a block) it
+# cannot run without, or None; check(w, cfg), its limits on the layer's
+# weights; run(current, w, cfg), its result from the m x n f32 matrix current
+# that it takes; stored(result), that kind's tensors from the result;
+# handed(result), the m x n f32 matrix the result hands on to a next stage.
+# Records look up module functions as they run, so a probe replacing one sees
+# the call.
+Stage = collections.namedtuple("Stage", "kind needs check run stored handed")
 STAGES = {
     "prune": Stage(
-        "masked", lambda res: (DenseTensor(res.pruned_weights.data.ravel().take(_kept(res.mask))),
-                               BitTensor(res.mask)),
+        "masked", None, lambda w, cfg: pr.check_stages(cfg.prune.stages, w.size), _prune,
+        lambda res: (DenseTensor(res.pruned_weights.data.ravel().take(_kept(res.mask))),
+                     BitTensor(res.mask)),
         lambda res: DenseTensor(as_matrix(res.pruned_weights.data))),  # w * mask: may hold -0.0
     "decompose": Stage(  # stores (u diag(sigma), v^T) in f32; hands on from the f64 sigma
-        "factored", lambda f: (DenseTensor(f.u.data * f.sigma), DenseTensor(f.v.data.T)),
+        "factored", "rank_svd", lambda w, cfg: None,
+        lambda current, w, cfg: dec.truncate(dec.svd(current), min(cfg.rank_svd, *current.shape)),
+        lambda f: (DenseTensor(f.u.data * f.sigma), DenseTensor(f.v.data.T)),
         lambda f: dec.reconstruct(f)),
     "factorize": Stage(  # hands on the product, rounded to f32
-        "factored", lambda pair: (pair.w1, pair.w2),
+        "factored", "anneal.rank",
+        lambda w, cfg: fac.check_rank(cfg.anneal.rank, *as_matrix(w.data).shape),
+        lambda current, w, cfg: fac.anneal_factorize(current, cfg.anneal),
+        lambda pair: (pair.w1, pair.w2),
         lambda pair: DenseTensor(KINDS["factored"].product((pair.w1, pair.w2)))),
 }
 OVERFLOW = "its result overflows f32"  # a stage's fault where its f32 result is not finite
@@ -101,10 +122,9 @@ class LayerConfig:
             raise ConfigError("duplicate stages")
         if self.rank_svd is not None:
             check_int("rank_svd", self.rank_svd, 1)
-        if "decompose" in self.stage_list and self.rank_svd is None:
-            raise ConfigError("decompose stage needs rank_svd")
-        if "factorize" in self.stage_list and self.anneal.rank is None:
-            raise ConfigError("factorize stage needs anneal.rank")
+        for stage in (s for s in STAGES if s in self.stage_list and STAGES[s].needs):
+            if functools.reduce(getattr, STAGES[stage].needs.split("."), self) is None:
+                raise ConfigError(f"{stage} stage needs {STAGES[stage].needs}")
 
 
 @dataclass(frozen=True)
@@ -187,19 +207,21 @@ def layer_row(w: DenseTensor, layer: CompressedLayer) -> dict:
 
 
 def check_layer_input(w: Tensor, cfg: LayerConfig) -> None:
-    """Raise ConfigError unless compress can take w under cfg (f32, 2 or 4 axes,
-    anneal rank <= min(m, n), prune stages <= weights), then ArchiveError on NaN
-    or inf."""
+    """Raise ConfigError unless compress can take w under cfg: an f32 tensor of
+    2 or 4 axes, within the limits that the check of each listed stage's
+    record sets, its fault led by the layer and stage. Then raise ArchiveError
+    on NaN or inf."""
     name = cfg.layer_name
     if not isinstance(w, DenseTensor):
         raise ConfigError(f"layer {name!r}: is a bit tensor; compress takes f32 weights")
     if len(w.shape) not in (2, 4):
         raise ConfigError(f"layer {name!r}: need a 2- or 4-axis tensor, got {len(w.shape)} axes")
-    if "factorize" in cfg.stage_list:
-        fac.check_rank(cfg.anneal.rank, *as_matrix(w.data).shape, f"layer {name!r} (factorize): ")
-    if "prune" in cfg.stage_list and cfg.prune.stages > w.size:
-        raise ConfigError(f"layer {name!r} (prune): stages must be <= the layer's {w.size} "
-                          f"weights, got {reprlib.repr(cfg.prune.stages)}")
+    # in reverse STAGES order whatever the stage list's, so one fixed limit is reported first
+    for stage in (s for s in reversed(STAGES) if s in cfg.stage_list):
+        try:
+            STAGES[stage].check(w, cfg)
+        except ConfigError as exc:
+            raise ConfigError(f"layer {name!r} ({stage}): {exc}") from None
     bad = w.size - int(np.count_nonzero(np.isfinite(w.data)))
     if bad:
         raise ArchiveError(f"layer {name!r}: {bad} of {w.size} weights are NaN or infinite")
@@ -207,8 +229,10 @@ def check_layer_input(w: Tensor, cfg: LayerConfig) -> None:
 
 def compress_layer(w: DenseTensor, cfg: LayerConfig, *,
                    checked: bool = False) -> tuple[CompressedLayer, dict]:
-    """Apply cfg.stage_list in order to one weight tensor; checked=True says
-    the caller has run check_layer_input(w, cfg) already."""
+    """Run the STAGES record of each stage of cfg.stage_list in order on one
+    weight tensor, and store the last one's result as its kind; checked=True
+    says the caller has run check_layer_input(w, cfg) already. A fault's
+    message is led by the layer and the stage it arose in."""
     if not checked:
         check_layer_input(w, cfg)
     t0 = time.perf_counter()
@@ -225,19 +249,7 @@ def compress_layer(w: DenseTensor, cfg: LayerConfig, *,
                     if not np.isfinite(current.data).all():
                         raise ConfigError(OVERFLOW)
                 stage = next_stage
-                if stage == "prune":
-                    # prune in the original layout so conv adjacency applies
-                    res = pr.iterative_prune(current.reshape(w.shape), cfg.prune)
-                    if not res.mask.any():
-                        raise ConfigError(
-                            f"leaves none of its {w.size} weights "
-                            f"(alpha {cfg.prune.alpha}, entangle_prob {cfg.prune.entangle_prob})"
-                        )
-                elif stage == "decompose":
-                    full = dec.svd(current)
-                    res = dec.truncate(full, min(cfg.rank_svd, full.rank))
-                else:
-                    res = fac.anneal_factorize(current, cfg.anneal)
+                res = STAGES[stage].run(current, w, cfg)
             record = STAGES[stage]
             layer = CompressedLayer(cfg.layer_name, record.kind, record.stored(res))
             row = layer_row(w, layer)

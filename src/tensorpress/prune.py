@@ -30,11 +30,12 @@ from __future__ import annotations
 
 import functools
 import math
+import reprlib
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import check_int, check_real
+from .errors import ConfigError, check_int, check_real
 from .tensors import DenseTensor
 
 # Bool retain tensor, True = kept, False = pruned; same shape as the weights.
@@ -61,6 +62,14 @@ class PruneResult:
     pruned_weights: DenseTensor
     achieved_sparsity: float
     per_stage_sparsity: list[float] = field(default_factory=list)
+
+
+def check_stages(stages: int, n: int) -> None:
+    """Raise ConfigError unless stages <= n, the layer's weight count: more
+    stages than weights cannot each prune a weight, and iterative_prune runs
+    one loop pass per stage, so a huge count would never finish."""
+    if stages > n:
+        raise ConfigError(f"stages must be <= the layer's {n} weights, got {reprlib.repr(stages)}")
 
 
 def _steps(shape: tuple[int, ...]) -> tuple[int, ...]:
@@ -133,8 +142,9 @@ def iterative_prune(w: DenseTensor, cfg: PruneConfig) -> PruneResult:
     Stage t targets round(alpha * t/stages * N) pruned weights; the threshold
     lam is recalibrated over the survivors each stage, and an entanglement
     pass follows each stage's threshold mask. Masks only ever lose ones.
-    Deterministic given cfg.seed. Raises ValueError on NaN or infinite
-    weights, which compress rejects before any stage runs.
+    Deterministic given cfg.seed. Raises ConfigError where cfg.stages exceeds
+    the weight count (check_stages), and ValueError on NaN or infinite
+    weights; compress rejects both before any stage runs.
 
     lam is the target-th smallest entry of the |w| array in which entangled
     weights are -inf. A stage's pruned weights are the target smallest
@@ -143,6 +153,7 @@ def iterative_prune(w: DenseTensor, cfg: PruneConfig) -> PruneResult:
     target entanglement has already met runs no threshold.
     """
     n = w.size
+    check_stages(cfg.stages, n)
     magnitude = np.abs(w.data.ravel())
     if not np.isfinite(magnitude.max()):
         raise ValueError("iterative_prune needs finite weights, got NaN or inf")

@@ -928,6 +928,26 @@ def with_edits(block, edits):
                  id="rank_past_shape"),
     *[pytest.param({"defaults.prune.stages": v}, [], r"layer 'fc1' \(prune\): stages", id=i)
       for v, i in [(257, "stages_257"), (10**12, "stages_1e12"), (10**400, "stages_huge")]],
+    # a stage without the key it needs; with two such faults, or two faults that
+    # the layer's shape decides, the one reported does not follow the stage list
+    pytest.param({"defaults.rank_svd": MISSING}, [],
+                 "^config error: layer 'fc1': decompose stage needs rank_svd$",
+                 id="no_rank_svd"),
+    pytest.param({"defaults.anneal.rank": MISSING}, [],
+                 "^config error: layer 'fc1': factorize stage needs anneal.rank$",
+                 id="no_anneal_rank"),
+    *[pytest.param({"defaults.rank_svd": MISSING, "defaults.anneal.rank": MISSING,
+                    "defaults.stage_list": stages}, [],
+                   "^config error: layer 'fc1': decompose stage needs rank_svd$",
+                   id=f"no_ranks_{i}")
+      for stages, i in [(CONFIG["defaults"]["stage_list"], "default"),
+                        (["factorize", "decompose"], "factorize_first")]],
+    *[pytest.param({"defaults.anneal.rank": 100, "defaults.prune.stages": 257,
+                    "defaults.stage_list": stages}, [],
+                   r"layer 'fc1' \(factorize\): rank 100 exceeds min\(m, n\) = 16",
+                   id=f"rank_before_stages_{i}")
+      for stages, i in [(CONFIG["defaults"]["stage_list"], "default"),
+                        (["prune", "factorize"], "prune_first")]],
 ])
 def test_compress_bad_config_exit_2_before_any_layer(workdir, capsys, monkeypatch,
                                                       edits, args, message):

@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from tensorpress import decompose, pipeline
+from tensorpress import decompose, factorize, pipeline, prune
 from tensorpress.decompose import reconstruct, svd, truncate
 from tensorpress.errors import ConfigError, DivergenceError, VerificationError
 from tensorpress.factorize import AnnealConfig, anneal_factorize
@@ -610,6 +610,28 @@ def test_archive_and_report_bytes_equal_oracle(monkeypatch, stage_list, jobs):
     want_out, want_report = compress_archive(archive, config, jobs=jobs)
     assert write_archive(out) == write_archive(want_out)
     assert report.to_json() == want_report.to_json()
+
+
+@pytest.mark.parametrize("stage_list", [None, ["prune"]], ids=["default", "prune"])
+def test_stage_records_look_up_module_functions_as_they_run(monkeypatch, stage_list):
+    # a probe that replaces a stage's function after import, as perfbench's
+    # traced runs do, must see each call; a record holding the function
+    # itself would call the original past it
+    archive, config = build_archive_and_config()
+    del config.defaults["stage_list"]
+    if stage_list:
+        config.defaults["stage_list"] = stage_list
+    calls = []
+    for module, name in [(prune, "iterative_prune"), (decompose, "svd"),
+                         (decompose, "truncate"), (factorize, "anneal_factorize")]:
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *a, real=real, name=name: calls.append(name) or real(*a))
+    compress_archive(archive, config)
+    functions = {"prune": ["iterative_prune"], "decompose": ["svd", "truncate"],
+                 "factorize": ["anneal_factorize"]}
+    want = [f for s in stage_list or STAGES for f in functions[s]] * len(config.layers)
+    assert sorted(calls) == sorted(want)
 
 
 class TestConfigResolution:

@@ -331,6 +331,15 @@ class TestIterativePrune:
         with pytest.raises(ConfigError):
             PruneConfig(alpha=0.1, entangle_prob=-0.1)
 
+    def test_stages_past_weight_count_raise_before_any_stage(self, monkeypatch):
+        w = t(np.arange(64), (8, 8))
+        assert iterative_prune(w, PruneConfig(alpha=0.5, stages=64)).mask.sum() == 32
+        # one stage each, 10**12 stages would run for hours: none may start
+        monkeypatch.setattr(prune, "_round_half_up", lambda x: pytest.fail("a stage ran"))
+        with pytest.raises(ConfigError,
+                           match="^stages must be <= the layer's 64 weights, got 1000000000000$"):
+            iterative_prune(w, PruneConfig(alpha=0.5, stages=10**12))
+
 
 @settings(max_examples=40, deadline=None)
 @given(
@@ -366,9 +375,14 @@ def test_calibration_bound_property(n, alpha, stages, seed):
 @example(np.array([[3.0, 2.25, -1.75, -2.0, -0.75, 2.75], [1.0, -0.25, -1.5, 2.5, -1.25, -0.5]],
                   dtype=np.float32), 0.75, 3, 0.5, 341)
 @example(np.array([-2.0], dtype=np.float32), 0.5, 1, 0.3, 0)  # target == n
+@example(np.array([1.0, -2.0], dtype=np.float32), 0.5, 3, 0.0, 0)  # stages > n
 def test_matches_softmax_oracle(data, alpha, stages, entangle_prob, seed):
     w = DenseTensor(data)
     cfg = PruneConfig(alpha=alpha, stages=stages, entangle_prob=entangle_prob, seed=seed)
+    if stages > w.size:  # more stages than weights cannot each prune one
+        with pytest.raises(ConfigError, match=f"stages must be <= the layer's {w.size} weights"):
+            iterative_prune(w, cfg)
+        return
     want, injective = softmax_prune_oracle(w, cfg)
     assume(injective)
     assert np.array_equal(iterative_prune(w, cfg).mask, want)
