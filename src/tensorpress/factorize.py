@@ -5,6 +5,14 @@ geometrically decaying step size (the annealing schedule) and backtracking:
 a step that would increase the loss is retried with the step halved, so
 accepted iterates are monotone in loss.
 
+The descent starts from a given factor pair, such as the (U diag(sigma), V^T)
+a rank-r SVD stores, or else from uniform random factors drawn from the seed.
+It stops once ||W1 @ W2 - W||_F <= 2^-24 ||W||_F, the f32 floor, checked
+before the first iteration and after each one: past it the returned f32
+factors cannot fit better. By Eckart-Young a truncated SVD's pair already fits
+its own rank-r product to the rounding of its f32 entries, so from that start
+no iteration runs.
+
 The residual W1 @ W2 - W of the accepted candidate is carried into the next
 iteration, so one iteration costs three m x n x r products: the two gradients
 and the candidate product (one more for each step halving).
@@ -25,6 +33,8 @@ from .errors import ConfigError, DivergenceError, ShapeError, check_int, check_r
 from .tensors import DenseTensor
 
 MAX_HALVINGS = 20
+# the f32 unit roundoff: a fit within FLOOR * ||W||_F is as close as f32 factors come
+FLOOR = 2.0**-24
 
 
 @dataclass(frozen=True)
@@ -63,7 +73,7 @@ def _as_matrices(w, w1, w2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     b = w1.data if isinstance(w1, DenseTensor) else np.asarray(w1)
     c = w2.data if isinstance(w2, DenseTensor) else np.asarray(w2)
     if a.ndim != 2 or b.ndim != 2 or c.ndim != 2:
-        raise ShapeError("frobenius_loss needs three matrices")
+        raise ShapeError("W, W1 and W2 must be matrices")
     m, n = a.shape
     if b.shape[0] != m or c.shape[1] != n or b.shape[1] != c.shape[0]:
         raise ShapeError(
@@ -96,25 +106,35 @@ def check_rank(rank: int, m: int, n: int, where: str = "") -> None:
         raise ConfigError(f"{where}rank {reprlib.repr(rank)} exceeds min(m, n) = {min(m, n)}")
 
 
-def anneal_factorize(w: DenseTensor, cfg: AnnealConfig) -> FactorPair:
-    """Fit W ~ W1 @ W2 by decaying-step gradient descent. Deterministic given seed."""
+def anneal_factorize(w: DenseTensor, cfg: AnnealConfig, start=None) -> FactorPair:
+    """Fit W ~ W1 @ W2 by decaying-step gradient descent from start, a factor
+    pair (m x k, k x n) cut or zero-padded to cfg.rank, or, if start is None,
+    from random factors drawn from cfg.seed. Stops at the f32 floor, at
+    cfg.rel_tol or after cfg.max_iters iterations. Deterministic given its
+    arguments."""
     if len(w.shape) != 2:
         raise ShapeError(f"anneal_factorize needs a 2-axis tensor, got {len(w.shape)}")
     m, n = w.shape
     check_rank(cfg.rank, m, n)
     a = w.data.astype(np.float64)
+    if start is not None:  # its leading cfg.rank columns and rows, or all, then zeros
+        _, b, c = _as_matrices(a, *start)
+        k = min(cfg.rank, b.shape[1])
+        w1, w2 = np.zeros((m, cfg.rank)), np.zeros((cfg.rank, n))
+        w1[:, :k], w2[:k] = b[:, :k], c[:k]
     norm = float(np.linalg.norm(a))
     if norm == 0:  # W = 0 is its own fit, which no descent from random factors reaches
         w1, w2 = DenseTensor(np.zeros((m, cfg.rank))), DenseTensor(np.zeros((cfg.rank, n)))
         return FactorPair(w1=w1, w2=w2, final_loss=0.0, loss_trace=[0.0])
-    init_scale = cfg.init_scale if cfg.init_scale is not None else 1.0 / np.sqrt(max(m, n))
     eta0 = cfg.eta0 if cfg.eta0 is not None else 0.5 / norm
-    if np.isinf(2.0 * init_scale):  # the initial draw's range overflows, as the loss would
-        raise DivergenceError(0)
-
-    rng = np.random.default_rng(cfg.seed)
-    w1 = rng.uniform(-init_scale, init_scale, (m, cfg.rank))
-    w2 = rng.uniform(-init_scale, init_scale, (cfg.rank, n))
+    if start is None:
+        init_scale = cfg.init_scale if cfg.init_scale is not None else 1.0 / np.sqrt(max(m, n))
+        if np.isinf(2.0 * init_scale):  # the initial draw's range overflows, as the loss would
+            raise DivergenceError(0)
+        rng = np.random.default_rng(cfg.seed)
+        w1 = rng.uniform(-init_scale, init_scale, (m, cfg.rank))
+        w2 = rng.uniform(-init_scale, init_scale, (cfg.rank, n))
+    floor_loss = (FLOOR * norm) ** 2
 
     # a diverging run overflows to inf or nan, which the loss check below turns
     # into DivergenceError; numpy's warnings on the way there say nothing more
@@ -126,6 +146,8 @@ def anneal_factorize(w: DenseTensor, cfg: AnnealConfig) -> FactorPair:
         loss = float(np.sum(np.square(resid, out=sq)))
         trace = [loss]
         for t in range(cfg.max_iters):
+            if loss <= floor_loss:  # before the first iteration and after each one
+                break
             eta = eta0 * cfg.decay**t
             g1, g2 = _gradients(resid, w1, w2)
             accepted = False

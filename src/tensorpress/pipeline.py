@@ -47,7 +47,7 @@ KINDS = {
 }
 
 
-def _prune(current: DenseTensor, w: DenseTensor, cfg: LayerConfig) -> pr.PruneResult:
+def _prune(current: DenseTensor, w: DenseTensor, cfg: LayerConfig, prev) -> pr.PruneResult:
     """prune's run, in the original layout so conv adjacency applies; a result
     that keeps none of the layer's weights is a fault."""
     res = pr.iterative_prune(current.reshape(w.shape), cfg.prune)
@@ -57,12 +57,21 @@ def _prune(current: DenseTensor, w: DenseTensor, cfg: LayerConfig) -> pr.PruneRe
     return res
 
 
+def _factorize(current: DenseTensor, w: DenseTensor, cfg: LayerConfig,
+               prev) -> fac.FactorPair:
+    """factorize's run: from the pair decompose stores when decompose's result
+    is prev, which by Eckart-Young already fits current, else from random factors."""
+    start = STAGES["decompose"].stored(prev) if isinstance(prev, dec.SvdFactors) else None
+    return fac.anneal_factorize(current, cfg.anneal, start)
+
+
 # One record per stage, in the default stage list's order: the kind it stores
 # as a layer's last stage; needs, the LayerConfig key (dotted into a block) it
 # cannot run without, or None; check(w, cfg), its limits on the layer's
-# weights; run(current, w, cfg), its result from the m x n f32 matrix current
-# that it takes; stored(result), that kind's tensors from the result;
-# handed(result), the m x n f32 matrix the result hands on to a next stage.
+# weights; run(current, w, cfg, prev), its result from the m x n f32 matrix
+# current that it takes, given prev, the previous stage's result or None;
+# stored(result), that kind's tensors from the result; handed(result), the
+# m x n f32 matrix the result hands on to a next stage.
 # Records look up module functions as they run, so a probe replacing one sees
 # the call.
 Stage = collections.namedtuple("Stage", "kind needs check run stored handed")
@@ -74,13 +83,14 @@ STAGES = {
         lambda res: DenseTensor(as_matrix(res.pruned_weights.data))),  # w * mask: may hold -0.0
     "decompose": Stage(  # stores (u diag(sigma), v^T) in f32; hands on from the f64 sigma
         "factored", "rank_svd", lambda w, cfg: None,
-        lambda current, w, cfg: dec.truncate(dec.svd(current), min(cfg.rank_svd, *current.shape)),
+        lambda current, w, cfg, prev: dec.truncate(dec.svd(current),
+                                                   min(cfg.rank_svd, *current.shape)),
         lambda f: (DenseTensor(f.u.data * f.sigma), DenseTensor(f.v.data.T)),
         lambda f: dec.reconstruct(f)),
     "factorize": Stage(  # hands on the product, rounded to f32
         "factored", "anneal.rank",
         lambda w, cfg: fac.check_rank(cfg.anneal.rank, *as_matrix(w.data).shape),
-        lambda current, w, cfg: fac.anneal_factorize(current, cfg.anneal),
+        _factorize,
         lambda pair: (pair.w1, pair.w2),
         lambda pair: DenseTensor(KINDS["factored"].product((pair.w1, pair.w2)))),
 }
@@ -237,7 +247,7 @@ def compress_layer(w: DenseTensor, cfg: LayerConfig, *,
         check_layer_input(w, cfg)
     t0 = time.perf_counter()
     current = DenseTensor(as_matrix(w.data))
-    stage = res = None
+    stage = res = None  # the previous stage and its result
     # w is finite, so only an overflow makes a result not finite: checked, not warned of
     with np.errstate(over="ignore", invalid="ignore"):
         try:
@@ -249,7 +259,7 @@ def compress_layer(w: DenseTensor, cfg: LayerConfig, *,
                     if not np.isfinite(current.data).all():
                         raise ConfigError(OVERFLOW)
                 stage = next_stage
-                res = STAGES[stage].run(current, w, cfg)
+                res = STAGES[stage].run(current, w, cfg, res)
             record = STAGES[stage]
             layer = CompressedLayer(cfg.layer_name, record.kind, record.stored(res))
             row = layer_row(w, layer)

@@ -291,7 +291,10 @@ def test_verify_missing_report_exit_3(workdir):
 
 
 def test_seed_override_changes_output(workdir):
+    # entanglement draws from the prune seed; the anneal seed does not reach a
+    # factorize that starts from decompose's pair
     archive, cfg = write_fixture(workdir)
+    cfg.write_text(json.dumps(with_edits(CONFIG, [("defaults.prune.entangle_prob", 0.1)])))
     assert run(["compress", archive, cfg, workdir / "a.qtns"]) == 0
     assert run(["compress", archive, cfg, workdir / "b.qtns", "--seed", 999]) == 0
     assert (workdir / "a.qtns").read_bytes() != (workdir / "b.qtns").read_bytes()
@@ -1007,13 +1010,16 @@ def test_factored_layer_beside_pass_through_mask_name(workdir, capsys, stage_lis
 
 
 # with warnings as errors: an overflow warning on the way to inf would exit 1;
-# at init_scale 1e308 the initial draw's range itself overflows
+# at init_scale 1e308 the initial draw's range itself overflows. factorize runs
+# first, from random factors: from decompose's pair it would start at the f32
+# floor and take no step
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("key, value", [("eta0", 1e300), ("init_scale", 1e200),
                                         ("init_scale", 1e308)])
 def test_compress_divergence_exit_2(workdir, capsys, key, value):
     archive, cfg = write_fixture(workdir)
-    cfg.write_text(json.dumps(with_edits(CONFIG, [(f"defaults.anneal.{key}", value)])))
+    cfg.write_text(json.dumps(with_edits(CONFIG, [(f"defaults.anneal.{key}", value),
+                                                  ("defaults.stage_list", ["factorize"])])))
     capsys.readouterr()
     assert run(["compress", archive, cfg, workdir / "out.qtns"]) == 2
     err = capsys.readouterr().err

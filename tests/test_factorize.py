@@ -108,6 +108,58 @@ def test_rank1_of_diag_matches_eckart_young():
     assert pair.final_loss == pytest.approx(4.0, rel=0.05)
 
 
+def _svd_pair(w, r):
+    u, s, vt = np.linalg.svd(w.data.astype(np.float64), full_matrices=False)
+    return DenseTensor(u[:, :r] * s[:r]), DenseTensor(vt[:r])
+
+
+def test_start_at_the_floor_is_kept():
+    # the f32 pair of a rank-r matrix's SVD fits it to f32 rounding: no step
+    rng = np.random.default_rng(40)
+    w = DenseTensor(rng.standard_normal((30, 5)) @ rng.standard_normal((5, 20)))
+    start = _svd_pair(w, 5)
+    pair = anneal_factorize(w, AnnealConfig(rank=5, seed=1, eta0=1e300, init_scale=1e308), start)
+    assert len(pair.loss_trace) == 1
+    assert pair.w1 == start[0] and pair.w2 == start[1]
+    assert np.sqrt(pair.loss_trace[0]) <= 2.0**-24 * np.linalg.norm(w.data.astype(np.float64))
+
+
+@pytest.mark.parametrize("rank", [2, 5, 8])
+def test_start_is_cut_or_zero_padded_to_rank(rank):
+    rng = np.random.default_rng(41)
+    w = DenseTensor(rng.standard_normal((12, 9)))
+    w1, w2 = _svd_pair(w, 5)
+    pair = anneal_factorize(w, AnnealConfig(rank=rank, max_iters=1), (w1, w2))
+    assert pair.w1.shape == (12, rank) and pair.w2.shape == (rank, 9)
+    k = min(rank, 5)
+    assert not pair.w1.data[:, k:].any() and not pair.w2.data[k:].any()
+    # the rank-k SVD is the optimum: no step from it improves the fit
+    tail = float(np.sum(np.linalg.svd(w.data.astype(np.float64), compute_uv=False)[k:] ** 2))
+    assert pair.final_loss == pytest.approx(tail, rel=1e-6)
+
+
+@pytest.mark.parametrize("start", [
+    (np.ones((12, 3)), np.ones((4, 9))),   # inner sizes differ
+    (np.ones((11, 3)), np.ones((3, 9))),   # rows of W1 are not m
+    (np.ones((12, 3)), np.ones((3, 8))),   # columns of W2 are not n
+    (np.ones(12), np.ones((1, 9))),        # not a matrix
+])
+def test_mis_shaped_start_rejected(start):
+    with pytest.raises(ShapeError, match="matrices|not conformable"):
+        anneal_factorize(DenseTensor(np.ones((12, 9))), AnnealConfig(rank=3), start)
+
+
+def test_random_start_stops_at_the_floor():
+    # an exactly rank-6 W is fit past f32 rounding long before rel_tol stops
+    # the descent; past the floor no step changes what f32 factors can hold
+    rng = np.random.default_rng(11)
+    w = DenseTensor(rng.standard_normal((40, 6)) @ rng.standard_normal((6, 30)))
+    pair = anneal_factorize(w, AnnealConfig(rank=6, seed=7))
+    floor = (2.0**-24 * np.linalg.norm(w.data.astype(np.float64))) ** 2
+    assert pair.loss_trace[-1] <= floor < pair.loss_trace[-2]
+    assert len(pair.loss_trace) < 2001
+
+
 def test_random_matrix_reaches_svd_tail():
     rng = np.random.default_rng(5)
     w = DenseTensor(rng.standard_normal((64, 64)))
@@ -203,7 +255,8 @@ def test_factored_hand_on_round_trip_loss():
 
 def _anneal_oracle(w, cfg):
     """The anneal loop as it was before the residual was carried between
-    iterations: four m x n x r products per iteration. Kept as the reference
+    iterations: four m x n x r products per iteration, stopping at the f32
+    floor ||R||_F <= 2^-24 ||W||_F too. Kept as the reference
     that anneal_factorize must match bit for bit. Also returns the number of
     step halvings, so tests can show which branches a case reaches."""
     m, n = w.shape
@@ -220,6 +273,8 @@ def _anneal_oracle(w, cfg):
     loss = float(np.sum((a - w1 @ w2) ** 2))
     trace = [loss]
     for t in range(cfg.max_iters):
+        if np.sqrt(loss) <= 2.0**-24 * norm:  # the f32 floor
+            break
         eta = eta0 * cfg.decay**t
         resid = w1 @ w2 - a
         g1 = 2.0 * resid @ w2.T

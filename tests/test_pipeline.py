@@ -537,9 +537,10 @@ def test_mask_stored_only_where_prune_is_last(stage_list):
 def _compress_layer_oracle(w, cfg, *, checked=False):
     """compress_layer as it was when each stage branch built the dense matrix
     the next stage takes, behind a flag saying whether one runs, with the
-    factored product written out as w1 @ w2 in float64, and the mask stored
-    only where prune is last. Kept as the reference that compress_layer must
-    match byte for byte."""
+    factored product written out as w1 @ w2 in float64, the mask stored only
+    where prune is last, and factorize started from decompose's stored pair
+    only where decompose directly precedes it. Kept as the reference that
+    compress_layer must match byte for byte."""
     if not checked:
         pipeline.check_layer_input(w, cfg)
     t0 = time.perf_counter()
@@ -564,7 +565,10 @@ def _compress_layer_oracle(w, cfg, *, checked=False):
                     if more:
                         current = reconstruct(res)
                 else:
-                    res = anneal_factorize(current, cfg.anneal)
+                    # from the f32 pair decompose stores, when decompose ran just before
+                    start = ((DenseTensor(res.u.data * res.sigma), DenseTensor(res.v.data.T))
+                             if i and cfg.stage_list[i - 1] == "decompose" else None)
+                    res = anneal_factorize(current, cfg.anneal, start)
                     if more:
                         current = DenseTensor(res.w1.data.astype(np.float64)
                                               @ res.w2.data.astype(np.float64))
@@ -632,6 +636,67 @@ def test_stage_records_look_up_module_functions_as_they_run(monkeypatch, stage_l
                  "factorize": ["anneal_factorize"]}
     want = [f for s in stage_list or STAGES for f in functions[s]] * len(config.layers)
     assert sorted(calls) == sorted(want)
+
+
+def _warm_layers(w, rank_svd, rank, stage_list=("decompose", "factorize")):
+    """compress_layer under stage_list with the given ranks, and under
+    stage_list without its factorize at the lower of the two ranks, whose
+    pair the first one starts from."""
+    cfg = LayerConfig("fc", stage_list, rank_svd=rank_svd,
+                      anneal=AnnealConfig(rank=rank, seed=3))
+    alone = LayerConfig("fc", stage_list[:-1], rank_svd=min(rank_svd, rank))
+    return compress_layer(w, cfg), compress_layer(w, alone)
+
+
+@pytest.mark.parametrize("shape", [(40, 30), (12, 4, 3, 3)])
+@pytest.mark.parametrize("stage_list", [("decompose", "factorize"),
+                                        ("prune", "decompose", "factorize")], ids="-".join)
+def test_factorize_after_decompose_keeps_its_pair(monkeypatch, shape, stage_list):
+    # the pair decompose stores fits the rank-r matrix it hands on to f32
+    # rounding, so factorize starts at the floor, takes no step and stores it
+    w = random_tensor(shape, 31)
+    pairs = []
+    real = factorize.anneal_factorize
+    monkeypatch.setattr(factorize, "anneal_factorize",
+                        lambda *a: pairs.append(real(*a)) or pairs[-1])
+    (layer, row), (alone, alone_row) = _warm_layers(w, 6, 6, stage_list)
+    assert [len(pair.loss_trace) for pair in pairs] == [1]
+    assert [t.data.tobytes() for t in layer.tensors] == [t.data.tobytes() for t in alone.tensors]
+    assert row["recon_error_rel"] == alone_row["recon_error_rel"]
+
+
+def test_factorize_below_decompose_rank_meets_decompose_at_its_rank():
+    # the leading columns of the pair are decompose's at the lower rank, which
+    # fits the rank-r product best (Eckart-Young) up to f32 rounding
+    w = random_tensor((40, 30), 32)
+    (layer, row), (alone, alone_row) = _warm_layers(w, 10, 4)
+    assert layer.tensors[0].shape == (40, 4) and layer.tensors[1].shape == (4, 30)
+    assert abs(row["recon_error_rel"] - alone_row["recon_error_rel"]) <= 1e-9
+
+
+def test_factorize_above_decompose_rank_pads_with_zeros():
+    w = random_tensor((40, 30), 33)
+    (layer, row), (alone, alone_row) = _warm_layers(w, 5, 9)
+    w1, w2 = (t.data for t in layer.tensors)
+    assert w1.shape == (40, 9) and w2.shape == (9, 30)
+    assert not w1[:, 5:].any() and not w2[5:].any()
+    assert w1[:, :5].tobytes() == alone.tensors[0].data.tobytes()
+    assert w2[:5].tobytes() == alone.tensors[1].data.tobytes()
+    # the zero terms change no product, but a BLAS may sum the rest in another order
+    assert row["recon_error_rel"] == pytest.approx(alone_row["recon_error_rel"], rel=1e-12)
+
+
+@pytest.mark.parametrize("stage_list", [("factorize",), ("prune", "factorize"),
+                                        ("factorize", "decompose")], ids="-".join)
+def test_factorize_not_after_decompose_starts_at_random(monkeypatch, stage_list):
+    # only decompose's result gives factorize a start
+    starts = []
+    real = factorize.anneal_factorize
+    monkeypatch.setattr(factorize, "anneal_factorize",
+                        lambda *a: starts.append(a[2]) or real(*a))
+    compress_layer(random_tensor((20, 16), 34),
+                   LayerConfig("fc", stage_list, rank_svd=4, anneal=AnnealConfig(rank=4)))
+    assert starts == [None]
 
 
 class TestConfigResolution:
