@@ -81,20 +81,28 @@ STAGES = {
         lambda res: (DenseTensor(res.pruned_weights.data.ravel().take(_kept(res.mask))),
                      BitTensor(res.mask)),
         lambda res: DenseTensor(as_matrix(res.pruned_weights.data))),  # w * mask: may hold -0.0
-    "decompose": Stage(  # stores (u diag(sigma), v^T) in f32; hands on from the f64 sigma
+    "decompose": Stage(  # stores (u diag(sigma), v^T) in f32
         "factored", "rank_svd", lambda w, cfg: None,
-        lambda current, w, cfg, prev: dec.truncate(dec.svd(current),
-                                                   min(cfg.rank_svd, *current.shape)),
+        lambda current, w, cfg, prev: dec.svd(current, min(cfg.rank_svd, *current.shape)),
         lambda f: (DenseTensor(f.u.data * f.sigma), DenseTensor(f.v.data.T)),
-        lambda f: dec.reconstruct(f)),
-    "factorize": Stage(  # hands on the product, rounded to f32
+        lambda f: _stored_product("decompose", f)),
+    "factorize": Stage(
         "factored", "anneal.rank",
         lambda w, cfg: fac.check_rank(cfg.anneal.rank, *as_matrix(w.data).shape),
         _factorize,
         lambda pair: (pair.w1, pair.w2),
-        lambda pair: DenseTensor(KINDS["factored"].product((pair.w1, pair.w2)))),
+        lambda pair: _stored_product("factorize", pair)),
 }
 OVERFLOW = "its result overflows f32"  # a stage's fault where its f32 result is not finite
+
+
+def _stored_product(stage: str, res) -> DenseTensor:
+    """The product of the tensors stage stores from res, rounded to f32: what a
+    low-rank stage hands on. So a stored pair past the f32 range hands on inf,
+    and a factorize after decompose, which starts from that pair, starts at
+    the f32 floor: its residual is the product's rounding alone."""
+    record = STAGES[stage]
+    return DenseTensor(KINDS[record.kind].product(record.stored(res)))
 
 
 def _entry_names(name: str, kind: str) -> list[str]:

@@ -1040,8 +1040,13 @@ WARNINGS = [pytest.param(action, marks=pytest.mark.filterwarnings(action))
             for action in ("default", "error")]
 
 
-def compress_overflow_fc(workdir, stage_list):
-    save_archive(TensorArchive(entries=[("fc", DenseTensor(np.array(OVERFLOW_FC)))]),
+# a finite f32 layer that its rank-1 fit matches in range, but whose stored
+# pair does not: u diag(sigma) is the 1 x 1 sigma, 6e38
+OVERFLOW_PAIR = [[3e38] * 4]
+
+
+def compress_overflow_fc(workdir, stage_list, weights=OVERFLOW_FC):
+    save_archive(TensorArchive(entries=[("fc", DenseTensor(np.array(weights)))]),
                  workdir / "in.qtns")
     cfg = workdir / "cfg.json"
     cfg.write_text(json.dumps({"defaults": {"stage_list": stage_list, "rank_svd": 1,
@@ -1057,6 +1062,18 @@ def test_compress_fit_overflowing_f32_exit_2(workdir, capsys, stage_list, warnin
     stores it: exit 2 naming the stage, with nothing written."""
     capsys.readouterr()
     assert compress_overflow_fc(workdir, stage_list) == 2
+    assert "layer 'fc' (decompose): its result overflows f32" in capsys.readouterr().err
+    assert list(workdir.glob("out*")) == []
+
+
+@pytest.mark.parametrize("warnings", WARNINGS)
+@pytest.mark.parametrize("stage_list", DECOMPOSE_FIRST, ids="-".join)
+def test_compress_pair_overflowing_f32_exit_2(workdir, capsys, stage_list, warnings):
+    """decompose hands on the product of the pair it stores, so a pair past
+    the f32 range is decompose's fault whatever follows it; a factorize right
+    after it would start from that pair and overflow at iteration 0."""
+    capsys.readouterr()
+    assert compress_overflow_fc(workdir, stage_list, OVERFLOW_PAIR) == 2
     assert "layer 'fc' (decompose): its result overflows f32" in capsys.readouterr().err
     assert list(workdir.glob("out*")) == []
 

@@ -173,3 +173,100 @@ def test_fix_signs_matches_loop(seed):
     assert got_u.tobytes() == want_u.tobytes()
     assert got_v.tobytes() == want_v.tobytes()
     assert got_u[3, 0] == 1.0 and got_u[2, 2] == 2.0 and not got_u[:, 1].any()
+
+
+# svd against LAPACK's full SVD as an independent oracle. u and v are f32; the
+# side svd computes as a^T u (a v for a tall a) is orthonormal over the columns
+# whose sigma the float64 Gram matrix resolves, above sqrt(eps64) sigma_1
+RESOLVED = 1.5e-8
+SHAPES = {"square": (24, 24), "tall": (30, 9), "wide": (7, 26), "conv": (6, 2, 3, 3)}
+
+
+def check_against_oracle(a, f, r):
+    a = a.astype(np.float64)
+    m, n = a.shape
+    s = np.linalg.svd(a, compute_uv=False)
+    top = s[0]
+    assert f.rank == r and f.u.shape == (m, r) and f.v.shape == (n, r)
+    assert f.sigma.dtype == np.float64
+    assert np.abs(f.sigma - s[:r]).max() <= 1e-10 * top
+    assert np.all(f.sigma >= 0) and np.all(np.diff(f.sigma) <= 0)
+    u, v = f.u.data.astype(np.float64), f.v.data.astype(np.float64)
+    assert np.isfinite(u).all() and np.isfinite(v).all()
+    resolved = f.sigma > RESOLVED * top
+    for side in (u, v):
+        cols = side[:, resolved]
+        assert np.abs(cols.T @ cols - np.eye(cols.shape[1])).max() < 1e-5
+    # the eigenvector side is orthonormal in every column
+    eig = v if m > n else u
+    assert np.abs(eig.T @ eig - np.eye(r)).max() < 1e-5
+    for j in range(r):  # sign convention: u's first nonzero entry is positive
+        nz = np.flatnonzero(u[:, j])
+        assert nz.size == 0 or u[nz[0], j] > 0
+
+
+@pytest.mark.parametrize("rank", ["below", "equal", None])
+@pytest.mark.parametrize("shape", SHAPES.values(), ids=SHAPES.keys())
+def test_svd_matches_lapack_oracle(shape, rank):
+    w = DenseTensor(as_matrix(np.random.default_rng(11).standard_normal(shape)))
+    k = min(w.shape)
+    r = {"below": k // 3, "equal": k, None: None}[rank]
+    f = svd(w, r)
+    check_against_oracle(w.data, f, r or k)
+    # the leading r triples are those of the full set
+    full = svd(w)
+    np.testing.assert_allclose(f.sigma, full.sigma[: f.rank], rtol=1e-12)
+    np.testing.assert_allclose(f.u.data, full.u.data[:, : f.rank], atol=1e-6)
+    np.testing.assert_allclose(f.v.data, full.v.data[:, : f.rank], atol=1e-6)
+
+
+@pytest.mark.parametrize("shape", [(12, 9), (9, 12)], ids=["tall", "wide"])
+def test_svd_exactly_low_rank_input_past_its_rank(shape):
+    # integer factors make the rank-3 product exact in f32
+    rng = np.random.default_rng(12)
+    a = rng.integers(-3, 4, (shape[0], 3)) @ rng.integers(-3, 4, (3, shape[1]))
+    w = DenseTensor(a)
+    f = svd(w, 5)
+    check_against_oracle(w.data, f, 5)
+    assert np.count_nonzero(f.sigma > RESOLVED * f.sigma[0]) == 3
+    recon = reconstruct(f).data.astype(np.float64)
+    assert np.abs(recon - a).max() <= 1e-5 * np.abs(a).max()
+
+
+@pytest.mark.parametrize("shape", [(3, 4), (4, 3), (3, 3)])
+def test_svd_zero_matrix_gives_zero_columns(shape):
+    w = DenseTensor(np.zeros(shape))
+    f = svd(w, 2)
+    assert f.sigma.tolist() == [0.0, 0.0]
+    # the side computed from a^T u (a v) is zero, never NaN; the other is orthonormal
+    computed, eig = (f.u, f.v) if shape[0] > shape[1] else (f.v, f.u)
+    assert not computed.data.any()
+    assert np.abs(eig.data.T @ eig.data - np.eye(2)).max() < 1e-5
+    assert not reconstruct(f).data.any()
+
+
+@pytest.mark.parametrize("r", [4, 20, 35, 40])
+def test_svd_ill_conditioned_error_within_f32_floor_of_optimal(r):
+    # sigma_i from 1 down to 1e-12: below sqrt(eps64) sigma_1 the Gram matrix
+    # resolves no single triple, and the column norms there come out of order,
+    # yet sigma is sorted and the product u u^T a stays within the f32 floor
+    # of the optimal tail
+    rng = np.random.default_rng(13)
+    q1, _ = np.linalg.qr(rng.standard_normal((48, 40)))
+    q2, _ = np.linalg.qr(rng.standard_normal((40, 40)))
+    w = DenseTensor((q1 * np.logspace(0, -12, 40)) @ q2.T)
+    a = w.data.astype(np.float64)
+    s = np.linalg.svd(a, compute_uv=False)
+    f = svd(w, r)
+    assert np.all(f.sigma >= 0) and np.all(np.diff(f.sigma) <= 0)
+    u, v = f.u.data.astype(np.float64), f.v.data.astype(np.float64)
+    err = np.linalg.norm(a - (u * f.sigma) @ v.T)
+    tail = np.sqrt(np.sum(s[r:] ** 2))
+    assert err <= tail + 2.0**-24 * np.linalg.norm(a)
+
+
+def test_svd_rank_out_of_range():
+    w = random_matrix(4, 6, 14)
+    for bad in (0, 5, -1):
+        with pytest.raises(ConfigError, match=r"out of range \[1, 4\]"):
+            svd(w, bad)

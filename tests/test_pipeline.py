@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from tensorpress import decompose, factorize, pipeline, prune
-from tensorpress.decompose import reconstruct, svd, truncate
+from tensorpress.decompose import svd, truncate
 from tensorpress.errors import ConfigError, DivergenceError, VerificationError
 from tensorpress.factorize import AnnealConfig, anneal_factorize
 from tensorpress.pipeline import (
@@ -181,22 +181,36 @@ class TestCompressLayer:
                                             ("factorize", "decompose")])
     def test_decompose_last_stores_u_sigma_and_v_transposed(self, monkeypatch, stage_list):
         # w1 = u diag(sigma) from the f32 u and the f64 sigma, and w2 = v^T, each
-        # rounded to f32, of the truncated SVD of the matrix decompose takes
+        # rounded to f32, of the leading rank_svd triples of the matrix decompose
+        # takes, which are all it asks svd for
         taken = []
         real_svd = decompose.svd
-        monkeypatch.setattr(decompose, "svd", lambda w: taken.append(w) or real_svd(w))
+        monkeypatch.setattr(decompose, "svd",
+                            lambda w, rank=None: taken.append((w, rank)) or real_svd(w, rank))
         archive = TensorArchive(entries=[("L", random_tensor((6, 2, 3, 3), 4))])
         config = PipelineConfig(defaults={
             "stage_list": list(stage_list), "prune": {"alpha": 0.2, "stages": 2},
             "rank_svd": 3, "anneal": {"rank": 4}}, layers={"L": {}})
         out, report = compress_archive(archive, config)
-        (matrix,) = taken
-        f = truncate(real_svd(matrix), 3)
+        ((matrix, rank),) = taken
+        assert matrix.shape == (6, 18) and rank == 3
+        f = real_svd(matrix, 3)
         assert report.per_layer[0]["kind"] == "factored"
         assert report.per_layer[0]["params_after"] == 3 * (6 + 18)
         assert out.get("L.w1").data.tobytes() == DenseTensor(f.u.data * f.sigma).data.tobytes()
         assert out.get("L.w2").data.tobytes() == DenseTensor(f.v.data.T).data.tobytes()
         verify_report(archive, read_archive(write_archive(out)), report)
+
+    @pytest.mark.parametrize("rank_svd, asked", [(2, 2), (6, 6), (50, 6)])
+    def test_decompose_asks_svd_for_its_kept_triples_alone(self, monkeypatch, rank_svd, asked):
+        # min(rank_svd, m, n) of the 6 x 18 conv matrix, never all of them
+        ranks = []
+        real_svd = decompose.svd
+        monkeypatch.setattr(decompose, "svd",
+                            lambda w, rank=None: ranks.append(rank) or real_svd(w, rank))
+        layer, _ = compress_layer(random_tensor((6, 2, 3, 3), 7),
+                                  full_config(stage_list=("decompose",), rank_svd=rank_svd))
+        assert ranks == [asked] and layer.tensors[0].shape == (6, asked)
 
     @pytest.mark.parametrize("shape", [(13, 11), (6, 5, 3, 3)])
     def test_kept_indices_same_for_pruned_and_stored_mask(self, shape):
@@ -537,10 +551,11 @@ def test_mask_stored_only_where_prune_is_last(stage_list):
 def _compress_layer_oracle(w, cfg, *, checked=False):
     """compress_layer as it was when each stage branch built the dense matrix
     the next stage takes, behind a flag saying whether one runs, with the
-    factored product written out as w1 @ w2 in float64, the mask stored only
-    where prune is last, and factorize started from decompose's stored pair
-    only where decompose directly precedes it. Kept as the reference that
-    compress_layer must match byte for byte."""
+    factored product written out as w1 @ w2 in float64, decompose handing on
+    the product of the pair it stores, the mask stored only where prune is
+    last, and factorize started from that pair only where decompose directly
+    precedes it. Kept as the reference that compress_layer must match byte
+    for byte."""
     if not checked:
         pipeline.check_layer_input(w, cfg)
     t0 = time.perf_counter()
@@ -562,12 +577,13 @@ def _compress_layer_oracle(w, cfg, *, checked=False):
                 elif stage == "decompose":
                     full = svd(current)
                     res = truncate(full, min(cfg.rank_svd, full.rank))
+                    pair = (DenseTensor(res.u.data * res.sigma), DenseTensor(res.v.data.T))
                     if more:
-                        current = reconstruct(res)
+                        current = DenseTensor(pair[0].data.astype(np.float64)
+                                              @ pair[1].data.astype(np.float64))
                 else:
                     # from the f32 pair decompose stores, when decompose ran just before
-                    start = ((DenseTensor(res.u.data * res.sigma), DenseTensor(res.v.data.T))
-                             if i and cfg.stage_list[i - 1] == "decompose" else None)
+                    start = pair if i and cfg.stage_list[i - 1] == "decompose" else None
                     res = anneal_factorize(current, cfg.anneal, start)
                     if more:
                         current = DenseTensor(res.w1.data.astype(np.float64)
@@ -627,12 +643,12 @@ def test_stage_records_look_up_module_functions_as_they_run(monkeypatch, stage_l
         config.defaults["stage_list"] = stage_list
     calls = []
     for module, name in [(prune, "iterative_prune"), (decompose, "svd"),
-                         (decompose, "truncate"), (factorize, "anneal_factorize")]:
+                         (factorize, "anneal_factorize")]:
         real = getattr(module, name)
         monkeypatch.setattr(module, name,
                             lambda *a, real=real, name=name: calls.append(name) or real(*a))
     compress_archive(archive, config)
-    functions = {"prune": ["iterative_prune"], "decompose": ["svd", "truncate"],
+    functions = {"prune": ["iterative_prune"], "decompose": ["svd"],
                  "factorize": ["anneal_factorize"]}
     want = [f for s in stage_list or STAGES for f in functions[s]] * len(config.layers)
     assert sorted(calls) == sorted(want)
