@@ -47,62 +47,51 @@ KINDS = {
 }
 
 
-def _prune(current: DenseTensor, w: DenseTensor, cfg: LayerConfig, prev) -> pr.PruneResult:
+def _prune(current: DenseTensor, w: DenseTensor, cfg: LayerConfig, prev) -> tuple:
     """prune's run, in the original layout so conv adjacency applies; a result
     that keeps none of the layer's weights is a fault."""
     res = pr.iterative_prune(current.reshape(w.shape), cfg.prune)
     if not res.mask.any():
         raise ConfigError(f"leaves none of its {w.size} weights "
                           f"(alpha {cfg.prune.alpha}, entangle_prob {cfg.prune.entangle_prob})")
-    return res
+    return DenseTensor(res.pruned_weights.data.ravel().take(_kept(res.mask))), BitTensor(res.mask)
 
 
-def _factorize(current: DenseTensor, w: DenseTensor, cfg: LayerConfig,
-               prev) -> fac.FactorPair:
-    """factorize's run: from the pair decompose stores when decompose's result
-    is prev, which by Eckart-Young already fits current, else from random factors."""
-    start = STAGES["decompose"].stored(prev) if isinstance(prev, dec.SvdFactors) else None
-    return fac.anneal_factorize(current, cfg.anneal, start)
+def _decompose(current: DenseTensor, w: DenseTensor, cfg: LayerConfig, prev) -> tuple:
+    """decompose's run: (u diag(sigma), v^T) in f32 of current's leading rank_svd triples."""
+    f = dec.svd(current, min(cfg.rank_svd, *current.shape))
+    return DenseTensor(f.u.data * f.sigma), DenseTensor(f.v.data.T)
 
 
-# One record per stage, in the default stage list's order: the kind it stores
-# as a layer's last stage; needs, the LayerConfig key (dotted into a block) it
-# cannot run without, or None; check(w, cfg), its limits on the layer's
-# weights; run(current, w, cfg, prev), its result from the m x n f32 matrix
-# current that it takes, given prev, the previous stage's result or None;
-# stored(result), that kind's tensors from the result; handed(result), the
-# m x n f32 matrix the result hands on to a next stage.
+def _factorize(current: DenseTensor, w: DenseTensor, cfg: LayerConfig, prev) -> tuple:
+    """factorize's run: from prev's pair when prev is factored, which only
+    decompose's layer can be and which by Eckart-Young already fits current
+    to f32 rounding, else from random factors."""
+    start = prev.tensors if prev is not None and prev.kind == "factored" else None
+    pair = fac.anneal_factorize(current, cfg.anneal, start)
+    return pair.w1, pair.w2
+
+
+# One record per stage, in the default stage list's order: the kind it stores;
+# needs, the LayerConfig key (dotted into a block) it cannot run without, or
+# None; check(w, cfg), its limits on the layer's weights; run(current, w, cfg,
+# prev), its kind's tensors from the m x n f32 matrix current that it takes,
+# given prev, the CompressedLayer the previous stage stored, or None. A next
+# stage takes the matrix of that layer, rounded to f32; the last stage's layer
+# is the one the archive stores.
 # Records look up module functions as they run, so a probe replacing one sees
 # the call.
-Stage = collections.namedtuple("Stage", "kind needs check run stored handed")
+Stage = collections.namedtuple("Stage", "kind needs check run")
 STAGES = {
     "prune": Stage(
-        "masked", None, lambda w, cfg: pr.check_stages(cfg.prune.stages, w.size), _prune,
-        lambda res: (DenseTensor(res.pruned_weights.data.ravel().take(_kept(res.mask))),
-                     BitTensor(res.mask)),
-        lambda res: DenseTensor(as_matrix(res.pruned_weights.data))),  # w * mask: may hold -0.0
-    "decompose": Stage(  # stores (u diag(sigma), v^T) in f32
-        "factored", "rank_svd", lambda w, cfg: None,
-        lambda current, w, cfg, prev: dec.svd(current, min(cfg.rank_svd, *current.shape)),
-        lambda f: (DenseTensor(f.u.data * f.sigma), DenseTensor(f.v.data.T)),
-        lambda f: _stored_product("decompose", f)),
+        "masked", None, lambda w, cfg: pr.check_stages(cfg.prune.stages, w.size), _prune),
+    "decompose": Stage("factored", "rank_svd", lambda w, cfg: None, _decompose),
     "factorize": Stage(
         "factored", "anneal.rank",
         lambda w, cfg: fac.check_rank(cfg.anneal.rank, *as_matrix(w.data).shape),
-        _factorize,
-        lambda pair: (pair.w1, pair.w2),
-        lambda pair: _stored_product("factorize", pair)),
+        _factorize),
 }
 OVERFLOW = "its result overflows f32"  # a stage's fault where its f32 result is not finite
-
-
-def _stored_product(stage: str, res) -> DenseTensor:
-    """The product of the tensors stage stores from res, rounded to f32: what a
-    low-rank stage hands on. So a stored pair past the f32 range hands on inf,
-    and a factorize after decompose, which starts from that pair, starts at
-    the f32 floor: its residual is the product's rounding alone."""
-    record = STAGES[stage]
-    return DenseTensor(KINDS[record.kind].product(record.stored(res)))
 
 
 def _entry_names(name: str, kind: str) -> list[str]:
@@ -248,28 +237,28 @@ def check_layer_input(w: Tensor, cfg: LayerConfig) -> None:
 def compress_layer(w: DenseTensor, cfg: LayerConfig, *,
                    checked: bool = False) -> tuple[CompressedLayer, dict]:
     """Run the STAGES record of each stage of cfg.stage_list in order on one
-    weight tensor, and store the last one's result as its kind; checked=True
+    weight tensor, and store the layer the last one returns; checked=True
     says the caller has run check_layer_input(w, cfg) already. A fault's
     message is led by the layer and the stage it arose in."""
     if not checked:
         check_layer_input(w, cfg)
     t0 = time.perf_counter()
     current = DenseTensor(as_matrix(w.data))
-    stage = res = None  # the previous stage and its result
+    stage = layer = None  # the previous stage and the layer it stored
     # w is finite, so only an overflow makes a result not finite: checked, not warned of
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             for next_stage in cfg.stage_list:
-                # the matrix next_stage takes: w's, or the one the previous result
-                # hands on, checked under the name of the stage that produced it
-                if res is not None:
-                    current = STAGES[stage].handed(res)
+                # the matrix next_stage takes: w's, or that of the previous stage's
+                # layer, checked under the name of the stage that stored it
+                if layer is not None:
+                    current = DenseTensor(layer.effective_matrix())
                     if not np.isfinite(current.data).all():
                         raise ConfigError(OVERFLOW)
                 stage = next_stage
-                res = STAGES[stage].run(current, w, cfg, res)
-            record = STAGES[stage]
-            layer = CompressedLayer(cfg.layer_name, record.kind, record.stored(res))
+                record = STAGES[stage]
+                layer = CompressedLayer(cfg.layer_name, record.kind,
+                                        record.run(current, w, cfg, layer))
             row = layer_row(w, layer)
             # finite unless the matrix the stored layer stands for is not
             if not np.isfinite(row["recon_error_rel"]):

@@ -10,7 +10,7 @@ from tensorpress.factorize import (
     anneal_factorize,
     frobenius_loss,
 )
-from tensorpress.pipeline import STAGES
+from tensorpress.pipeline import CompressedLayer
 from tensorpress.tensors import DenseTensor
 
 
@@ -220,8 +220,10 @@ def test_config_validation():
         AnnealConfig(rank=2, max_iters=0)
 
 
-# the matrix a factorize stage hands on to a next stage: w1 @ w2, rounded to f32
-hand_on = STAGES["factorize"].handed
+def hand_on(pair):
+    """The matrix a factorize stage hands on to a next stage: that of the
+    factored layer it stores, w1 @ w2 in float64, rounded to f32."""
+    return DenseTensor(CompressedLayer("L", "factored", (pair.w1, pair.w2)).effective_matrix())
 
 
 def test_factored_hand_on_outer_product():

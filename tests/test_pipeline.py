@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import operator
 import struct
 import sys
 import threading
@@ -554,13 +555,13 @@ def _compress_layer_oracle(w, cfg, *, checked=False):
     factored product written out as w1 @ w2 in float64, decompose handing on
     the product of the pair it stores, the mask stored only where prune is
     last, and factorize started from that pair only where decompose directly
-    precedes it. Kept as the reference that compress_layer must match byte
-    for byte."""
+    precedes it. It builds the stored tensors itself, apart from the STAGES
+    records. Kept as the reference that compress_layer must match byte for
+    byte."""
     if not checked:
         pipeline.check_layer_input(w, cfg)
     t0 = time.perf_counter()
     current = DenseTensor(as_matrix(w.data))
-    mask = None
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             for i, stage in enumerate(cfg.stage_list):
@@ -574,10 +575,12 @@ def _compress_layer_oracle(w, cfg, *, checked=False):
                             f"(alpha {cfg.prune.alpha}, entangle_prob {cfg.prune.entangle_prob})"
                         )
                     current = DenseTensor(as_matrix(res.pruned_weights.data))
+                    stored = (DenseTensor(res.pruned_weights.data[mask != 0]), BitTensor(mask))
                 elif stage == "decompose":
                     full = svd(current)
                     res = truncate(full, min(cfg.rank_svd, full.rank))
-                    pair = (DenseTensor(res.u.data * res.sigma), DenseTensor(res.v.data.T))
+                    pair = stored = (DenseTensor(res.u.data * res.sigma),
+                                     DenseTensor(res.v.data.T))
                     if more:
                         current = DenseTensor(pair[0].data.astype(np.float64)
                                               @ pair[1].data.astype(np.float64))
@@ -585,13 +588,14 @@ def _compress_layer_oracle(w, cfg, *, checked=False):
                     # from the f32 pair decompose stores, when decompose ran just before
                     start = pair if i and cfg.stage_list[i - 1] == "decompose" else None
                     res = anneal_factorize(current, cfg.anneal, start)
+                    stored = (res.w1, res.w2)
                     if more:
                         current = DenseTensor(res.w1.data.astype(np.float64)
                                               @ res.w2.data.astype(np.float64))
                 if more and not np.isfinite(current.data).all():
                     raise ConfigError(pipeline.OVERFLOW)
-            record = pipeline.STAGES[stage]
-            layer = pipeline.CompressedLayer(cfg.layer_name, record.kind, record.stored(res))
+            kind = "masked" if stage == "prune" else "factored"
+            layer = pipeline.CompressedLayer(cfg.layer_name, kind, stored)
             row = layer_row(w, layer)
             if not np.isfinite(row["recon_error_rel"]):
                 raise ConfigError(pipeline.OVERFLOW)
@@ -652,6 +656,40 @@ def test_stage_records_look_up_module_functions_as_they_run(monkeypatch, stage_l
                  "factorize": ["anneal_factorize"]}
     want = [f for s in stage_list or STAGES for f in functions[s]] * len(config.layers)
     assert sorted(calls) == sorted(want)
+
+
+@pytest.mark.parametrize("stage_list", STAGE_LISTS, ids="-".join)
+def test_each_stage_takes_the_matrix_of_the_layer_before(monkeypatch, stage_list):
+    # the one rule for what passes between stages: the first takes w's m x n
+    # matrix and each later one that of the layer the previous stage returned,
+    # rounded to f32, with that layer as prev; the last one's layer is stored.
+    # A prune's pruned weights hold -0.0 where its layer's matrix holds +0.0
+    archive, config = mixed_archive_and_config(stage_list)
+    calls = []
+    for stage, record in STAGES.items():
+        def run(current, w, cfg, prev, record=record):
+            tensors = record.run(current, w, cfg, prev)
+            calls.append((cfg.layer_name, record.kind, current, prev, tensors))
+            return tensors
+
+        monkeypatch.setitem(STAGES, stage, record._replace(run=run))
+    out, _ = compress_archive(archive, config, jobs=1)
+    for name in config.layers:
+        want, layer = DenseTensor(as_matrix(archive.get(name).data)), None
+        runs = [c[1:] for c in calls if c[0] == name]
+        assert len(runs) == len(stage_list)
+        for kind, current, prev, tensors in runs:
+            assert current.shape == want.shape
+            assert current.data.tobytes() == want.data.tobytes()
+            if layer is None:
+                assert prev is None
+            else:
+                assert prev.kind == layer.kind
+                assert all(map(operator.is_, prev.tensors, layer.tensors))
+            layer = pipeline.CompressedLayer(name, kind, tensors)
+            want = DenseTensor(layer.effective_matrix())
+        assert [t.data.tobytes() for t in layer.tensors] == [
+            out.get(n).data.tobytes() for n, _ in layer.entries()]
 
 
 def _warm_layers(w, rank_svd, rank, stage_list=("decompose", "factorize")):
