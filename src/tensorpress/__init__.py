@@ -16,7 +16,7 @@ from .tensors import (
     write_archive,
 )
 from .prune import PruneConfig, PruneResult, iterative_prune
-from .decompose import SvdFactors, svd, truncate, reconstruct
+from .decompose import SvdFactors, svd
 from .factorize import AnnealConfig, FactorPair, anneal_factorize
 from .pipeline import (
     CompressionReport,
@@ -40,8 +40,6 @@ __all__ = [
     "iterative_prune",
     "SvdFactors",
     "svd",
-    "truncate",
-    "reconstruct",
     "AnnealConfig",
     "FactorPair",
     "anneal_factorize",

@@ -1,5 +1,4 @@
-"""Leading singular triples of the flattened weight matrix, rank truncation,
-and reconstruction."""
+"""Leading singular triples of the flattened weight matrix."""
 
 from __future__ import annotations
 
@@ -65,25 +64,3 @@ def _fix_signs(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     np.negative(v, out=v, where=flip)
     return u, v
 
-
-def truncate(f: SvdFactors, r: int) -> SvdFactors:
-    """Keep the leading r singular triples."""
-    if not 1 <= r <= f.rank:
-        raise ConfigError(f"rank {r} out of range [1, {f.rank}]")
-    if r == f.rank:
-        return f
-    return SvdFactors(
-        u=DenseTensor(f.u.data[:, :r]),
-        sigma=f.sigma[:r],
-        v=DenseTensor(f.v.data[:, :r]),
-    )
-
-
-def reconstruct(f: SvdFactors) -> DenseTensor:
-    """The m x n matrix u @ diag(sigma) @ v.T, rounded to f32."""
-    u, v = f.u.data, f.v.data
-    if u.shape[1] != len(f.sigma) or v.shape[1] != len(f.sigma):
-        raise ShapeError(
-            f"inconsistent factors: u {u.shape}, v {v.shape}, {len(f.sigma)} sigmas"
-        )
-    return DenseTensor((u.astype(np.float64) * f.sigma) @ v.astype(np.float64).T)

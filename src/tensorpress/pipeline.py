@@ -54,7 +54,7 @@ def _prune(current: DenseTensor, w: DenseTensor, cfg: LayerConfig, prev) -> tupl
     if not res.mask.any():
         raise ConfigError(f"leaves none of its {w.size} weights "
                           f"(alpha {cfg.prune.alpha}, entangle_prob {cfg.prune.entangle_prob})")
-    return DenseTensor(res.pruned_weights.data.ravel().take(_kept(res.mask))), BitTensor(res.mask)
+    return DenseTensor(current.data.ravel().take(_kept(res.mask))), BitTensor(res.mask)
 
 
 def _decompose(current: DenseTensor, w: DenseTensor, cfg: LayerConfig, prev) -> tuple:

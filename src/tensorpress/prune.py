@@ -59,7 +59,6 @@ class PruneConfig:
 @dataclass(frozen=True)
 class PruneResult:
     mask: RetainMask
-    pruned_weights: DenseTensor
     achieved_sparsity: float
     per_stage_sparsity: list[float] = field(default_factory=list)
 
@@ -173,11 +172,8 @@ def iterative_prune(w: DenseTensor, cfg: PruneConfig) -> PruneResult:
             magnitude[entangle(keep, w.shape, cfg.entangle_prob, stage_seed)] = -np.inf
         kept = np.count_nonzero(keep)
         per_stage.append(1.0 - kept / n)
-    mask = keep.reshape(w.shape)
-    pruned = DenseTensor(w.data * mask)
     return PruneResult(
-        mask=mask,
-        pruned_weights=pruned,
+        mask=keep.reshape(w.shape),
         achieved_sparsity=per_stage[-1],
         per_stage_sparsity=per_stage,
     )

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh
 
-from tensorpress.decompose import _fix_signs, reconstruct, svd, truncate
+from tensorpress.decompose import SvdFactors, _fix_signs, svd
 from tensorpress.errors import ConfigError, ShapeError
 from tensorpress.tensors import DenseTensor, as_matrix
 
@@ -11,16 +11,22 @@ def random_matrix(m, n, seed):
     return DenseTensor(np.random.default_rng(seed).standard_normal((m, n)))
 
 
+def product(f: SvdFactors) -> np.ndarray:
+    """The m x n matrix (u sigma) v^T of svd's triples, in float64."""
+    return (f.u.data.astype(np.float64) * f.sigma) @ f.v.data.astype(np.float64).T
+
+
 def test_diagonal_singular_values():
     f = svd(DenseTensor(np.diag([3.0, 2.0])))
     assert list(f.sigma) == pytest.approx([3.0, 2.0])
 
 
 def test_sigma_is_the_f64_array_svd_returns():
-    f = svd(random_matrix(5, 3, 1))
+    w = random_matrix(5, 3, 1)
+    f = svd(w)
     assert isinstance(f.sigma, np.ndarray)
     assert f.sigma.dtype == np.float64 and f.sigma.shape == (3,)
-    assert isinstance(truncate(f, 2).sigma, np.ndarray)
+    assert isinstance(svd(w, 2).sigma, np.ndarray)
 
 
 def test_zero_matrix():
@@ -36,7 +42,7 @@ def test_orthonormality_and_reconstruction():
     v = f.v.data.astype(np.float64)
     assert np.abs(u.T @ u - np.eye(r)).max() < 1e-5
     assert np.abs(v.T @ v - np.eye(r)).max() < 1e-5
-    recon = reconstruct(f).data
+    recon = product(f)
     rel = np.linalg.norm(w.data - recon) / np.linalg.norm(w.data)
     assert rel < 1e-5
 
@@ -58,23 +64,11 @@ def test_svd_input_validation():
         svd(DenseTensor(np.array([[np.nan, 1.0]], dtype=np.float32)))
 
 
-def test_truncate_full_rank_identity():
-    f = svd(random_matrix(5, 5, 2))
-    assert truncate(f, 5) is f
-
-
 def test_truncate_top_singular_value():
-    f = truncate(svd(DenseTensor(np.diag([3.0, 2.0]))), 1)
+    f = svd(DenseTensor(np.diag([3.0, 2.0])), 1)
     assert list(f.sigma) == pytest.approx([3.0])
     assert f.u.shape == (2, 1)
     assert f.v.shape == (2, 1)
-
-
-def test_truncate_range_errors():
-    f = svd(random_matrix(4, 4, 3))
-    for bad in (0, 5, -1):
-        with pytest.raises(ConfigError):
-            truncate(f, bad)
 
 
 def test_eckart_young_tail():
@@ -83,48 +77,22 @@ def test_eckart_young_tail():
     a = w.data.astype(np.float64)
     total = float(np.sum(np.asarray(f.sigma) ** 2))
     for r in (1, 4, 7):
-        recon = reconstruct(truncate(f, r)).data.astype(np.float64)
-        err2 = float(np.sum((a - recon) ** 2))
+        err2 = float(np.sum((a - product(svd(w, r))) ** 2))
         tail = float(np.sum(np.asarray(f.sigma[r:]) ** 2))
         assert abs(err2 - tail) < 1e-6 * total
 
 
-def test_rank1_outer_product_reconstruction():
-    from tensorpress.decompose import SvdFactors
-
-    f = SvdFactors(
-        u=DenseTensor(np.array([[1.0], [0.0]])),
-        sigma=np.array([2.0]),
-        v=DenseTensor(np.array([[0.0], [1.0]])),
-    )
-    assert reconstruct(f).data.tolist() == [[0.0, 2.0], [0.0, 0.0]]
-
-
-def test_reconstruct_shape_mismatch():
-    from tensorpress.decompose import SvdFactors
-
-    f = SvdFactors(
-        u=DenseTensor(np.ones((2, 2))),
-        sigma=np.array([1.0]),
-        v=DenseTensor(np.ones((2, 2))),
-    )
-    with pytest.raises(ShapeError):
-        reconstruct(f)
-
-
 def test_conv_tensor_round_trip_shape():
     # a conv layer is decomposed as its flattened C_out x (C_in*H*W) matrix,
-    # and reconstruct gives that matrix back
+    # and its triples multiply back to that matrix
     w = DenseTensor(np.random.default_rng(5).standard_normal((4, 3, 2, 2)))
-    recon = reconstruct(truncate(svd(DenseTensor(as_matrix(w.data))), 2))
-    assert recon.shape == (4, 12)
+    assert product(svd(DenseTensor(as_matrix(w.data)), 2)).shape == (4, 12)
 
 
 def test_spectral_bound_power_iteration():
     w = random_matrix(20, 16, 6)
-    f = svd(w)
     r = 5
-    resid = w.data.astype(np.float64) - reconstruct(truncate(f, r)).data.astype(np.float64)
+    resid = w.data.astype(np.float64) - product(svd(w, r))
     # power iteration on resid^T resid estimates the top singular value
     rng = np.random.default_rng(0)
     x = rng.standard_normal(16)
@@ -132,7 +100,7 @@ def test_spectral_bound_power_iteration():
         x = resid.T @ (resid @ x)
         x /= np.linalg.norm(x)
     top = np.linalg.norm(resid @ x)
-    assert top == pytest.approx(f.sigma[r], rel=1e-3)
+    assert top == pytest.approx(svd(w).sigma[r], rel=1e-3)
 
 
 def test_sign_convention_deterministic():
@@ -229,8 +197,7 @@ def test_svd_exactly_low_rank_input_past_its_rank(shape):
     f = svd(w, 5)
     check_against_oracle(w.data, f, 5)
     assert np.count_nonzero(f.sigma > RESOLVED * f.sigma[0]) == 3
-    recon = reconstruct(f).data.astype(np.float64)
-    assert np.abs(recon - a).max() <= 1e-5 * np.abs(a).max()
+    assert np.abs(product(f) - a).max() <= 1e-5 * np.abs(a).max()
 
 
 @pytest.mark.parametrize("shape", [(3, 4), (4, 3), (3, 3)])
@@ -242,7 +209,7 @@ def test_svd_zero_matrix_gives_zero_columns(shape):
     computed, eig = (f.u, f.v) if shape[0] > shape[1] else (f.v, f.u)
     assert not computed.data.any()
     assert np.abs(eig.data.T @ eig.data - np.eye(2)).max() < 1e-5
-    assert not reconstruct(f).data.any()
+    assert not product(f).any()
 
 
 @pytest.mark.parametrize("r", [4, 20, 35, 40])
@@ -259,8 +226,7 @@ def test_svd_ill_conditioned_error_within_f32_floor_of_optimal(r):
     s = np.linalg.svd(a, compute_uv=False)
     f = svd(w, r)
     assert np.all(f.sigma >= 0) and np.all(np.diff(f.sigma) <= 0)
-    u, v = f.u.data.astype(np.float64), f.v.data.astype(np.float64)
-    err = np.linalg.norm(a - (u * f.sigma) @ v.T)
+    err = np.linalg.norm(a - product(f))
     tail = np.sqrt(np.sum(s[r:] ** 2))
     assert err <= tail + 2.0**-24 * np.linalg.norm(a)
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from tensorpress import decompose, factorize, pipeline, prune
-from tensorpress.decompose import svd, truncate
+from tensorpress.decompose import svd
 from tensorpress.errors import ConfigError, DivergenceError, VerificationError
 from tensorpress.factorize import AnnealConfig, anneal_factorize
 from tensorpress.pipeline import (
@@ -567,20 +567,22 @@ def _compress_layer_oracle(w, cfg, *, checked=False):
             for i, stage in enumerate(cfg.stage_list):
                 more = i + 1 < len(cfg.stage_list)
                 if stage == "prune":
-                    res = iterative_prune(current.reshape(w.shape), cfg.prune)
+                    x = current.reshape(w.shape).data
+                    res = iterative_prune(DenseTensor(x), cfg.prune)
                     mask = res.mask
                     if not mask.any():
                         raise ConfigError(
                             f"leaves none of its {w.size} weights "
                             f"(alpha {cfg.prune.alpha}, entangle_prob {cfg.prune.entangle_prob})"
                         )
-                    current = DenseTensor(as_matrix(res.pruned_weights.data))
-                    stored = (DenseTensor(res.pruned_weights.data[mask != 0]), BitTensor(mask))
+                    pruned = x * mask
+                    current = DenseTensor(as_matrix(pruned))
+                    stored = (DenseTensor(pruned[mask != 0]), BitTensor(mask))
                 elif stage == "decompose":
                     full = svd(current)
-                    res = truncate(full, min(cfg.rank_svd, full.rank))
-                    pair = stored = (DenseTensor(res.u.data * res.sigma),
-                                     DenseTensor(res.v.data.T))
+                    r = min(cfg.rank_svd, full.rank)
+                    pair = stored = (DenseTensor(full.u.data[:, :r] * full.sigma[:r]),
+                                     DenseTensor(full.v.data[:, :r].T))
                     if more:
                         current = DenseTensor(pair[0].data.astype(np.float64)
                                               @ pair[1].data.astype(np.float64))
