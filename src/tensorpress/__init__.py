@@ -26,7 +26,7 @@ from .pipeline import (
     compress_layer,
 )
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 __all__ = [
     "BitTensor",

@@ -434,11 +434,8 @@ def _blas_thread_setter():
     """openblas_set_num_threads_local of the OpenBLAS numpy loaded, which sets the
     BLAS thread count and returns the old one, or None where there is no such
     symbol (MKL, Accelerate, OpenBLAS before 0.3.27)."""
-    try:
-        from numpy.linalg import _umath_linalg
-
-        setter = ctypes.CDLL(_umath_linalg.__file__).openblas_set_num_threads_local
-    except (ImportError, OSError, AttributeError):
+    setter = dec.linked_symbol("openblas_set_num_threads_local")
+    if setter is None:
         return None
     setter.argtypes, setter.restype = [ctypes.c_int], ctypes.c_int
     return setter

@@ -336,6 +336,23 @@ def test_cli_import_leaves_scipy_unloaded():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_decompose_compress_leaves_scipy_unloaded(workdir):
+    # decompose's eigensolve calls numpy's own LAPACK, never scipy's
+    src = os.path.dirname(os.path.dirname(tensorpress.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    cfg = {"defaults": {"stage_list": ["decompose"], "rank_svd": 4}, "layers": {"fc": {}}}
+    (workdir / "cfg.json").write_text(json.dumps(cfg))
+    code = (
+        "import sys; from tensorpress.cli import main; d = sys.argv[1]\n"
+        "assert main(['gen', d + '/in.qtns', '--layer', 'fc=16x12']) == 0\n"
+        "assert main(['compress', d + '/in.qtns', d + '/cfg.json', d + '/out.qtns']) == 0\n"
+        "assert 'scipy' not in sys.modules, 'scipy loaded'\n")
+    proc = subprocess.run([sys.executable, "-c", code, str(workdir)], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert (workdir / "out.qtns").exists()
+
+
 def test_verbose_flag_is_unknown(workdir, capsys):
     archive, _ = write_fixture(workdir)
     with pytest.raises(SystemExit) as exc:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh
 
+from tensorpress import decompose as dec
 from tensorpress.decompose import SvdFactors, _fix_signs, svd
 from tensorpress.errors import ConfigError, ShapeError
 from tensorpress.tensors import DenseTensor, as_matrix
@@ -164,7 +165,7 @@ def check_against_oracle(a, f, r):
     resolved = f.sigma > RESOLVED * top
     for side in (u, v):
         cols = side[:, resolved]
-        assert np.abs(cols.T @ cols - np.eye(cols.shape[1])).max() < 1e-5
+        assert np.abs(cols.T @ cols - np.eye(cols.shape[1])).max(initial=0) < 1e-5
     # the eigenvector side is orthonormal in every column
     eig = v if m > n else u
     assert np.abs(eig.T @ eig - np.eye(r)).max() < 1e-5
@@ -236,3 +237,78 @@ def test_svd_rank_out_of_range():
     for bad in (0, 5, -1):
         with pytest.raises(ConfigError, match=r"out of range \[1, 4\]"):
             svd(w, bad)
+
+
+# svd's eigensolve has two routes: LAPACK's dsyevr from numpy's own LAPACK,
+# building only the r leading eigenvectors, and, where numpy links no known
+# dsyevr, np.linalg.eigh's full set
+@pytest.fixture(params=["dsyevr", "eigh"])
+def route(request, monkeypatch):
+    if request.param == "eigh":
+        monkeypatch.setattr(dec, "_dsyevr", lambda: None)
+    elif dec._dsyevr() is None:
+        pytest.skip("numpy's LAPACK exports no known dsyevr")
+    return request.param
+
+
+def route_cases():
+    """(name, matrix, r): tall, wide and square at r = 1, k // 3 and k (dsyevr's
+    all-eigenvalues branch at IL = 1, IU = k), the zero matrix, and an exactly
+    rank-3 input asked for 5."""
+    rng = np.random.default_rng(15)
+    for shape in [(30, 9), (7, 26), (24, 24)]:
+        a = rng.standard_normal(shape)
+        k = min(shape)
+        for r in sorted({1, k // 3, k}):
+            yield f"{shape[0]}x{shape[1]}-r{r}", a, r
+    yield "zero", np.zeros((6, 8)), 3
+    yield "rank3", (rng.integers(-3, 4, (12, 3)) @ rng.integers(-3, 4, (3, 9))).astype(float), 5
+
+
+ROUTE_CASES = list(route_cases())
+
+
+@pytest.mark.parametrize("a,r", [c[1:] for c in ROUTE_CASES], ids=[c[0] for c in ROUTE_CASES])
+def test_svd_routes_match_oracle_and_eckart_young(route, a, r):
+    w = DenseTensor(a)
+    f = svd(w, r)
+    check_against_oracle(w.data, f, r)
+    # the rank-r fit's error is the optimal tail, at criterion 4's tolerance
+    x = w.data.astype(np.float64)
+    s = np.linalg.svd(x, compute_uv=False)
+    err2 = float(np.sum((x - product(f)) ** 2))
+    assert abs(err2 - float(np.sum(s[r:] ** 2))) <= 1e-6 * max(float(np.sum(s**2)), 1e-12)
+
+
+@pytest.mark.parametrize("shape,r", [((64, 40), 7), ((20, 90), 20), ((48, 48), 48)])
+def test_svd_routes_store_the_same_f32_pair(shape, r, monkeypatch):
+    # decompose stores (u diag(sigma), v^T) in f32: both routes give that pair
+    # to 1e-6 relative
+    if dec._dsyevr() is None:
+        pytest.skip("numpy's LAPACK exports no known dsyevr")
+    w = random_matrix(*shape, 16)
+
+    def stored():
+        f = svd(w, r)
+        return DenseTensor(f.u.data * f.sigma).data, f.v.data.T
+
+    fast = stored()
+    monkeypatch.setattr(dec, "_dsyevr", lambda: None)
+    for x, y in zip(fast, stored()):
+        assert np.linalg.norm(x - y) <= 1e-6 * np.linalg.norm(y)
+
+
+def test_numpy_openblas_takes_the_dsyevr_route():
+    # numpy's PyPI wheels link scipy-openblas, which exports LAPACKE's dsyevr:
+    # there svd must not drop to the eigh fallback unnoticed
+    lapack = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {}).get("lapack", {})
+    if lapack.get("name") != "scipy-openblas":
+        pytest.skip(f"numpy links {lapack.get('name')!r}, not scipy-openblas")
+    assert dec._dsyevr() is not None
+
+
+def test_dsyevr_failure_raises(monkeypatch):
+    # a nonzero info from LAPACK is an error, never eigenvectors left unwritten
+    monkeypatch.setattr(dec, "_dsyevr", lambda: lambda *args: 1)
+    with pytest.raises(np.linalg.LinAlgError, match=r"0 of 2 eigenvectors \(info 1\)"):
+        svd(random_matrix(5, 4, 17), 2)
