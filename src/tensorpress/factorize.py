@@ -19,7 +19,11 @@ and the candidate product (one more for each step halving).
 
 Gradients, candidate factors and residuals are fresh arrays. Only the squares
 each loss sums go to a buffer made once per call, which spares a library process
-page faults on every candidate (README, Performance).
+page faults on every candidate (README, Performance). W is converted to float64
+once. A call that takes no step from a start of f32 DenseTensors of the fitted
+shapes returns those tensors themselves, with the loss it measured at the floor
+check as final_loss; any other call forms the final_loss of the f32 factors it
+returns in the loop's residual and square buffers, not in new m x n arrays.
 """
 
 from __future__ import annotations
@@ -79,13 +83,16 @@ def _as_matrices(w, w1, w2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raise ShapeError(
             f"shapes not conformable: W {a.shape}, W1 {b.shape}, W2 {c.shape}"
         )
-    return (a.astype(np.float64), b.astype(np.float64), c.astype(np.float64))
+    # asarray: a float64 W, as anneal_factorize passes it, is not copied
+    return tuple(np.asarray(x, dtype=np.float64) for x in (a, b, c))
 
 
-def frobenius_loss(w, w1, w2) -> float:
-    """Squared Frobenius norm of W - W1 @ W2."""
-    a, b, c = _as_matrices(w, w1, w2)
-    return float(np.sum((a - b @ c) ** 2))
+def _loss(a, w1, w2, resid, sq) -> float:
+    """||w1 @ w2 - a||_F^2 formed in resid and sq, the same bits as
+    np.sum((a - w1 @ w2) ** 2)."""
+    np.matmul(w1, w2, out=resid)
+    resid -= a
+    return float(np.sum(np.square(resid, out=sq)))
 
 
 def _gradients(resid, w1, w2) -> tuple[np.ndarray, np.ndarray]:
@@ -111,17 +118,25 @@ def anneal_factorize(w: DenseTensor, cfg: AnnealConfig, start=None) -> FactorPai
     pair (m x k, k x n) cut or zero-padded to cfg.rank, or, if start is None,
     from random factors drawn from cfg.seed. Stops at the f32 floor, at
     cfg.rel_tol or after cfg.max_iters iterations. Deterministic given its
-    arguments."""
+    arguments.
+
+    A call that takes no step from a start of f32 DenseTensors of shapes
+    (m, cfg.rank) and (cfg.rank, n) returns those tensor objects, with the
+    loss measured at the floor check as final_loss. Any other call returns
+    new f32 factors, whose loss it forms in the loop's residual and square
+    buffers."""
     if len(w.shape) != 2:
         raise ShapeError(f"anneal_factorize needs a 2-axis tensor, got {len(w.shape)}")
     m, n = w.shape
     check_rank(cfg.rank, m, n)
     a = w.data.astype(np.float64)
+    own = False  # whether start's own tensors are the factors of a no-step return
     if start is not None:  # its leading cfg.rank columns and rows, or all, then zeros
         _, b, c = _as_matrices(a, *start)
         k = min(cfg.rank, b.shape[1])
         w1, w2 = np.zeros((m, cfg.rank)), np.zeros((cfg.rank, n))
         w1[:, :k], w2[:k] = b[:, :k], c[:k]
+        own = b.shape[1] == cfg.rank and all(isinstance(x, DenseTensor) for x in start)
     norm = float(np.linalg.norm(a))
     if norm == 0:  # W = 0 is its own fit, which no descent from random factors reaches
         w1, w2 = DenseTensor(np.zeros((m, cfg.rank))), DenseTensor(np.zeros((cfg.rank, n)))
@@ -140,10 +155,8 @@ def anneal_factorize(w: DenseTensor, cfg: AnnealConfig, start=None) -> FactorPai
     # into DivergenceError; numpy's warnings on the way there say nothing more
     with np.errstate(over="ignore", invalid="ignore"):
         # resid = w1 @ w2 - a is handed on from the accepted candidate
-        resid = w1 @ w2
-        resid -= a
-        sq = np.empty_like(resid)
-        loss = float(np.sum(np.square(resid, out=sq)))
+        resid, sq = np.empty((m, n)), np.empty((m, n))
+        loss = _loss(a, w1, w2, resid, sq)
         trace = [loss]
         for t in range(cfg.max_iters):
             if loss <= floor_loss:  # before the first iteration and after each one
@@ -154,9 +167,8 @@ def anneal_factorize(w: DenseTensor, cfg: AnnealConfig, start=None) -> FactorPai
             for _ in range(MAX_HALVINGS + 1):
                 cand1 = w1 - eta * g1
                 cand2 = w2 - eta * g2
-                cand_resid = cand1 @ cand2
-                cand_resid -= a
-                cand_loss = float(np.sum(np.square(cand_resid, out=sq)))
+                cand_resid = np.empty((m, n))
+                cand_loss = _loss(a, cand1, cand2, cand_resid, sq)
                 if not np.isfinite(cand_loss):
                     raise DivergenceError(t)
                 if cand_loss <= loss:
@@ -170,11 +182,9 @@ def anneal_factorize(w: DenseTensor, cfg: AnnealConfig, start=None) -> FactorPai
             trace.append(loss)
             if improvement < cfg.rel_tol:
                 break
+    if own and len(trace) == 1:  # no step: the loss was measured on start's own f32 values
+        return FactorPair(w1=start[0], w2=start[1], final_loss=loss, loss_trace=trace)
     out1, out2 = DenseTensor(w1), DenseTensor(w2)
     # final_loss reflects the f32 factors actually returned
-    return FactorPair(
-        w1=out1,
-        w2=out2,
-        final_loss=frobenius_loss(w, out1, out2),
-        loss_trace=trace,
-    )
+    b, c = (np.asarray(x.data, dtype=np.float64) for x in (out1, out2))
+    return FactorPair(w1=out1, w2=out2, final_loss=_loss(a, b, c, resid, sq), loss_trace=trace)

@@ -24,7 +24,7 @@ from tensorpress.errors import (
     TruncatedArchiveError,
     UnsupportedVersionError,
 )
-from tensorpress.factorize import AnnealConfig, _gradients, anneal_factorize, frobenius_loss
+from tensorpress.factorize import AnnealConfig, _gradients, anneal_factorize
 from tensorpress.prune import PruneConfig, entangle, iterative_prune
 from tensorpress.tensors import (
     BitTensor,
@@ -33,6 +33,8 @@ from tensorpress.tensors import (
     read_archive,
     write_archive,
 )
+
+from helpers import frobenius_loss
 
 
 @contextlib.contextmanager

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,10 +10,11 @@ from tensorpress.factorize import (
     FactorPair,
     _gradients,
     anneal_factorize,
-    frobenius_loss,
 )
 from tensorpress.pipeline import CompressedLayer
 from tensorpress.tensors import DenseTensor
+
+from helpers import frobenius_loss
 
 
 def test_loss_zero_at_exact_product():
@@ -120,7 +123,8 @@ def test_start_at_the_floor_is_kept():
     start = _svd_pair(w, 5)
     pair = anneal_factorize(w, AnnealConfig(rank=5, seed=1, eta0=1e300, init_scale=1e308), start)
     assert len(pair.loss_trace) == 1
-    assert pair.w1 == start[0] and pair.w2 == start[1]
+    assert pair.w1 is start[0] and pair.w2 is start[1]
+    assert pair.final_loss == pair.loss_trace[0]
     assert np.sqrt(pair.loss_trace[0]) <= 2.0**-24 * np.linalg.norm(w.data.astype(np.float64))
 
 
@@ -184,6 +188,65 @@ def test_final_loss_consistent_with_factors():
     pair = anneal_factorize(w, AnnealConfig(rank=3, seed=3))
     recomputed = frobenius_loss(w, pair.w1, pair.w2)
     assert recomputed == pytest.approx(pair.final_loss, rel=1e-6)
+
+
+def _perturbed_svd_pair(w, r):
+    w1, w2 = _svd_pair(w, r)
+    noise = np.random.default_rng(r)
+    return (DenseTensor(w1.data + 0.1 * noise.standard_normal(w1.shape)),
+            DenseTensor(w2.data + 0.1 * noise.standard_normal(w2.shape)))
+
+
+@pytest.mark.parametrize("rank, start, cfg", [
+    pytest.param(5, lambda w: _svd_pair(w, 5), {}, id="warm-no-step"),
+    pytest.param(8, lambda w: _svd_pair(w, 5), {"max_iters": 1}, id="warm-padded"),
+    pytest.param(3, lambda w: _svd_pair(w, 5), {"max_iters": 1}, id="warm-cut"),
+    pytest.param(5, lambda w: _perturbed_svd_pair(w, 5), {"max_iters": 30}, id="warm-stepped"),
+    pytest.param(5, lambda w: tuple(t.data.astype(np.float64) / 3 for t in _svd_pair(w, 5)),
+                 {"eta0": 1e8}, id="float64-start-no-step"),
+    pytest.param(5, lambda w: None, {"max_iters": 30}, id="random-stepped"),
+    pytest.param(5, lambda w: None, {"eta0": 1e8}, id="random-no-step"),
+])
+def test_final_loss_is_exactly_that_of_the_returned_factors(rank, start, cfg):
+    # W of rank 5, so that the rank-5 SVD pair meets the floor
+    rng = np.random.default_rng(42)
+    w = DenseTensor(rng.standard_normal((14, 5)) @ rng.standard_normal((5, 11)))
+    pair = anneal_factorize(w, AnnealConfig(rank=rank, seed=5, **cfg), start(w))
+    assert pair.final_loss == frobenius_loss(w, pair.w1, pair.w2)
+
+
+def _traced_peak_units(w, cfg, start=None):
+    """anneal_factorize's traced peak above its entry, in units of one float64 m x n array."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        pair = anneal_factorize(w, cfg, start)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return pair, (peak - base) / (8 * w.size)
+
+
+def test_memory_from_a_start_at_the_floor():
+    # W is the f32 rounding of an f32 pair's product, as decompose hands it on:
+    # the start meets the floor, so only W's float64 copy and the loop's
+    # residual and square buffers are allocated
+    rng = np.random.default_rng(50)
+    b = rng.standard_normal((256, 16)).astype(np.float32)
+    c = rng.standard_normal((16, 256)).astype(np.float32)
+    w = DenseTensor(b.astype(np.float64) @ c.astype(np.float64))
+    start = (DenseTensor(b), DenseTensor(c))
+    pair, units = _traced_peak_units(w, AnnealConfig(rank=16), start)
+    assert len(pair.loss_trace) == 1
+    assert units <= 3.5
+
+
+def test_memory_of_a_random_start():
+    # one candidate residual beside W's float64 copy and the loop's buffers
+    w = DenseTensor(np.random.default_rng(51).standard_normal((256, 256)))
+    pair, units = _traced_peak_units(w, AnnealConfig(rank=16, seed=0, max_iters=20))
+    assert len(pair.loss_trace) == 21
+    assert units <= 4.5
 
 
 def test_seeded_determinism_bit_identical():
