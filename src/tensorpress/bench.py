@@ -45,14 +45,16 @@ def dense_matvec(w: DenseTensor, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float32)
     if a.ndim != 2 or x.shape != (a.shape[1],):
         raise ShapeError(f"dense_matvec: W {a.shape} incompatible with x {x.shape}")
-    return a @ x
+    # .dot, not @ (here and in factored_matvec): the same sgemv, ~0.5 us less dispatch per call
+    return a.dot(x)
 
 
 def factored_matvec(f: FactorPair, x: np.ndarray) -> np.ndarray:
+    w1, w2 = f.w1.data, f.w2.data
     x = np.asarray(x, dtype=np.float32)
-    if x.shape != (f.w2.shape[1],):
-        raise ShapeError(f"factored_matvec: W2 {f.w2.shape} incompatible with x {x.shape}")
-    return f.w1.data @ (f.w2.data @ x)
+    if x.shape != (w2.shape[1],):
+        raise ShapeError(f"factored_matvec: W2 {w2.shape} incompatible with x {x.shape}")
+    return w1.dot(w2.dot(x))
 
 
 def build_csr(w: DenseTensor, mask: np.ndarray) -> sparse.csr_matrix:

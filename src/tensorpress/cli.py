@@ -56,7 +56,10 @@ def _hold_freed_memory() -> None:
         mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """One parser per process: parse_args returns a fresh Namespace, and the
+    append actions copy their default lists before appending."""
     p = argparse.ArgumentParser(prog="tensorpress",
                                 description="Quantum-inspired weight tensor compression")
     p.add_argument("--json", action="store_true", help="machine-parsable stdout")

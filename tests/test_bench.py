@@ -61,12 +61,31 @@ def test_masked_agrees_with_dense_oracle():
 
 def test_shape_errors():
     w = DenseTensor(np.ones((3, 4)))
-    with pytest.raises(ShapeError):
-        dense_matvec(w, np.ones(3, dtype=np.float32))
+    pair = FactorPair(w1=DenseTensor(np.ones((3, 2))), w2=DenseTensor(np.ones((2, 4))),
+                      final_loss=0.0)
+    csr = build_csr(w, np.ones((3, 4)))
     with pytest.raises(ShapeError):
         build_csr(w, np.ones((4, 3)))
-    with pytest.raises(ShapeError):
-        csr_matvec(build_csr(w, np.ones((3, 4))), np.ones(3, dtype=np.float32))
+    for x in (np.ones(3, dtype=np.float32), np.ones((4, 1), dtype=np.float32)):
+        with pytest.raises(ShapeError):
+            dense_matvec(w, x)
+        with pytest.raises(ShapeError):
+            factored_matvec(pair, x)
+        with pytest.raises(ShapeError):
+            csr_matvec(csr, x)
+
+
+@pytest.mark.parametrize("m, n, r", [(512, 512, 41), (128, 576, 8), (128, 1152, None)])
+def test_forwards_are_the_bits_of_matmul(m, n, r):
+    # .dot and @ reach the same sgemv, so the forwards' outputs are those of @ to the bit
+    rng = np.random.default_rng(m * n)
+    w = DenseTensor(rng.standard_normal((m, n)))
+    x = rng.standard_normal(n).astype(np.float32)
+    assert np.array_equal(dense_matvec(w, x), w.data @ x)
+    if r is not None:
+        pair = FactorPair(w1=DenseTensor(rng.standard_normal((m, r))),
+                          w2=DenseTensor(rng.standard_normal((r, n))), final_loss=0.0)
+        assert np.array_equal(factored_matvec(pair, x), pair.w1.data @ (pair.w2.data @ x))
 
 
 def test_flop_models():

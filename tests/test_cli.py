@@ -66,6 +66,20 @@ def test_gen_deterministic_hash(workdir):
     assert h[0] == h[1]
 
 
+def test_gen_calls_in_one_process_keep_their_own_arguments(workdir):
+    # main builds its parser once per process; no call's --layer or --seed reaches the next
+    assert run(["gen", workdir / "a.qtns", "--seed", 9, "--layer", "a1=4x4",
+                "--layer", "a2=2x3"]) == 0
+    assert run(["gen", workdir / "b.qtns", "--layer", "b1=3x3"]) == 0
+    assert run(["gen", workdir / "c.qtns"]) == 0
+    assert run(["gen", workdir / "b0.qtns", "--seed", 0, "--layer", "b1=3x3"]) == 0
+    assert cli.build_parser() is cli.build_parser()
+    assert load_archive(workdir / "a.qtns").names() == ["a1", "a2"]
+    assert load_archive(workdir / "b.qtns").names() == ["b1"]
+    assert load_archive(workdir / "c.qtns").names() == []
+    assert (workdir / "b.qtns").read_bytes() == (workdir / "b0.qtns").read_bytes()
+
+
 def test_gen_empty_spec(workdir):
     assert run(["gen", workdir / "empty.qtns"]) == 0
     assert len(load_archive(workdir / "empty.qtns")) == 0
