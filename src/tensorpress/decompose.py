@@ -8,7 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ShapeError
+from .factorize import check_rank
 from .tensors import DenseTensor
 
 
@@ -41,10 +42,8 @@ def svd(w_f: DenseTensor, rank: int | None = None) -> SvdFactors:
     a = w_f.data.astype(np.float64)
     if not np.all(np.isfinite(a)):
         raise ValueError("svd input contains non-finite entries")
-    k = min(a.shape)
-    r = k if rank is None else rank
-    if not 1 <= r <= k:
-        raise ConfigError(f"rank {r} out of range [1, {k}]")
+    r = min(a.shape) if rank is None else rank
+    check_rank(r, *a.shape)
     tall = a.shape[0] > a.shape[1]
     short = a.T if tall else a  # k x max(m, n)
     x = _leading_eigenvectors(short, r)

@@ -21,7 +21,7 @@ class ConfigError(TensorpressError):
 
 
 class DivergenceError(ConfigError):
-    """A non-finite loss: on finite weights, only a user-set eta0 or init_scale gives one."""
+    """A non-finite loss: on finite weights, only a user-set eta0 gives one."""
 
     def __init__(self, iteration: int):
         self.iteration = iteration

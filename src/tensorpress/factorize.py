@@ -6,7 +6,10 @@ a step that would increase the loss is retried with the step halved, so
 accepted iterates are monotone in loss.
 
 The descent starts from a given factor pair, such as the (U diag(sigma), V^T)
-a rank-r SVD stores, or else from uniform random factors drawn from the seed.
+a rank-r SVD stores, or else from uniform random factors drawn from the seed
+on +-sqrt(rms(W) / max(m, n)), rms(W) = ||W||_F / sqrt(m n). Range and default
+step size follow W, so W * 4^k yields the factors times exactly 2^k. On finite
+weights only a user-set eta0 makes the loss non-finite.
 It stops once ||W1 @ W2 - W||_F <= 2^-24 ||W||_F, the f32 floor, checked
 before the first iteration and after each one: past it the returned f32
 factors cannot fit better. By Eckart-Young a truncated SVD's pair already fits
@@ -43,9 +46,8 @@ FLOOR = 2.0**-24
 
 @dataclass(frozen=True)
 class AnnealConfig:
-    rank: int | None = None          # checked only when given; factorize needs it
-    init_scale: float | None = None  # default 1/sqrt(max(m, n)) at run time
-    eta0: float | None = None        # default 0.5 / ||W||_F at run time
+    rank: int | None = None    # checked only when given; factorize needs it
+    eta0: float | None = None  # default 0.5 / ||W||_F at run time
     decay: float = 0.999
     max_iters: int = 2000
     rel_tol: float = 1e-7
@@ -54,8 +56,6 @@ class AnnealConfig:
     def __post_init__(self):
         if self.rank is not None:
             check_int("rank", self.rank, 1)
-        if self.init_scale is not None:
-            check_real("init_scale", self.init_scale, "(0, inf)")
         if self.eta0 is not None:
             check_real("eta0", self.eta0, "(0, inf)")
         check_real("decay", self.decay, "(0, 1]")
@@ -143,12 +143,12 @@ def anneal_factorize(w: DenseTensor, cfg: AnnealConfig, start=None) -> FactorPai
         return FactorPair(w1=w1, w2=w2, final_loss=0.0, loss_trace=[0.0])
     eta0 = cfg.eta0 if cfg.eta0 is not None else 0.5 / norm
     if start is None:
-        init_scale = cfg.init_scale if cfg.init_scale is not None else 1.0 / np.sqrt(max(m, n))
-        if np.isinf(2.0 * init_scale):  # the initial draw's range overflows, as the loss would
+        if not np.isfinite(norm):  # a NaN or inf weight: no range, and the loss fails at 0
             raise DivergenceError(0)
+        scale = np.sqrt(norm / np.sqrt(m * n) / max(m, n))  # sqrt(rms(W) / max(m, n))
         rng = np.random.default_rng(cfg.seed)
-        w1 = rng.uniform(-init_scale, init_scale, (m, cfg.rank))
-        w2 = rng.uniform(-init_scale, init_scale, (cfg.rank, n))
+        w1 = rng.uniform(-scale, scale, (m, cfg.rank))
+        w2 = rng.uniform(-scale, scale, (cfg.rank, n))
     floor_loss = (FLOOR * norm) ** 2
 
     # a diverging run overflows to inf or nan, which the loss check below turns

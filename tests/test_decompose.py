@@ -233,10 +233,16 @@ def test_svd_ill_conditioned_error_within_f32_floor_of_optimal(r):
 
 
 def test_svd_rank_out_of_range():
+    # factorize.check_rank's rule: an integer other than a bool, 1 <= rank <= min(m, n)
     w = random_matrix(4, 6, 14)
-    for bad in (0, 5, -1):
-        with pytest.raises(ConfigError, match=r"out of range \[1, 4\]"):
+    for bad, message in [(0, r"rank must be >= 1, got 0"), (-1, r"rank must be >= 1, got -1"),
+                         (5, r"rank 5 exceeds min\(m, n\) = 4"),
+                         (True, "rank must be an integer, got True"),
+                         (2.0, r"rank must be an integer, got 2\.0")]:
+        with pytest.raises(ConfigError, match=f"^{message}$"):
             svd(w, bad)
+    got, want = svd(w, np.int64(2)), svd(w, 2)
+    assert got.rank == 2 and got.sigma.tobytes() == want.sigma.tobytes()
 
 
 # svd's eigensolve has two routes: LAPACK's dsyevr from numpy's own LAPACK,

@@ -121,7 +121,7 @@ def test_start_at_the_floor_is_kept():
     rng = np.random.default_rng(40)
     w = DenseTensor(rng.standard_normal((30, 5)) @ rng.standard_normal((5, 20)))
     start = _svd_pair(w, 5)
-    pair = anneal_factorize(w, AnnealConfig(rank=5, seed=1, eta0=1e300, init_scale=1e308), start)
+    pair = anneal_factorize(w, AnnealConfig(rank=5, seed=1, eta0=1e300), start)
     assert len(pair.loss_trace) == 1
     assert pair.w1 is start[0] and pair.w2 is start[1]
     assert pair.final_loss == pair.loss_trace[0]
@@ -327,12 +327,14 @@ def _anneal_oracle(w, cfg):
     m, n = w.shape
     a = w.data.astype(np.float64)
     norm = float(np.linalg.norm(a))
-    init_scale = cfg.init_scale if cfg.init_scale is not None else 1.0 / np.sqrt(max(m, n))
+    scale = np.sqrt(norm / np.sqrt(m * n) / max(m, n))
+    if not np.isfinite(scale):  # a NaN weight: no range to draw from
+        raise DivergenceError(0)
     eta0 = cfg.eta0 if cfg.eta0 is not None else (0.5 / norm if norm > 0 else 0.5)
 
     rng = np.random.default_rng(cfg.seed)
-    w1 = rng.uniform(-init_scale, init_scale, (m, cfg.rank))
-    w2 = rng.uniform(-init_scale, init_scale, (cfg.rank, n))
+    w1 = rng.uniform(-scale, scale, (m, cfg.rank))
+    w2 = rng.uniform(-scale, scale, (cfg.rank, n))
 
     halvings = 0
     loss = float(np.sum((a - w1 @ w2) ** 2))

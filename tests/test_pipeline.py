@@ -107,6 +107,27 @@ class TestCompressLayer:
         assert row["params_after"] == 8 * 16 == 128
         assert row["recon_error_rel"] < 1e-3
 
+    # a layer that factorize fits from a random start, at any scale alike
+    SCALED = dict(stage_list=("factorize",), anneal=AnnealConfig(rank=8, max_iters=300, seed=1))
+
+    @pytest.mark.parametrize("k", [-5, 5, 10, 20])
+    def test_factorize_from_random_start_is_scale_equivariant(self, k):
+        # the start's range and the step size follow W: W * 4^k stores W's
+        # factors times 2^k, bit for bit
+        w, cfg = random_tensor((64, 64), 1), full_config(**self.SCALED)
+        layer, row = compress_layer(w, cfg)
+        scaled, scaled_row = compress_layer(DenseTensor(w.data * 4.0**k), cfg)
+        for got, want in zip(scaled.tensors, layer.tensors):
+            assert got.data.tobytes() == (want.data * np.float32(2.0**k)).tobytes()
+        assert scaled_row["recon_error_rel"] == row["recon_error_rel"]
+
+    def test_factorize_from_random_start_fits_any_scale(self):
+        w, cfg = random_tensor((64, 64), 1), full_config(**self.SCALED)
+        errors = [compress_layer(DenseTensor(w.data * s), cfg)[1]["recon_error_rel"]
+                  for s in (1e-3, 1.0, 1e3, 1e6)]
+        assert errors == pytest.approx([errors[1]] * 4, rel=1e-6)
+        assert errors[1] < 0.8
+
     def test_prune_only_artifact(self):
         w = random_tensor((10, 10), 2)
         cfg = full_config(stage_list=("prune",), prune=PruneConfig(alpha=0.4, seed=0))
